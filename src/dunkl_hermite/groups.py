@@ -169,7 +169,7 @@ def custom_root_system(positive_roots: Iterable[Sequence],
     """
     roots = tuple(_vec(r) for r in positive_roots)
     if not roots:
-        return RootSystem(m=_infer_dim(multiplicities), positive_roots=(), multiplicities=(), orbits=())
+        raise InvalidRootSystem("empty root system needs an explicit dimension; use trivial_root_system(m)")
     m = len(roots[0])
     _validate_roots(roots, m)
     orbits = orbit_decomposition(roots)
@@ -200,10 +200,6 @@ def custom_root_system(positive_roots: Iterable[Sequence],
             f"missing multiplicity for orbit of {_fmt(roots[orbits[missing[0]][0]])}")
     per_root = tuple(assigned[orbit_of[i]] for i in range(len(roots)))
     return RootSystem(m=m, positive_roots=roots, multiplicities=per_root, orbits=orbits)
-
-
-def _infer_dim(multiplicities) -> int:
-    raise InvalidRootSystem("empty root system needs an explicit dimension; use trivial_root_system(m)")
 
 
 def trivial_root_system(m: int) -> RootSystem:

@@ -41,19 +41,6 @@ class OperatorMatrix:
             raise DimensionMismatch(f"dimension mismatch: vector of length {len(vec)} vs {self.ncols} columns")
         return tuple(sum((r[j] * vec[j] for j in range(len(vec))), Fraction(0)) for r in self.entries)
 
-    def apply_poly(self, p: Polynomial) -> Polynomial:
-        """Apply via matrix-vector product; p must be homogeneous of the domain degree."""
-        if not p:
-            return Polynomial.zero(self.m)
-        if p.homogeneous_degree() != self.domain_degree:
-            raise MathPrecondition(
-                f"polynomial of degree {p.homogeneous_degree()} fed to matrix on degree {self.domain_degree}")
-        basis = monomial_basis(self.m, self.domain_degree)
-        vec = [p.coefficient(e) for e in basis]
-        image = self.apply_vector(vec)
-        cod = monomial_basis(self.m, self.codomain_degree)
-        return Polynomial(self.m, {e: c for e, c in zip(cod, image) if c})
-
 
 def materialize_on_degree(op: Callable[[Polynomial], Polynomial], m: int, degree: int,
                           codomain_degree: int | None = None) -> OperatorMatrix:

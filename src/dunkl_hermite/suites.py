@@ -2,19 +2,21 @@
 
 Each suite sweeps a fixed set of reflection groups with deterministic
 multiplicity draws and checks one family of operator or polynomial
-identities; a failure carries the exact residual, never a norm.  Suites are
-pure sweeps over immutable contexts, so independent cases may be evaluated by
-a thread pool (capped by the DUNKL_NUM_THREADS environment variable).
+identities; a failure carries the exact residual, never a norm.  A suite is
+one row of SUITES: a builder for its seeded group cases, the check run on each
+case and, for two suites, a check run on the fixed kappa = 0 cases.  One
+driver, run_suite, runs every row.
 """
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import reduce
+from itertools import product
+from operator import sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .clifford import (CliffordPolynomial, d_plus, d_plus_squared_scalar, dunkl_dirac,
                        monogenic_basis, vector_multiply)
@@ -82,21 +84,8 @@ class SuiteVerdict:
         return data
 
 
-def max_workers() -> int:
-    """Worker cap from DUNKL_NUM_THREADS; defaults to serial evaluation."""
-    raw = os.environ.get("DUNKL_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_cases(worker: Callable, cases: Sequence) -> list:
-    """Evaluate independent cases, in a pool when allowed; order is preserved."""
-    workers = max_workers()
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, cases))
+    """Evaluate the group cases of one suite, in order."""
     return [worker(case) for case in cases]
 
 
@@ -153,231 +142,139 @@ def _scalar_inputs(m: int, max_deg: int) -> list[Polynomial]:
     return [Polynomial.monomial(m, e) for d in range(max_deg + 1) for e in monomial_basis(m, d)]
 
 
-def _verdict(suite: str, cases: int, failures: list[dict], started: float) -> SuiteVerdict:
-    return SuiteVerdict(suite=suite, cases=cases, failures=failures,
-                        wall_time_ms=round((time.perf_counter() - started) * 1000, 3))
+# -- per-case checks ------------------------------------------------------------
+# Each check takes (sweep, context, profile) and reports through the sweep.
+
+class Sweep:
+    """Check count and failure records of one group case.
+
+    A failure record is {group, kappa, identity, **detail, residual}; it is
+    built, and its detail serialized, only when a check fails.
+    """
+
+    def __init__(self, case: GroupCase) -> None:
+        self.case = case
+        self.cases = 0
+        self.failures: list[dict] = []
+
+    def check(self, identity: str, residual, **detail) -> None:
+        """One exact check; it fails when the residual is nonzero."""
+        self.cases += 1
+        if residual:
+            self.fail(identity, **detail, residual=residual)
+
+    def expect(self, identity: str, ok: bool, **detail) -> None:
+        """One check that fails when ok is false."""
+        self.cases += 1
+        if not ok:
+            self.fail(identity, **detail)
+
+    def fail(self, identity: str, **detail) -> None:
+        self.failures.append({**self.case.describe(), "identity": identity,
+                              **{key: _json(value) for key, value in detail.items()}})
 
 
-# -- operator identity suites ------------------------------------------------
+def _json(value):
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
 
-def run_commute(profile: Profile, seed: int) -> SuiteVerdict:
+
+def _commute(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Dunkl operators commute pairwise on every monomial up to the cap."""
-    started = time.perf_counter()
-    cases = group_cases(OPERATOR_GROUPS, seed, profile.operator_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        count, failures = 0, []
-        for f in _scalar_inputs(ctx.m, profile.max_deg):
-            for i in range(ctx.m):
-                for j in range(i + 1, ctx.m):
-                    count += 1
-                    residual = (dunkl_derivative(ctx, i, dunkl_derivative(ctx, j, f))
-                                - dunkl_derivative(ctx, j, dunkl_derivative(ctx, i, f)))
-                    if residual:
-                        failures.append({**case.describe(), "identity": f"[T{i + 1}, T{j + 1}] = 0",
-                                         "input": f.to_json(), "residual": residual.to_json()})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-    return _verdict("commute", total, failures, started)
+    for f in _scalar_inputs(ctx.m, profile.max_deg):
+        for i in range(ctx.m):
+            for j in range(i + 1, ctx.m):
+                s.check(f"[T{i + 1}, T{j + 1}] = 0",
+                        dunkl_derivative(ctx, i, dunkl_derivative(ctx, j, f))
+                        - dunkl_derivative(ctx, j, dunkl_derivative(ctx, i, f)), input=f)
 
 
-def run_sl2(profile: Profile, seed: int) -> SuiteVerdict:
+def _sl2(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """[H, E] = 2E, [H, F] = -2F, [E, F] = H on every monomial up to the cap."""
-    started = time.perf_counter()
-    cases = group_cases(CONSTRUCTION_GROUPS, seed, profile.operator_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        count, failures = 0, []
-        for f in _scalar_inputs(ctx.m, profile.max_deg):
-            checks = (
-                ("[H, E] = 2E", sl2_h(ctx, sl2_e(f)) - sl2_e(sl2_h(ctx, f)) - 2 * sl2_e(f)),
-                ("[H, F] = -2F", sl2_h(ctx, sl2_f(ctx, f)) - sl2_f(ctx, sl2_h(ctx, f)) + 2 * sl2_f(ctx, f)),
-                ("[E, F] = H", sl2_e(sl2_f(ctx, f)) - sl2_f(ctx, sl2_e(f)) - sl2_h(ctx, f)),
-            )
-            for identity, residual in checks:
-                count += 1
-                if residual:
-                    failures.append({**case.describe(), "identity": identity,
-                                     "input": f.to_json(), "residual": residual.to_json()})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-    return _verdict("sl2", total, failures, started)
+    for f in _scalar_inputs(ctx.m, profile.max_deg):
+        ef, ff, hf = sl2_e(f), sl2_f(ctx, f), sl2_h(ctx, f)
+        s.check("[H, E] = 2E", sl2_h(ctx, ef) - sl2_e(hf) - 2 * ef, input=f)
+        s.check("[H, F] = -2F", sl2_h(ctx, ff) - sl2_f(ctx, hf) + 2 * ff, input=f)
+        s.check("[E, F] = H", sl2_e(ff) - sl2_f(ctx, ef) - hf, input=f)
 
 
-def run_lemma1(profile: Profile, seed: int) -> SuiteVerdict:
+def _lemma1(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Laplacian of a radial power times a homogeneous polynomial splits into
     the two-term commutation formula; checked on monomials and on computed
     harmonics (where the second term drops)."""
-    started = time.perf_counter()
-    cases = group_cases(OPERATOR_GROUPS, seed, profile.operator_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        mu = ctx.mu
-        norm2 = Polynomial.norm_squared(ctx.m)
-        count, failures = 0, []
-        for ell in range(profile.lemma_ell_max + 1):
-            inputs = [Polynomial.monomial(ctx.m, e) for e in monomial_basis(ctx.m, ell)]
-            inputs.extend(harmonic_basis(ctx, ell).elements)
-            for s in range(1, profile.radial_power_max + 1):
-                factor = 2 * s * (2 * ell + mu + 2 * s - 2)
-                for R in inputs:
-                    count += 1
-                    lhs = dunkl_laplacian(ctx, (norm2 ** s) * R)
-                    rhs = factor * ((norm2 ** (s - 1)) * R) + (norm2 ** s) * dunkl_laplacian(ctx, R)
-                    residual = lhs - rhs
-                    if residual:
-                        failures.append({**case.describe(),
-                                         "identity": "radial commutation", "s": s, "ell": ell,
-                                         "input": R.to_json(), "residual": residual.to_json()})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-    return _verdict("lemma1", total, failures, started)
+    norm2 = Polynomial.norm_squared(ctx.m)
+    for ell in range(profile.lemma_ell_max + 1):
+        inputs = [Polynomial.monomial(ctx.m, e) for e in monomial_basis(ctx.m, ell)]
+        inputs.extend(harmonic_basis(ctx, ell).elements)
+        for k in range(1, profile.radial_power_max + 1):
+            factor = 2 * k * (2 * ell + ctx.mu + 2 * k - 2)
+            for R in inputs:
+                lhs = dunkl_laplacian(ctx, (norm2 ** k) * R)
+                rhs = factor * ((norm2 ** (k - 1)) * R) + (norm2 ** k) * dunkl_laplacian(ctx, R)
+                s.check("radial commutation", lhs - rhs, s=k, ell=ell, input=R)
 
 
 def _clifford_inputs(m: int, max_deg: int) -> list[CliffordPolynomial]:
-    out = []
-    for mask in range(1 << m):
-        for d in range(max_deg + 1):
-            for e in monomial_basis(m, d):
-                out.append(CliffordPolynomial(m, {mask: Polynomial.monomial(m, e)}))
-    return out
+    scalars = _scalar_inputs(m, max_deg)
+    return [CliffordPolynomial(m, {mask: p}) for mask in range(1 << m) for p in scalars]
 
 
-def run_anticommutator(profile: Profile, seed: int) -> SuiteVerdict:
+def _anticommutator(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """{D, x} = -(2E + mu) on every monomial-blade up to the Clifford cap."""
-    started = time.perf_counter()
-    cases = group_cases(OPERATOR_GROUPS, seed, profile.operator_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        count, failures = 0, []
-        for F in _clifford_inputs(ctx.m, profile.clifford_deg):
-            count += 1
-            lhs = dunkl_dirac(ctx, vector_multiply(F)) + vector_multiply(dunkl_dirac(ctx, F))
-            rhs = F.apply_scalar_operator(lambda p: -(2 * euler_operator(p) + ctx.mu * p))
-            residual = lhs - rhs
-            if residual:
-                failures.append({**case.describe(), "identity": "{D, x} = -(2E + mu)",
-                                 "input": F.to_json(), "residual": residual.to_json()})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-    return _verdict("anticommutator", total, failures, started)
+    for F in _clifford_inputs(ctx.m, profile.clifford_deg):
+        lhs = dunkl_dirac(ctx, vector_multiply(F)) + vector_multiply(dunkl_dirac(ctx, F))
+        rhs = F.apply_scalar_operator(lambda p: -(2 * euler_operator(p) + ctx.mu * p))
+        s.check("{D, x} = -(2E + mu)", lhs - rhs, input=F)
 
 
-def run_dplus2(profile: Profile, seed: int) -> SuiteVerdict:
-    """(D+)^2 equals its scalar expansion, D^2 = -Delta, and the classical
-    odd ladder on monogenics at kappa = 0."""
-    started = time.perf_counter()
-    cases = group_cases(OPERATOR_GROUPS, seed, profile.operator_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        count, failures = 0, []
-        for F in _clifford_inputs(ctx.m, profile.clifford_deg):
-            count += 2
-            residual = d_plus(ctx, d_plus(ctx, F)) - d_plus_squared_scalar(ctx, F)
-            if residual:
-                failures.append({**case.describe(), "identity": "(D+)^2 scalar expansion",
-                                 "input": F.to_json(), "residual": residual.to_json()})
-            residual = (dunkl_dirac(ctx, dunkl_dirac(ctx, F))
-                        + F.apply_scalar_operator(lambda p: dunkl_laplacian(ctx, p)))
-            if residual:
-                failures.append({**case.describe(), "identity": "D^2 = -Delta",
-                                 "input": F.to_json(), "residual": residual.to_json()})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-
-    # classical odd table: kappa = 0, monogenic inputs
-    for m in (2, 3):
-        ctx = DunklContext(builtin_root_system("z2", m, [0] * m))
-        for ell in range(3):
-            for M in monogenic_basis(ctx, ell):
-                total += 2
-                xM = vector_multiply(M)
-                first = d_plus(ctx, M) - 2 * xM
-                if first:
-                    failures.append({"group": f"z2^{m}", "kappa": ["0/1"] * m,
-                                     "identity": "classical D+ M = 2 x M", "ell": ell,
-                                     "input": M.to_json(), "residual": first.to_json()})
-                x3M = vector_multiply(vector_multiply(xM))
-                third = (d_plus(ctx, d_plus(ctx, d_plus(ctx, M)))
-                         - 8 * x3M - (4 * (2 * ell + m + 2)) * xM)
-                if third:
-                    failures.append({"group": f"z2^{m}", "kappa": ["0/1"] * m,
-                                     "identity": "classical D+^3 M = 8 x^3 M + 4(2 ell + m + 2) x M",
-                                     "ell": ell, "input": M.to_json(), "residual": third.to_json()})
-    return _verdict("dplus2", total, failures, started)
+def _dplus2(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
+    """(D+)^2 equals its scalar expansion and D^2 = -Delta."""
+    for F in _clifford_inputs(ctx.m, profile.clifford_deg):
+        s.check("(D+)^2 scalar expansion",
+                d_plus(ctx, d_plus(ctx, F)) - d_plus_squared_scalar(ctx, F), input=F)
+        s.check("D^2 = -Delta", dunkl_dirac(ctx, dunkl_dirac(ctx, F))
+                + F.apply_scalar_operator(lambda p: dunkl_laplacian(ctx, p)), input=F)
 
 
-# -- structural suites -------------------------------------------------------
+def _classical_odd_ladder(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
+    """Odd powers of D+ on monogenics at kappa = 0 give the classical table."""
+    for ell in range(3):
+        for M in monogenic_basis(ctx, ell):
+            xM = vector_multiply(M)
+            s.check("classical D+ M = 2 x M", d_plus(ctx, M) - 2 * xM, ell=ell, input=M)
+            s.check("classical D+^3 M = 8 x^3 M + 4(2 ell + m + 2) x M",
+                    d_plus(ctx, d_plus(ctx, d_plus(ctx, M)))
+                    - 8 * vector_multiply(vector_multiply(xM)) - (4 * (2 * ell + ctx.m + 2)) * xM,
+                    ell=ell, input=M)
 
-def run_fischer(profile: Profile, seed: int) -> SuiteVerdict:
+
+def _fischer(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Projection operators sum to the identity, are idempotent and mutually
     annihilating, decompositions reassemble, and harmonic dimensions match the
     classical count."""
-    started = time.perf_counter()
-    cases = group_cases(CONSTRUCTION_GROUPS, seed, profile.operator_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        count, failures = 0, []
-        for degree in range(profile.fischer_degree_max + 1):
-            expected_dim = harmonic_dimension_classical(ctx.m, degree)
-            count += 1
-            actual_dim = len(harmonic_basis(ctx, degree).elements)
-            if actual_dim != expected_dim:
-                failures.append({**case.describe(), "identity": "harmonic dimension",
-                                 "degree": degree, "expected": expected_dim, "actual": actual_dim})
-            layers = degree // 2 + 1
-            for e in monomial_basis(ctx.m, degree):
-                p = Polynomial.monomial(ctx.m, e)
-                projections = [fischer_project(ctx, i, degree, p) for i in range(layers)]
-                count += 1
-                residual = p
-                for q in projections:
-                    residual = residual - q
-                if residual:
-                    failures.append({**case.describe(), "identity": "sum of projections = id",
-                                     "input": p.to_json(), "residual": residual.to_json()})
-                count += 1
-                parts = fischer_decompose(ctx, p)
-                residual = p
-                for _, q in parts:
-                    residual = residual - q
-                if residual:
-                    failures.append({**case.describe(), "identity": "decomposition reassembles",
-                                     "input": p.to_json(), "residual": residual.to_json()})
-                layer_map = dict(parts)
-                for i in range(layers):
-                    count += 1
-                    residual = projections[i] - layer_map.get(i, Polynomial.zero(ctx.m))
-                    if residual:
-                        failures.append({**case.describe(),
-                                         "identity": "projection agrees with decomposition",
-                                         "layer": i, "input": p.to_json(),
-                                         "residual": residual.to_json()})
-                for i in range(layers):
-                    for j in range(layers):
-                        count += 1
-                        image = fischer_project(ctx, j, degree, projections[i])
-                        residual = image - projections[i] if i == j else image
-                        if residual:
-                            failures.append({**case.describe(),
-                                             "identity": "projections idempotent and orthogonal",
-                                             "layers": [i, j], "input": p.to_json(),
-                                             "residual": residual.to_json()})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-    return _verdict("fischer", total, failures, started)
+    for degree in range(profile.fischer_degree_max + 1):
+        expected = harmonic_dimension_classical(ctx.m, degree)
+        actual = len(harmonic_basis(ctx, degree).elements)
+        s.expect("harmonic dimension", actual == expected,
+                 degree=degree, expected=expected, actual=actual)
+        layers = range(degree // 2 + 1)
+        for e in monomial_basis(ctx.m, degree):
+            p = Polynomial.monomial(ctx.m, e)
+            projections = [fischer_project(ctx, i, degree, p) for i in layers]
+            s.check("sum of projections = id", reduce(sub, projections, p), input=p)
+            parts = fischer_decompose(ctx, p)
+            s.check("decomposition reassembles", reduce(sub, (q for _, q in parts), p), input=p)
+            layer_map = dict(parts)
+            for i in layers:
+                s.check("projection agrees with decomposition",
+                        projections[i] - layer_map.get(i, Polynomial.zero(ctx.m)), layer=i, input=p)
+            for i, j in product(layers, repeat=2):
+                image = fischer_project(ctx, j, degree, projections[i])
+                s.check("projections idempotent and orthogonal",
+                        image - projections[i] if i == j else image, layers=[i, j], input=p)
 
 
 _TABLE_RADIALS = {
@@ -388,212 +285,164 @@ _TABLE_RADIALS = {
 }
 
 
-def run_hermite_eq(profile: Profile, seed: int) -> SuiteVerdict:
+def _harmonics(ctx: DunklContext, ell_max: int) -> Iterator[tuple[int, int, Polynomial]]:
+    """(ell, index, harmonic) over the harmonic bases of degrees 0..ell_max."""
+    return ((ell, i, h) for ell in range(ell_max + 1)
+            for i, h in enumerate(harmonic_basis(ctx, ell).elements))
+
+
+def _hermite_eq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """The three constructions agree exactly; small indices match the closed
-    table; both radial recurrences hold; kappa = 0 reduces to the classical
-    polynomials (mu = m)."""
-    started = time.perf_counter()
-    cases = group_cases(CONSTRUCTION_GROUPS, seed, profile.construction_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        mu = ctx.mu
-        count, failures = 0, []
-        for ell in range(profile.ell_max + 1):
-            for h_index, h in enumerate(harmonic_basis(ctx, ell).elements):
-                previous = None
-                for t in range(profile.t_max + 1):
-                    rec = ch_recursion(ctx, t, h)
-                    rod = ch_rodrigues(ctx, t, h)
-                    lag = ch_laguerre(ctx, t, ell, h)
-                    count += 1
-                    if not (rec.polynomial == rod.polynomial == lag.polynomial
-                            and rec.radial_coeffs == rod.radial_coeffs == lag.radial_coeffs):
-                        failures.append({**case.describe(), "identity": "construction equivalence",
-                                         "t": t, "ell": ell, "h_index": h_index,
-                                         "recursion": rec.to_json(), "rodrigues": rod.to_json(),
-                                         "laguerre": lag.to_json()})
-                    count += 1
-                    if rec.radial_coeffs[-1] != Fraction(-4) ** t:
-                        failures.append({**case.describe(), "identity": "top radial coefficient",
-                                         "t": t, "ell": ell, "h_index": h_index,
-                                         "radial": [rational_str(c) for c in rec.radial_coeffs]})
-                    if t in _TABLE_RADIALS:
-                        count += 1
-                        if rec.radial_coeffs != _TABLE_RADIALS[t](ell, mu):
-                            failures.append({**case.describe(), "identity": "closed radial table",
-                                             "t": t, "ell": ell, "h_index": h_index,
-                                             "radial": [rational_str(c) for c in rec.radial_coeffs]})
-                    if previous is not None:
-                        count += 1
-                        check = coefficient_recursions_check(previous, rec)
-                        if not check.ok:
-                            failures.append({**case.describe(), "identity": "radial recurrences",
-                                             "t": t, "ell": ell, "h_index": h_index,
-                                             "step": [[i, rational_str(r)] for i, r in check.step_failures],
-                                             "internal": [[i, rational_str(r)]
-                                                          for i, r in check.internal_failures]})
-                    previous = rec
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-
-    # classical reduction: kappa = 0 gives the classical table with mu = m
-    for m in (2, 3):
-        ctx = DunklContext(builtin_root_system("z2", m, [0] * m))
-        for ell in range(min(profile.ell_max, 2) + 1):
-            for h in harmonic_basis(ctx, ell).elements:
-                for t in (0, 1, 2):
-                    total += 1
-                    rec = ch_recursion(ctx, t, h)
-                    if rec.radial_coeffs != _TABLE_RADIALS[t](ell, Fraction(m)):
-                        failures.append({"group": f"z2^{m}", "kappa": ["0/1"] * m,
-                                         "identity": "classical reduction", "t": t, "ell": ell,
-                                         "radial": [rational_str(c) for c in rec.radial_coeffs]})
-    return _verdict("hermite-eq", total, failures, started)
+    table; both radial recurrences hold."""
+    for ell, h_index, h in _harmonics(ctx, profile.ell_max):
+        previous = None
+        for t in range(profile.t_max + 1):
+            rec, rod, lag = ch_recursion(ctx, t, h), ch_rodrigues(ctx, t, h), ch_laguerre(ctx, t, ell, h)
+            at = {"t": t, "ell": ell, "h_index": h_index}
+            s.expect("construction equivalence",
+                     rec.polynomial == rod.polynomial == lag.polynomial
+                     and rec.radial_coeffs == rod.radial_coeffs == lag.radial_coeffs,
+                     **at, recursion=rec, rodrigues=rod, laguerre=lag)
+            s.expect("top radial coefficient", rec.radial_coeffs[-1] == Fraction(-4) ** t,
+                     **at, radial=rec.radial_coeffs)
+            if t in _TABLE_RADIALS:
+                s.expect("closed radial table", rec.radial_coeffs == _TABLE_RADIALS[t](ell, ctx.mu),
+                         **at, radial=rec.radial_coeffs)
+            if previous is not None:
+                check = coefficient_recursions_check(previous, rec)
+                s.expect("radial recurrences", check.ok, **at,
+                         step=check.step_failures, internal=check.internal_failures)
+            previous = rec
 
 
-def run_diffeq(profile: Profile, seed: int) -> SuiteVerdict:
+def _classical_reduction(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
+    """kappa = 0 gives the classical radial table with mu = m."""
+    for ell, _, h in _harmonics(ctx, min(profile.ell_max, 2)):
+        for t in (0, 1, 2):
+            rec = ch_recursion(ctx, t, h)
+            s.expect("classical reduction", rec.radial_coeffs == _TABLE_RADIALS[t](ell, Fraction(ctx.m)),
+                     t=t, ell=ell, radial=rec.radial_coeffs)
+
+
+def _diffeq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Each Hermite element satisfies (Delta - 2E) CH = -2(2t + ell) CH and is
     an eigenvector of the spherical operator at -ell(mu - 2 + ell)."""
-    started = time.perf_counter()
-    cases = group_cases(CONSTRUCTION_GROUPS, seed, profile.construction_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        mu = ctx.mu
-        count, failures = 0, []
-        for ell in range(profile.ell_max + 1):
-            for h_index, h in enumerate(harmonic_basis(ctx, ell).elements):
-                for t in range(profile.t_max + 1):
-                    ch = ch_recursion(ctx, t, h).polynomial
-                    count += 1
-                    residual = (dunkl_laplacian(ctx, ch) - 2 * euler_operator(ch)
-                                + 2 * (2 * t + ell) * ch)
-                    if residual:
-                        failures.append({**case.describe(),
-                                         "identity": "(Delta - 2E) CH = -2(2t + ell) CH",
-                                         "t": t, "ell": ell, "h_index": h_index,
-                                         "residual": residual.to_json()})
-                    count += 1
-                    residual = laplace_beltrami(ctx, ch) + ell * (mu - 2 + ell) * ch
-                    if residual:
-                        failures.append({**case.describe(),
-                                         "identity": "spherical eigenvalue -ell(mu - 2 + ell)",
-                                         "t": t, "ell": ell, "h_index": h_index,
-                                         "residual": residual.to_json()})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-    return _verdict("diffeq", total, failures, started)
+    for ell, h_index, h in _harmonics(ctx, profile.ell_max):
+        for t in range(profile.t_max + 1):
+            ch = ch_recursion(ctx, t, h).polynomial
+            s.check("(Delta - 2E) CH = -2(2t + ell) CH",
+                    dunkl_laplacian(ctx, ch) - 2 * euler_operator(ch) + 2 * (2 * t + ell) * ch,
+                    t=t, ell=ell, h_index=h_index)
+            s.check("spherical eigenvalue -ell(mu - 2 + ell)",
+                    laplace_beltrami(ctx, ch) + ell * (ctx.mu - 2 + ell) * ch,
+                    t=t, ell=ell, h_index=h_index)
 
 
-def run_roesler(profile: Profile, seed: int) -> SuiteVerdict:
+def _roesler(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Heat-semigroup Hermite family: eigenvalue equations (plain and
     Gaussian-weighted), equal spans with the Clifford-Hermite family, and
     elementwise proportionality on the adapted basis."""
-    started = time.perf_counter()
-    cases = group_cases(CONSTRUCTION_GROUPS, seed, profile.operator_draws)
-
-    def worker(case: GroupCase) -> tuple[int, list[dict]]:
-        ctx = case.context()
-        count, failures = 0, []
-        for n in range(profile.eigen_degree_max + 1):
-            report = eigenspace_checks(ctx, n)
-            count += report.cases + 1
-            failures.extend({**case.describe(), "identity": "(Delta - 2E) eigenvalue", "n": n, **f}
-                            for f in report.failures)
-            if (report.heat_family_rank != report.expected_rank
-                    or report.hermite_family_rank != report.expected_rank
-                    or report.combined_rank != report.expected_rank):
-                failures.append({**case.describe(), "identity": "span ranks", "n": n,
-                                 "heat_rank": report.heat_family_rank,
-                                 "hermite_rank": report.hermite_family_rank,
-                                 "combined_rank": report.combined_rank,
-                                 "expected": report.expected_rank})
-            for e in monomial_basis(ctx.m, n):
-                count += 1
-                check = weighted_eigenfunction_check(ctx, rosler_hermite(ctx, Polynomial.monomial(ctx.m, e)))
-                if not check.ok:
-                    failures.append({**case.describe(), "identity": "weighted eigenfunction",
-                                     "n": n, "input": list(e), "residual": check.residual.to_json()})
-        # elementwise proportionality on the adapted basis, constants harmonic-independent
-        for n in range(profile.span_degree_max + 1):
-            for i in range(n // 2 + 1):
-                constants = set()
-                for h in harmonic_basis(ctx, n - 2 * i).elements:
-                    count += 1
-                    constants.add(proportionality_constant(ctx, i, n, h))
-                if len(constants) > 1:
-                    failures.append({**case.describe(), "identity": "proportionality constant",
-                                     "n": n, "i": i,
-                                     "constants": sorted(rational_str(c) for c in constants)})
-                if n == 2 and i == 1 and constants != {Fraction(-1)}:
-                    failures.append({**case.describe(), "identity": "constant at (i=1, n=2)",
-                                     "constants": sorted(rational_str(c) for c in constants)})
-        return count, failures
-
-    total, failures = _collect(_run_cases(worker, cases))
-    return _verdict("roesler", total, failures, started)
+    for n in range(profile.eigen_degree_max + 1):
+        report = eigenspace_checks(ctx, n)
+        s.cases += report.cases + 1
+        for failure in report.failures:
+            s.fail("(Delta - 2E) eigenvalue", n=n, **failure)
+        ranks = (report.heat_family_rank, report.hermite_family_rank, report.combined_rank)
+        if any(rank != report.expected_rank for rank in ranks):
+            s.fail("span ranks", n=n, heat_rank=ranks[0], hermite_rank=ranks[1],
+                   combined_rank=ranks[2], expected=report.expected_rank)
+        for e in monomial_basis(ctx.m, n):
+            check = weighted_eigenfunction_check(ctx, rosler_hermite(ctx, Polynomial.monomial(ctx.m, e)))
+            s.expect("weighted eigenfunction", check.ok, n=n, input=e, residual=check.residual)
+    # elementwise proportionality on the adapted basis, constants harmonic-independent
+    for n in range(profile.span_degree_max + 1):
+        for i in range(n // 2 + 1):
+            harmonics = harmonic_basis(ctx, n - 2 * i).elements
+            s.cases += len(harmonics)
+            constants = {proportionality_constant(ctx, i, n, h) for h in harmonics}
+            if len(constants) > 1:
+                s.fail("proportionality constant", n=n, i=i,
+                       constants=sorted(rational_str(c) for c in constants))
+            if n == 2 and i == 1 and constants != {Fraction(-1)}:
+                s.fail("constant at (i=1, n=2)", constants=sorted(rational_str(c) for c in constants))
 
 
-def run_orthogonality(profile: Profile, seed: int) -> SuiteVerdict:
+def _orthogonality(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Hermite functions with distinct (t, ell) are orthogonal for the
     coordinate-hyperplane groups with small integer multiplicities."""
-    started = time.perf_counter()
-    combos = []
-    for m in range(1, profile.orthogonality_m_max + 1):
-        def extend(prefix: tuple[int, ...]) -> None:
-            if len(prefix) == m:
-                combos.append((m, prefix))
-                return
-            for k in profile.orthogonality_kappas:
-                extend(prefix + (k,))
-        extend(())
-
-    def worker(combo: tuple[int, tuple[int, ...]]) -> tuple[int, list[dict]]:
-        m, kappas = combo
-        ctx = DunklContext(builtin_root_system("z2", m, list(kappas)))
-        report = orthogonality_report(ctx, profile.orthogonality_degree_max)
-        failures = [{"group": f"z2^{m}", "kappa": [rational_str(Fraction(k)) for k in kappas],
-                     "identity": "distinct (t, ell) orthogonal", **entry.to_json()}
-                    for entry in report.violations]
-        failures.extend({"group": f"z2^{m}", "kappa": [rational_str(Fraction(k)) for k in kappas],
-                         "identity": "positive diagonal", **entry.to_json()}
-                        for entry in report.nonpositive_diagonal)
-        return len(report.entries), failures
-
-    total, failures = _collect(_run_cases(worker, combos))
-    return _verdict("orthogonality", total, failures, started)
+    report = orthogonality_report(ctx, profile.orthogonality_degree_max)
+    s.cases += len(report.entries)
+    for entry in report.violations:
+        s.fail("distinct (t, ell) orthogonal", **entry.to_json())
+    for entry in report.nonpositive_diagonal:
+        s.fail("positive diagonal", **entry.to_json())
 
 
-def _collect(results: Iterable[tuple[int, list[dict]]]) -> tuple[int, list[dict]]:
-    total = 0
-    failures: list[dict] = []
-    for count, fails in results:
-        total += count
-        failures.extend(fails)
-    return total, failures
+# -- the table and its driver ----------------------------------------------------
+
+def _operator_cases(profile: Profile, seed: int) -> list[GroupCase]:
+    return group_cases(OPERATOR_GROUPS, seed, profile.operator_draws)
 
 
-SUITE_RUNNERS = {
-    "commute": run_commute,
-    "sl2": run_sl2,
-    "lemma1": run_lemma1,
-    "anticommutator": run_anticommutator,
-    "dplus2": run_dplus2,
-    "fischer": run_fischer,
-    "hermite-eq": run_hermite_eq,
-    "diffeq": run_diffeq,
-    "roesler": run_roesler,
-    "orthogonality": run_orthogonality,
+def _construction_cases(profile: Profile, seed: int) -> list[GroupCase]:
+    return group_cases(CONSTRUCTION_GROUPS, seed, profile.operator_draws)
+
+
+def _hermite_cases(profile: Profile, seed: int) -> list[GroupCase]:
+    return group_cases(CONSTRUCTION_GROUPS, seed, profile.construction_draws)
+
+
+def _orthogonality_cases(profile: Profile, seed: int) -> list[GroupCase]:
+    """Every small integer multiplicity vector on z2^m; the seed is not used."""
+    return [GroupCase(f"z2^{m}", "z2", m, tuple(Fraction(k) for k in kappas))
+            for m in range(1, profile.orthogonality_m_max + 1)
+            for kappas in product(profile.orthogonality_kappas, repeat=m)]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the battery: the seeded group cases, the check run on each,
+    and an optional check run afterwards on each of KAPPA_ZERO_CASES."""
+
+    cases: Callable
+    check: Callable
+    fixed: Callable | None = None
+
+
+KAPPA_ZERO_CASES = tuple(GroupCase(f"z2^{m}", "z2", m, (Fraction(0),) * m) for m in (2, 3))
+
+SUITES = {
+    "commute": Suite(_operator_cases, _commute),
+    "sl2": Suite(_construction_cases, _sl2),
+    "lemma1": Suite(_operator_cases, _lemma1),
+    "anticommutator": Suite(_operator_cases, _anticommutator),
+    "dplus2": Suite(_operator_cases, _dplus2, fixed=_classical_odd_ladder),
+    "fischer": Suite(_construction_cases, _fischer),
+    "hermite-eq": Suite(_hermite_cases, _hermite_eq, fixed=_classical_reduction),
+    "diffeq": Suite(_hermite_cases, _diffeq),
+    "roesler": Suite(_construction_cases, _roesler),
+    "orthogonality": Suite(_orthogonality_cases, _orthogonality),
 }
 
 
+def _sweep(check: Callable, case: GroupCase, profile: Profile) -> Sweep:
+    sweep = Sweep(case)
+    check(sweep, case.context(), profile)
+    return sweep
+
+
 def run_suite(name: str, profile: Profile, seed: int) -> SuiteVerdict:
-    if name not in SUITE_RUNNERS:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
-    return SUITE_RUNNERS[name](profile, seed)
+    started = time.perf_counter()
+    suite = SUITES[name]
+    sweeps = list(_run_cases(lambda case: _sweep(suite.check, case, profile),
+                             suite.cases(profile, seed)))
+    if suite.fixed:
+        sweeps.extend(_sweep(suite.fixed, case, profile) for case in KAPPA_ZERO_CASES)
+    return SuiteVerdict(suite=name, cases=sum(sweep.cases for sweep in sweeps),
+                        failures=[f for sweep in sweeps for f in sweep.failures],
+                        wall_time_ms=round((time.perf_counter() - started) * 1000, 3))
 
 
 def run_all(profile: Profile, seed: int) -> list[SuiteVerdict]:

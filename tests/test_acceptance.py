@@ -146,12 +146,20 @@ def test_criterion_8_classical_reduction():
     report(8, "classical limit, m = 2, 3", failures, cases)
 
 
+DESK_CASES = {"commute": 924, "sl2": 1323, "lemma1": 972, "anticommutator": 1848,
+              "dplus2": 3816, "fischer": 6354, "hermite-eq": 2730, "diffeq": 1536,
+              "roesler": 1218, "orthogonality": 2142}
+
+
 def test_every_suite_ran_clean():
-    """Any suite the criteria above did not already pull in still has to pass."""
-    failures, cases = [], 0
+    """Any suite the criteria above did not already pull in still has to pass,
+    and every suite runs exactly its desk number of checks."""
+    failures, cases = [], {}
     for name in SUITE_NAMES:
         v = verdict(name)
-        cases += v.cases
+        cases[name] = v.cases
         failures.extend(v.failures)
-    print(f"full battery: {cases} exact checks, {len(failures)} failures")
+    print(f"full battery: {sum(cases.values())} exact checks, {len(failures)} failures")
     assert not failures
+    assert cases == DESK_CASES
+    assert sum(cases.values()) == 22863

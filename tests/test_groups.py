@@ -58,6 +58,12 @@ def test_builtin_rejects_negative_multiplicity():
     assert "nonnegative" in str(info.value)
 
 
+def test_custom_system_without_roots_needs_trivial_root_system():
+    with pytest.raises(InvalidRootSystem) as info:
+        custom_root_system([], {})
+    assert "trivial_root_system" in str(info.value)
+
+
 def test_builtin_rejects_wrong_arity():
     with pytest.raises(InvalidRootSystem):
         builtin_root_system("b", 2, [1])

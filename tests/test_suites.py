@@ -1,11 +1,16 @@
-"""Suite runner plumbing: determinism, profiles, parallel equivalence."""
+"""Suite runner plumbing: determinism, profiles, the suite table."""
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from dunkl_hermite.suites import (CI, DESK, PROFILES, SUITE_NAMES, draw_kappas, group_cases,
-                                  max_workers, run_suite)
+from dunkl_hermite.suites import (CI, DESK, PROFILES, SUITE_NAMES, SUITES, draw_kappas,
+                                  group_cases, run_suite)
 
 
 def test_profiles_registered():
@@ -44,19 +49,32 @@ def test_suite_verdict_shape_and_seed_stability():
     assert "wall_time_ms" in timed
 
 
-def test_thread_pool_gives_identical_results(monkeypatch):
-    serial = run_suite("sl2", CI, 7)
-    monkeypatch.setenv("DUNKL_NUM_THREADS", "4")
-    assert max_workers() == 4
-    parallel = run_suite("sl2", CI, 7)
-    assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
-
-
-def test_bad_thread_env_falls_back_to_serial(monkeypatch):
-    monkeypatch.setenv("DUNKL_NUM_THREADS", "not-a-number")
-    assert max_workers() == 1
-
-
 def test_all_suite_names_have_runners():
-    from dunkl_hermite.suites import SUITE_RUNNERS
-    assert set(SUITE_NAMES) == set(SUITE_RUNNERS)
+    assert tuple(SUITES) == SUITE_NAMES
+    assert all(callable(row.cases) and callable(row.check) for row in SUITES.values())
+    assert {name for name, row in SUITES.items() if row.fixed} == {"dplus2", "hermite-eq"}
+
+
+_REIMPORT = textwrap.dedent("""
+    import gc, sys, weakref
+    import dunkl_hermite
+    refs = [weakref.ref(dunkl_hermite.suites.SuiteVerdict),
+            weakref.ref(dunkl_hermite.operators.DunklContext),
+            weakref.ref(dunkl_hermite.Polynomial)]
+    for name in [n for n in sys.modules if n.split(".")[0] == "dunkl_hermite"]:
+        del sys.modules[name]
+    del dunkl_hermite
+    import dunkl_hermite
+    gc.collect()
+    print([ref() is None for ref in refs])
+""")
+
+
+def test_reimport_releases_the_old_package():
+    """Nothing process-wide (a typing alias cache, say) keeps a dropped copy of
+    the package alive; runs in a child so this process keeps its modules."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[True, True, True]"

@@ -9,11 +9,12 @@ combination D+ = -D + 2x act on these.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from itertools import chain, product
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import kernel_vectors
-from .operators import DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator
+from .operators import DunklContext, d_plus_squared_form, dunkl_derivative
 from .poly import Polynomial, monomial_basis
 
 ScalarLike = Union[int, Fraction]
@@ -34,6 +35,25 @@ def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:
     return sign, mask_a ^ mask_b
 
 
+def _trusted(m: int, pieces: Iterable[tuple[int, int, Polynomial]]) -> CliffordPolynomial:
+    """Sum of (sign, mask, polynomial) pieces already fitting dimension m; drops zero blades."""
+    blades: dict[int, Polynomial] = {}
+    for sign, mask, poly in pieces:
+        acc = blades.get(mask)
+        if acc is not None:
+            poly = acc + poly if sign > 0 else acc - poly
+        elif sign < 0:
+            poly = -poly
+        if poly:
+            blades[mask] = poly
+        else:
+            blades.pop(mask, None)
+    out = object.__new__(CliffordPolynomial)
+    object.__setattr__(out, "m", m)
+    object.__setattr__(out, "_blades", blades)
+    return out
+
+
 class CliffordPolynomial:
     """Polynomial-coefficient element of Cl(0, m); blade masks to polynomials."""
 
@@ -42,23 +62,15 @@ class CliffordPolynomial:
     def __init__(self, m: int, blades: Mapping[int, Polynomial] = ()):
         if m < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {m}")
-        items = blades.items() if isinstance(blades, Mapping) else blades
-        clean: dict[int, Polynomial] = {}
-        for mask, poly in items:
-            mask = int(mask)
+        items = [(1, int(mask), poly) for mask, poly in
+                 (blades.items() if isinstance(blades, Mapping) else blades)]
+        for _, mask, poly in items:
             if not 0 <= mask < (1 << m):
                 raise DimensionMismatch(f"blade mask {mask} out of range for dimension {m}")
             if poly.m != m:
                 raise DimensionMismatch(f"dimension mismatch: {poly.m} vs {m}")
-            if poly:
-                acc = clean.get(mask)
-                merged = poly if acc is None else acc + poly
-                if merged:
-                    clean[mask] = merged
-                else:
-                    clean.pop(mask, None)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_blades", clean)
+        object.__setattr__(self, "_blades", _trusted(m, items)._blades)
 
     # -- constructors ------------------------------------------------------
 
@@ -98,8 +110,7 @@ class CliffordPolynomial:
         return self.m == other.m and self._blades == other._blades
 
     def max_degree(self) -> Union[int, None]:
-        degrees = [p.total_degree() for p in self._blades.values()]
-        return max(degrees) if degrees else None
+        return max((p.total_degree() for p in self._blades.values()), default=None)
 
     # -- algebra -----------------------------------------------------------
 
@@ -111,48 +122,29 @@ class CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
         self._require_same_dim(other)
-        blades = dict(self._blades)
-        for mask, poly in other._blades.items():
-            acc = blades.get(mask)
-            merged = poly if acc is None else acc + poly
-            if merged:
-                blades[mask] = merged
-            else:
-                blades.pop(mask, None)
-        return CliffordPolynomial(self.m, blades)
+        pieces = chain(self._blades.items(), other._blades.items())
+        return _trusted(self.m, ((1, mask, p) for mask, p in pieces))
 
     def __sub__(self, other: "CliffordPolynomial") -> "CliffordPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "CliffordPolynomial":
-        return CliffordPolynomial(self.m, {mask: -p for mask, p in self._blades.items()})
+        return _trusted(self.m, ((-1, mask, p) for mask, p in self._blades.items()))
 
     def __mul__(self, other: Union["CliffordPolynomial", Polynomial, ScalarLike]) -> "CliffordPolynomial":
         if isinstance(other, CliffordPolynomial):
             self._require_same_dim(other)
-            blades: dict[int, Polynomial] = {}
-            for ma, pa in self._blades.items():
-                for mb, pb in other._blades.items():
-                    sign, mask = blade_product(ma, mb)
-                    piece = pa * pb if sign > 0 else -(pa * pb)
-                    acc = blades.get(mask)
-                    merged = piece if acc is None else acc + piece
-                    if merged:
-                        blades[mask] = merged
-                    else:
-                        blades.pop(mask, None)
-            return CliffordPolynomial(self.m, blades)
+            return _trusted(self.m, ((*blade_product(ma, mb), pa * pb)
+                                     for ma, pa in self._blades.items() for mb, pb in other._blades.items()))
         if isinstance(other, Polynomial):
             # scalar polynomials commute with every blade
-            return CliffordPolynomial(self.m, {mask: p * other for mask, p in self._blades.items()})
+            return _trusted(self.m, ((1, mask, p * other) for mask, p in self._blades.items()))
         if isinstance(other, (int, Fraction)):
-            return CliffordPolynomial(self.m, {mask: p * Fraction(other) for mask, p in self._blades.items()})
+            c = Fraction(other)
+            return _trusted(self.m, ((1, mask, p * c) for mask, p in self._blades.items()))
         return NotImplemented
 
-    def __rmul__(self, other: Union[Polynomial, ScalarLike]) -> "CliffordPolynomial":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def apply_scalar_operator(self, op: Callable[[Polynomial], Polynomial]) -> "CliffordPolynomial":
         """Apply a scalar operator blade-wise (scalar operators commute with blades)."""
@@ -186,37 +178,33 @@ class CliffordPolynomial:
         return f"CliffordPolynomial(m={self.m}, {self!s})"
 
 
+def _relabel(F: CliffordPolynomial, part: Callable[[int, Polynomial], Polynomial]) -> CliffordPolynomial:
+    """sum_i e_i part(i, F_A) e_A over the blades A of F; e_i e_A is a sign and a mask flip."""
+    return _trusted(F.m, ((*blade_product(1 << i, mask), part(i, poly))
+                          for mask, poly in F.blades.items() for i in range(F.m)))
+
+
 def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """D F = sum_i e_i (T_i F), Dunkl operators acting blade-wise."""
     _check(ctx, F)
-    out = CliffordPolynomial.zero(F.m)
-    for i in range(ctx.m):
-        partial = F.apply_scalar_operator(lambda p, axis=i: dunkl_derivative(ctx, axis, p))
-        out = out + CliffordPolynomial.unit_blade(F.m, 1 << i) * partial
-    return out
+    return _relabel(F, lambda i, p: dunkl_derivative(ctx, i, p))
 
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
-    return CliffordPolynomial.vector_variable(F.m) * F
+    return _relabel(F, lambda i, p: p.times_variable(i))
 
 
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
-    return -dunkl_dirac(ctx, F) + 2 * vector_multiply(F)
+    return _relabel(F, lambda i, p: 2 * p.times_variable(i) - dunkl_derivative(ctx, i, p))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """(-Delta - 4|x|^2 + 2(2E + mu)) F, the scalar form of (D+)^2."""
     _check(ctx, F)
-    norm2 = Polynomial.norm_squared(ctx.m)
-
-    def scalar_part(p: Polynomial) -> Polynomial:
-        return (-dunkl_laplacian(ctx, p) - 4 * (p * norm2)
-                + 4 * euler_operator(p) + (2 * ctx.mu) * p)
-
-    return F.apply_scalar_operator(scalar_part)
+    return F.apply_scalar_operator(lambda p: d_plus_squared_form(ctx, p))
 
 
 def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
@@ -231,15 +219,17 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     m = ctx.m
     dom_basis = monomial_basis(m, degree)
     cod_basis = monomial_basis(m, degree - 1)
-    columns = [(mask, e) for mask in range(1 << m) for e in dom_basis]
-    row_index = {(mask, e): idx for idx, (mask, e) in enumerate(
-        ((mask, e) for mask in range(1 << m) for e in cod_basis))}
+    columns = list(product(range(1 << m), dom_basis))
+    row_index = {key: idx for idx, key in enumerate(product(range(1 << m), cod_basis))}
     rows = [[Fraction(0)] * len(columns) for _ in row_index]
+    # D(x^e e_A) = sum_i sign(e_i e_A) T_i(x^e) e_{A xor i}: each T_i x^e serves every blade
+    images = {e: [dunkl_derivative(ctx, i, Polynomial.monomial(m, e)) for i in range(m)]
+              for e in dom_basis}
     for col, (mask, e) in enumerate(columns):
-        image = dunkl_dirac(ctx, CliffordPolynomial(m, {mask: Polynomial.monomial(m, e)}))
-        for bmask, poly in image.blades.items():
-            for ee, c in poly.terms.items():
-                rows[row_index[(bmask, ee)]][col] = c
+        for i, image in enumerate(images[e]):
+            sign, bmask = blade_product(1 << i, mask)
+            for ee, c in image.terms.items():
+                rows[row_index[(bmask, ee)]][col] = sign * c
     vectors = kernel_vectors(rows, len(columns))
     out = []
     for vec in vectors:

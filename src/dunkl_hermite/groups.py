@@ -16,6 +16,7 @@ from .poly import parse_rational, rational_str
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+Orbits = tuple[tuple[int, ...], ...]
 
 BUILTIN_FAMILIES = ("z2", "a", "b", "d", "trivial")
 
@@ -64,9 +65,14 @@ def _parallel(u: Vector, v: Vector) -> bool:
     return ratio is not None and ratio != 0
 
 
-def orbit_decomposition(positive_roots: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """Partition of root indices under the reflection action, first occurrence order."""
-    n = len(positive_roots)
+def _signed_index(positive_roots: Sequence[Vector]) -> dict[Vector, int]:
+    """Each root and its negative mapped to the root's index."""
+    return {v: i for i, root in enumerate(positive_roots) for v in (root, tuple(-c for c in root))}
+
+
+def _orbits(index: Mapping[Vector, int], table: Sequence[Sequence[Vector]]) -> Orbits:
+    """Union-find over table[i][j], the reflection of root j in root i; first-occurrence order."""
+    n = len(table)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -80,13 +86,8 @@ def orbit_decomposition(positive_roots: Sequence[Vector]) -> tuple[tuple[int, ..
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    index = {}
-    for i, root in enumerate(positive_roots):
-        index[root] = i
-        index[tuple(-c for c in root)] = i
-    for i, alpha in enumerate(positive_roots):
-        for j, beta in enumerate(positive_roots):
-            image = reflect_vector(alpha, beta)
+    for row in table:
+        for j, image in enumerate(row):
             k = index.get(image)
             if k is not None:
                 union(j, k)
@@ -96,7 +97,14 @@ def orbit_decomposition(positive_roots: Sequence[Vector]) -> tuple[tuple[int, ..
     return tuple(tuple(groups[r]) for r in sorted(groups))
 
 
-def _validate_roots(positive_roots: Sequence[Vector], m: int) -> None:
+def orbit_decomposition(positive_roots: Sequence[Vector]) -> Orbits:
+    """Partition of root indices under the reflection action, first occurrence order."""
+    table = [[reflect_vector(alpha, beta) for beta in positive_roots] for alpha in positive_roots]
+    return _orbits(_signed_index(positive_roots), table)
+
+
+def _validated_orbits(positive_roots: Sequence[Vector], m: int) -> tuple[dict[Vector, int], Orbits]:
+    """Validate the roots; return their signed index and orbits from one table of reflections."""
     for root in positive_roots:
         if len(root) != m:
             raise InvalidRootSystem(f"root {[str(c) for c in root]} does not have dimension {m}")
@@ -108,17 +116,15 @@ def _validate_roots(positive_roots: Sequence[Vector], m: int) -> None:
                 raise InvalidRootSystem(
                     f"root system is not reduced: roots {_fmt(positive_roots[i])} and "
                     f"{_fmt(positive_roots[j])} are parallel")
-    signed = set()
-    for root in positive_roots:
-        signed.add(root)
-        signed.add(tuple(-c for c in root))
-    for alpha in positive_roots:
-        for beta in positive_roots:
-            image = reflect_vector(alpha, beta)
-            if image not in signed:
+    index = _signed_index(positive_roots)
+    table = [[reflect_vector(alpha, beta) for beta in positive_roots] for alpha in positive_roots]
+    for alpha, row in zip(positive_roots, table):
+        for beta, image in zip(positive_roots, row):
+            if image not in index:
                 raise InvalidRootSystem(
                     f"root system is not closed: reflecting {_fmt(beta)} in {_fmt(alpha)} "
                     f"gives {_fmt(image)}, which is not a root up to sign")
+    return index, _orbits(index, table)
 
 
 def _fmt(v: Vector) -> str:
@@ -132,7 +138,7 @@ class RootSystem:
     m: int
     positive_roots: tuple[Vector, ...]
     multiplicities: tuple[Fraction, ...]  # aligned with positive_roots
-    orbits: tuple[tuple[int, ...], ...]
+    orbits: Orbits
 
     @property
     def gamma(self) -> Fraction:
@@ -171,17 +177,15 @@ def custom_root_system(positive_roots: Iterable[Sequence],
     if not roots:
         raise InvalidRootSystem("empty root system needs an explicit dimension; use trivial_root_system(m)")
     m = len(roots[0])
-    _validate_roots(roots, m)
-    orbits = orbit_decomposition(roots)
+    index, orbits = _validated_orbits(roots, m)
+    return _with_multiplicities(roots, m, index, orbits, multiplicities)
+
+
+def _with_multiplicities(roots: tuple[Vector, ...], m: int, index: Mapping[Vector, int], orbits: Orbits,
+                         multiplicities: Union[Mapping, Iterable[tuple[Sequence, object]]]) -> RootSystem:
+    """The validated roots with one kappa per orbit, read from representatives."""
     items = multiplicities.items() if isinstance(multiplicities, Mapping) else multiplicities
-    index: dict[Vector, int] = {}
-    for i, root in enumerate(roots):
-        index[root] = i
-        index[tuple(-c for c in root)] = i
-    orbit_of = {}
-    for oi, orbit in enumerate(orbits):
-        for ri in orbit:
-            orbit_of[ri] = oi
+    orbit_of = {ri: oi for oi, orbit in enumerate(orbits) for ri in orbit}
     assigned: dict[int, Fraction] = {}
     for rep, kappa in items:
         rep = _vec(rep)
@@ -263,12 +267,13 @@ def builtin_root_system(family: str, m: int, kappas: Sequence) -> RootSystem:
         if kappas:
             raise InvalidRootSystem("trivial family takes no multiplicities")
         return trivial_root_system(m)
-    orbits = orbit_decomposition(tuple(roots))
+    roots = tuple(roots)
+    index, orbits = _validated_orbits(roots, m)
     if len(kappas) != len(orbits):
         raise InvalidRootSystem(
             f"family {family!r} with m={m} has {len(orbits)} orbits, got {len(kappas)} multiplicities")
     reps = [(roots[orbit[0]], kappa) for orbit, kappa in zip(orbits, kappas)]
-    return custom_root_system(roots, reps)
+    return _with_multiplicities(roots, m, index, orbits, reps)
 
 
 def root_system_from_json(data: Mapping) -> RootSystem:

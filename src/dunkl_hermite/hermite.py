@@ -22,8 +22,8 @@ from typing import Sequence, Union
 
 from .errors import MathPrecondition
 from .linalg import materialize_on_degree, matrix_rank, rational_nullspace, solve_in_frame
-from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, dunkl_laplacian,
-                        euler_operator, heat_semigroup, laplace_beltrami, multiply_by_norm_squared)
+from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
+                        dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami)
 from .poly import (Polynomial, deglex_key, dim_homogeneous, monomial_basis, rational_str,
                    parse_rational)
 
@@ -191,8 +191,7 @@ def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteReco
     ell = _validated_harmonic(ctx, harmonic)
     out = harmonic
     for _ in range(t):
-        out = (-dunkl_laplacian(ctx, out) - 4 * multiply_by_norm_squared(out)
-               + 4 * euler_operator(out) + (2 * ctx.mu) * out)
+        out = d_plus_squared_form(ctx, out)
     return _record_from_polynomial(ctx, t, ell, harmonic, out)
 
 

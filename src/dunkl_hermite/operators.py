@@ -114,6 +114,12 @@ def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
     return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - (ctx.mu - 2) * ef - euler_operator(ef)
 
 
+def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
+    """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2."""
+    return (-dunkl_laplacian(ctx, f) - 4 * multiply_by_norm_squared(f)
+            + 4 * euler_operator(f) + (2 * ctx.mu) * f)
+
+
 def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> Polynomial:
     """Dunkl operator conjugated by exp(rate * |x|^2): T_i + 2 * rate * x_i."""
     return dunkl_derivative(ctx, axis, f) + (2 * Fraction(rate)) * f.times_variable(axis)

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .clifford import (CliffordPolynomial, d_plus, d_plus_squared_scalar, dunkl_dirac,
                        monogenic_basis, vector_multiply)
+from .errors import DunklError
 from .groups import builtin_root_system
 from .hermite import (ch_laguerre, ch_recursion, ch_rodrigues, coefficient_recursions_check,
                       eigenspace_checks, fischer_decompose, fischer_project,
@@ -77,11 +78,8 @@ class SuiteVerdict:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        data = {"suite": self.suite, "cases": self.cases, "failures": self.failures}
-        if include_timing:
-            data["wall_time_ms"] = self.wall_time_ms
-        return data
+    def to_json(self) -> dict:
+        return {"suite": self.suite, "cases": self.cases, "failures": self.failures}
 
 
 def _run_cases(worker: Callable, cases: Sequence) -> list:
@@ -116,18 +114,14 @@ OPERATOR_GROUPS = (("z2^2", "z2", 2, 2), ("a2", "a", 3, 1), ("b2", "b", 2, 2))
 CONSTRUCTION_GROUPS = (("z2^1", "z2", 1, 1),) + OPERATOR_GROUPS
 
 
-def group_cases(groups: Iterable[tuple], seed: int, draws: int,
-                include_zero: bool = True) -> list[GroupCase]:
-    """Deterministic multiplicity draws per group; kappa = 0 is always included."""
+def group_cases(groups: Iterable[tuple], seed: int, draws: int) -> list[GroupCase]:
+    """Deterministic multiplicity draws per group, after kappa = 0, which comes first."""
     rng = random.Random(seed)
     cases = []
     for label, family, m, orbit_count in groups:
-        seen = set()
-        picks: list[tuple[Fraction, ...]] = []
-        if include_zero:
-            picks.append(tuple(Fraction(0) for _ in range(orbit_count)))
-            seen.add(picks[0])
-        while len(picks) < draws + (1 if include_zero else 0):
+        picks: list[tuple[Fraction, ...]] = [(Fraction(0),) * orbit_count]
+        seen = set(picks)
+        while len(picks) < draws + 1:
             kappas = draw_kappas(rng, orbit_count)
             if kappas in seen:
                 continue
@@ -426,8 +420,14 @@ SUITES = {
 
 
 def _sweep(check: Callable, case: GroupCase, profile: Profile) -> Sweep:
+    """Run one check on one case; a check that raises is one failed check, and
+    the suite goes on with the next case."""
     sweep = Sweep(case)
-    check(sweep, case.context(), profile)
+    ctx = case.context()
+    try:
+        check(sweep, ctx, profile)
+    except DunklError as exc:
+        sweep.expect("check raised", False, error=f"{type(exc).__name__}: {exc}")
     return sweep
 
 

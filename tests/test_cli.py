@@ -205,6 +205,23 @@ def test_verify_max_deg_flag(capsys):
     assert small < json.loads(out_full)["cases"]
 
 
+def test_verify_records_a_check_that_raises(capsys, monkeypatch):
+    """A check that raises is one failed check in the verdict, not an aborted run."""
+    from dunkl_hermite import suites
+    from dunkl_hermite.errors import MathPrecondition
+
+    def raising(ctx, i, n, h):
+        raise MathPrecondition("injected fault")
+
+    monkeypatch.setattr(suites, "proportionality_constant", raising)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "roesler", "--profile", "ci")
+    assert code == 4
+    records = json.loads(out)["failures"]
+    assert records
+    assert all(r["identity"] == "check raised" and r["error"] == "MathPrecondition: injected fault"
+               for r in records)
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 1

@@ -9,7 +9,7 @@ from dunkl_hermite.clifford import (CliffordPolynomial, blade_product, d_plus,
                                     d_plus_squared_scalar, dunkl_dirac, monogenic_basis,
                                     vector_multiply)
 from dunkl_hermite.groups import builtin_root_system, trivial_root_system
-from dunkl_hermite.operators import DunklContext, dunkl_laplacian, euler_operator
+from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator
 from dunkl_hermite.poly import Polynomial, dim_homogeneous, monomial_basis
 
 
@@ -146,3 +146,35 @@ def test_zero_blades_are_dropped():
     F = CliffordPolynomial(2, {0b01: Polynomial.zero(2)})
     assert not F
     assert F.max_degree() is None
+
+
+RELABEL_GROUPS = (("z2", 2, 2), ("a", 3, 1), ("b", 2, 2), ("d", 3, 1))
+
+
+@st.composite
+def relabel_cases(draw):
+    """A random-kappa context and an element of at most 3 blades and degree <= 3."""
+    family, m, orbits = draw(st.sampled_from(RELABEL_GROUPS))
+    kappas = [Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3))) for _ in range(orbits)]
+    ctx = DunklContext(builtin_root_system(family, m, kappas))
+    exponents = [e for d in range(4) for e in monomial_basis(m, d)]
+    blades = {}
+    for mask in draw(st.lists(st.integers(0, (1 << m) - 1), max_size=3, unique=True)):
+        terms = draw(st.dictionaries(st.sampled_from(exponents), st.integers(-3, 3), max_size=3))
+        blades[mask] = Polynomial(m, terms)
+    return ctx, CliffordPolynomial(m, blades)
+
+
+@given(relabel_cases())
+@settings(max_examples=40, deadline=None)
+def test_relabels_match_the_clifford_products(case):
+    """D, x and D+ act by blade relabels; each equals the product it replaces."""
+    ctx, F = case
+    m = ctx.m
+    dirac = CliffordPolynomial.zero(m)
+    for i in range(m):
+        dirac = dirac + CliffordPolynomial.unit_blade(m, 1 << i) * F.apply_scalar_operator(
+            lambda p, axis=i: dunkl_derivative(ctx, axis, p))
+    assert dunkl_dirac(ctx, F) == dirac
+    assert vector_multiply(F) == CliffordPolynomial.vector_variable(m) * F
+    assert d_plus(ctx, F) == -dunkl_dirac(ctx, F) + 2 * vector_multiply(F)

@@ -154,9 +154,9 @@ EXPECTED = {
         "fischer": "5028b77aa67c858ddf70acafb0caf22ccc7d75ea0428e81f4374871aa1f543c2",
         "hermite-eq": "bfafba1ba15f0f618f26d84dc5f2160fd99492022f1653cfc140bc2b428921b4",
         "diffeq": "19b2f0b177a9078b93357abef2e6a4618448df1adacb1bbb96501574800e0fb9",
-        "roesler": (
-            "MathPrecondition: heat image of |x|^{2} * harmonic is not "
-            "proportional to the Hermite element (i=1, n=2)"),
+        # the one digest from newer code: the MathPrecondition raised here is
+        # recorded as a "check raised" failure instead of losing the verdict
+        "roesler": "ee79de585af7f2f191ef189b7800d32344c09bc203a44ef1c3164beda2604e96",
         "orthogonality": "2c00e40edff22b1a3843a1092ef4053df80661a599f90a2a67ad5bb9f2a60613",
     },
     "remaining": {

@@ -1,0 +1,29 @@
+"""The package's public surface: __all__ is pinned name by name."""
+import dunkl_hermite
+
+PUBLIC = [
+    "BUILTIN_FAMILIES", "CliffordPolynomial", "DimensionMismatch", "DunklContext", "DunklError",
+    "HarmonicBasis", "HermiteRecord", "InexactDivision", "InvalidRootSystem", "MathPrecondition",
+    "MomentValue", "OperatorMatrix", "OrthogonalityReport", "PROFILES", "Polynomial", "Profile",
+    "RecursionCheck", "RootSystem", "SUITE_NAMES", "SuiteVerdict", "WeightedFunction",
+    "builtin_root_system", "ch_laguerre", "ch_recursion", "ch_rodrigues",
+    "coefficient_recursions_check", "compose_linear", "conjugated_dunkl", "conjugated_laplacian",
+    "custom_root_system", "d_plus", "d_plus_squared_scalar", "dim_homogeneous",
+    "divide_by_linear_form", "dunkl_derivative", "dunkl_dirac", "dunkl_laplacian",
+    "eigenspace_checks", "euler_operator", "fischer_decompose", "fischer_frame", "fischer_project",
+    "gamma_half_integer", "harmonic_basis", "harmonic_dimension_classical", "heat_semigroup",
+    "inner_product", "kernel_vectors", "laguerre_poly", "laplace_beltrami", "materialize_on_degree",
+    "matrix_rank", "monogenic_basis", "monomial_basis", "mu_is_degenerate",
+    "multiply_by_norm_squared", "orbit_decomposition", "orthogonality_report", "parse_rational",
+    "proportionality_constant", "rational_nullspace", "rational_str", "reduced_row_echelon",
+    "reflection_matrix", "root_system_from_json", "rosler_hermite", "run_all", "run_suite",
+    "sl2_e", "sl2_f", "sl2_h", "solve_in_frame", "trivial_root_system", "vector_multiply",
+    "weighted_eigenfunction_check", "weighted_moment",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(PUBLIC) == 76
+    assert sorted(dunkl_hermite.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(dunkl_hermite, name) is not None, name

@@ -44,9 +44,23 @@ def reflection_matrix(alpha: Sequence) -> Matrix:
 
 
 def reflect_vector(alpha: Vector, v: Vector) -> Vector:
-    norm = dot(alpha, alpha)
+    return _reflect(alpha, dot(alpha, alpha), v)
+
+
+def _reflect(alpha: Vector, norm: Fraction, v: Vector) -> Vector:
     factor = 2 * dot(alpha, v) / norm
     return tuple(x - factor * a for x, a in zip(v, alpha))
+
+
+def _reflection_table(positive_roots: Sequence[Vector]) -> list[list[Vector]]:
+    """table[i][j] is root j reflected in root i; each root's norm is taken once."""
+    table = []
+    for alpha in positive_roots:
+        norm = dot(alpha, alpha)
+        if not norm:
+            raise InvalidRootSystem("zero vector is not a valid root")
+        table.append([_reflect(alpha, norm, beta) for beta in positive_roots])
+    return table
 
 
 def _parallel(u: Vector, v: Vector) -> bool:
@@ -99,7 +113,7 @@ def _orbits(index: Mapping[Vector, int], table: Sequence[Sequence[Vector]]) -> O
 
 def orbit_decomposition(positive_roots: Sequence[Vector]) -> Orbits:
     """Partition of root indices under the reflection action, first occurrence order."""
-    table = [[reflect_vector(alpha, beta) for beta in positive_roots] for alpha in positive_roots]
+    table = _reflection_table(positive_roots)
     return _orbits(_signed_index(positive_roots), table)
 
 
@@ -117,7 +131,7 @@ def _validated_orbits(positive_roots: Sequence[Vector], m: int) -> tuple[dict[Ve
                     f"root system is not reduced: roots {_fmt(positive_roots[i])} and "
                     f"{_fmt(positive_roots[j])} are parallel")
     index = _signed_index(positive_roots)
-    table = [[reflect_vector(alpha, beta) for beta in positive_roots] for alpha in positive_roots]
+    table = _reflection_table(positive_roots)
     for alpha, row in zip(positive_roots, table):
         for beta, image in zip(positive_roots, row):
             if image not in index:

@@ -14,6 +14,7 @@ verdict-producing checks that tie all of these together.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,8 +48,10 @@ class HarmonicBasis:
     elements: tuple[Polynomial, ...]
 
 
+# keyed on a weak reference, so the cache does not keep a context (and its memo) alive
 @lru_cache(maxsize=None)
-def _harmonic_basis_cached(ctx: DunklContext, degree: int) -> HarmonicBasis:
+def _harmonic_basis_cached(ctx_ref: "weakref.ref[DunklContext]", degree: int) -> HarmonicBasis:
+    ctx = ctx_ref()
     matrix = materialize_on_degree(lambda p: dunkl_laplacian(ctx, p), ctx.m, degree,
                                    codomain_degree=degree - 2)
     vectors = rational_nullspace(matrix)
@@ -62,7 +65,7 @@ def harmonic_basis(ctx: DunklContext, degree: int) -> HarmonicBasis:
     """Kernel of the Dunkl Laplacian on the homogeneous component of one degree."""
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
-    return _harmonic_basis_cached(ctx, degree)
+    return _harmonic_basis_cached(weakref.ref(ctx), degree)
 
 
 def harmonic_dimension_classical(m: int, degree: int) -> int:

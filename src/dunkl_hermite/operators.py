@@ -7,7 +7,9 @@ axis i sends f to
 
 where r_alpha is the reflection in the hyperplane orthogonal to alpha.  The
 difference f - f o r_alpha vanishes on that hyperplane, so the division is
-exact; a remainder aborts loudly.  Everything downstream (Laplacian, Euler
+exact; a remainder aborts loudly.  The operators are linear, so each
+context computes the images of a monomial once and applies them to any
+polynomial term by term.  Everything downstream (Laplacian, Euler
 operator, sl2 action, Gaussian conjugation, heat semigroup) is assembled from
 these exact pieces.
 """
@@ -18,27 +20,34 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import Polynomial, compose_linear, divide_by_linear_form
+from .poly import (Exponent, Polynomial, SignedPermutation, Terms, compose_linear, compose_signed_permutation,
+                   divide_by_linear_form, linear_extension, signed_permutation)
 
 
 class DunklContext:
-    """A root system together with precomputed reflection matrices.
+    """A root system, its reflections, and a lazily filled memo of the Dunkl map.
 
-    Immutable after construction; safe to share across threads.
+    Each active root's reflection is classified once: a signed permutation
+    (every x_j goes to +-x_k) or generic.  The images T_1 x^e, ..., T_m x^e
+    and Delta x^e of a monomial are computed on first use and kept in the
+    memo, which lives and dies with the context; apart from that memo the
+    context is immutable.
     """
 
-    __slots__ = ("root_system", "reflections", "_active")
+    __slots__ = ("root_system", "reflections", "_active", "_images", "_laplacians", "__weakref__")
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
         self.reflections: tuple[Matrix, ...] = tuple(
             reflection_matrix(alpha) for alpha in root_system.positive_roots)
         # roots with kappa = 0 contribute nothing and are skipped up front
-        self._active: tuple[tuple[Vector, Fraction, Matrix], ...] = tuple(
-            (alpha, kappa, refl)
+        self._active: tuple[tuple[Vector, Fraction, Matrix, SignedPermutation | None], ...] = tuple(
+            (alpha, kappa, refl, signed_permutation(refl))
             for alpha, kappa, refl in zip(root_system.positive_roots, root_system.multiplicities,
                                           self.reflections)
             if kappa)
+        self._images: dict[Exponent, tuple[Terms, ...]] = {}
+        self._laplacians: dict[Exponent, Terms] = {}
 
     @property
     def m(self) -> int:
@@ -56,29 +65,67 @@ class DunklContext:
         return f"DunklContext(m={self.m}, roots={len(self.root_system.positive_roots)}, mu={self.mu})"
 
 
+def _dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
+    """The terms of T_1 x^e, ..., T_m x^e, memoized; each root's divided difference is taken
+    once for all axes."""
+    images = ctx._images.get(e)
+    if images is None:
+        x = Polynomial.monomial(ctx.m, e)
+        axes = [x.derivative(i) for i in range(ctx.m)]
+        for alpha, kappa, refl, perm in ctx._active:
+            reflected = compose_linear(x, refl) if perm is None else compose_signed_permutation(x, perm)
+            difference = x - reflected
+            if not difference:
+                continue
+            quotient = divide_by_linear_form(difference, alpha)
+            for i, a in enumerate(alpha):
+                if a:
+                    axes[i] = axes[i] + (kappa * a) * quotient
+        # kept as term tuples, not Polynomials: the memo is most of what a context holds
+        images = ctx._images[e] = tuple(tuple(axis.terms.items()) for axis in axes)
+    return images
+
+
+def _laplacian_image(ctx: DunklContext, e: Exponent) -> Terms:
+    """The terms of Delta x^e, memoized."""
+    image = ctx._laplacians.get(e)
+    if image is None:
+        total = Polynomial.zero(ctx.m)
+        for i, first in enumerate(_dunkl_images(ctx, e)):
+            total = total + dunkl_derivative(ctx, i, Polynomial(ctx.m, first))
+        image = ctx._laplacians[e] = tuple(total.terms.items())
+    return image
+
+
 def dunkl_derivative(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
     """Apply the Dunkl operator along one axis (0-based)."""
+    _check(ctx, f)
+    if not 0 <= axis < ctx.m:
+        raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
+    return linear_extension(f, lambda e: _dunkl_images(ctx, e)[axis])
+
+
+def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
+    """Sum over axes of the squared Dunkl operator."""
+    _check(ctx, f)
+    return linear_extension(f, lambda e: _laplacian_image(ctx, e))
+
+
+def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
+    """T_axis f reflected and divided as a whole polynomial, through compose_linear for every
+    root; the memoized map is tested against it."""
     _check(ctx, f)
     if not 0 <= axis < ctx.m:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
     out = f.derivative(axis)
     if not f:
         return out
-    for alpha, kappa, refl in ctx._active:
+    for alpha, kappa, refl, _ in ctx._active:
         if not alpha[axis]:
             continue
         difference = f - compose_linear(f, refl)
         if difference:
             out = out + (kappa * alpha[axis]) * divide_by_linear_form(difference, alpha)
-    return out
-
-
-def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
-    """Sum over axes of the squared Dunkl operator."""
-    _check(ctx, f)
-    out = Polynomial.zero(ctx.m)
-    for i in range(ctx.m):
-        out = out + dunkl_derivative(ctx, i, dunkl_derivative(ctx, i, f))
     return out
 
 

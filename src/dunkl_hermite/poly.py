@@ -11,12 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InexactDivision
 
 Exponent = tuple[int, ...]
 ScalarLike = Union[int, Fraction]
+SignedPermutation = tuple[tuple[int, int], ...]  # (k, s) per variable j: x_j -> s * x_k
+Terms = tuple[tuple[Exponent, Fraction], ...]
 
 
 def deglex_key(exponents: Exponent) -> tuple[int, Exponent]:
@@ -347,6 +349,50 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Pol
                 term = term * row_power(j, n)
         out = out + term
     return out
+
+
+def signed_permutation(matrix: Sequence[Sequence[ScalarLike]]) -> SignedPermutation | None:
+    """(k, s) for each row j when every x_j -> s * x_k with s = +-1 and distinct k; None otherwise."""
+    out = []
+    for row in matrix:
+        support = [(k, c) for k, c in enumerate(row) if c]
+        if len(support) != 1 or support[0][1] not in (1, -1):
+            return None
+        out.append((support[0][0], int(support[0][1])))
+    if len({k for k, _ in out}) != len(out):
+        return None
+    return tuple(out)
+
+
+def compose_signed_permutation(p: Polynomial, perm: SignedPermutation) -> Polynomial:
+    """p(A x) for a signed permutation A: each exponent is relabelled, with the parity of its
+    negated variables as sign; equal to compose_linear(p, A) without any polynomial product."""
+    m = p.m
+    if len(perm) != m:
+        raise DimensionMismatch(f"dimension mismatch: permutation of length {len(perm)} vs dimension {m}")
+    terms: dict[Exponent, Fraction] = {}
+    for e, c in p.terms.items():
+        image = [0] * m
+        negated = 0
+        for (k, s), n in zip(perm, e):
+            image[k] = n
+            if s < 0:
+                negated += n
+        terms[tuple(image)] = -c if negated & 1 else c
+    return _raw(m, terms)
+
+
+def linear_extension(p: Polynomial, image: Callable[[Exponent], Terms]) -> Polynomial:
+    """sum of c * image(e) over the terms c x^e of p: the linear map with the given monomial images."""
+    terms: dict[Exponent, Fraction] = {}
+    for e, c in p.terms.items():
+        for ee, v in image(e):
+            acc = terms.get(ee, _ZERO) + c * v
+            if acc:
+                terms[ee] = acc
+            else:
+                terms.pop(ee, None)
+    return _raw(p.m, terms)
 
 
 def divide_by_linear_form(p: Polynomial, alpha: Sequence[ScalarLike]) -> Polynomial:

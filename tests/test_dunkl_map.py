@@ -1,0 +1,170 @@
+"""The memoized Dunkl map of a context against the per-polynomial reference,
+against an independent sympy oracle, and its lifetime."""
+import gc
+import itertools
+import weakref
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dunkl_hermite.errors import InexactDivision
+from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
+from dunkl_hermite.hermite import harmonic_basis
+from dunkl_hermite.operators import (DunklContext, _dunkl_derivative_reference, dunkl_derivative,
+                                     dunkl_laplacian)
+from dunkl_hermite.poly import (Polynomial, compose_linear, compose_signed_permutation,
+                                signed_permutation)
+
+
+def g2_json(short, long_):
+    """G2 in the sum-zero plane of R^3: short roots e_i - e_j, long roots 2e_i - e_j - e_k."""
+    roots = [(1, -1, 0), (1, 0, -1), (0, 1, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+    return {"m": 3, "positive_roots": [[str(c) for c in r] for r in roots],
+            "multiplicities": [{"orbit_rep": ["1", "-1", "0"], "kappa": str(short)},
+                               {"orbit_rep": ["2", "-1", "-1"], "kappa": str(long_)}]}
+
+
+def f4_json(short, long_):
+    """F4 in R^4: short roots e_i and (1/2)(1, +-1, +-1, +-1), long roots e_i +- e_j."""
+    roots = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
+    roots += [tuple(Fraction(1 if k == i else s if k == j else 0) for k in range(4))
+              for i in range(4) for j in range(i + 1, 4) for s in (1, -1)]
+    roots += [(Fraction(1, 2),) + tuple(Fraction(s, 2) for s in signs)
+              for signs in itertools.product((1, -1), repeat=3)]
+    return {"m": 4, "positive_roots": [[str(c) for c in r] for r in roots],
+            "multiplicities": [{"orbit_rep": ["1", "0", "0", "0"], "kappa": str(short)},
+                               {"orbit_rep": ["1", "1", "0", "0"], "kappa": str(long_)}]}
+
+
+# name -> (dimension, number of kappas, builder from the kappas)
+SYSTEMS = {
+    "z2^2": (2, 2, lambda k: builtin_root_system("z2", 2, k)),
+    "a3": (3, 1, lambda k: builtin_root_system("a", 3, k)),
+    "b3": (3, 2, lambda k: builtin_root_system("b", 3, k)),
+    "d4": (4, 1, lambda k: builtin_root_system("d", 4, k)),
+    "trivial3": (3, 0, lambda k: trivial_root_system(3)),
+    "G2": (3, 2, lambda k: root_system_from_json(g2_json(*k))),
+    "F4": (4, 2, lambda k: root_system_from_json(f4_json(*k))),
+}
+
+kappa = st.fractions(min_value=0, max_value=3, max_denominator=5)
+coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def polynomials(m, max_degree=4, max_terms=4):
+    """Random polynomials of total degree <= max_degree; an exponent counts the drawn axes."""
+    exponent = st.lists(st.integers(0, m - 1), max_size=max_degree).map(
+        lambda axes: tuple(axes.count(i) for i in range(m)))
+    return st.dictionaries(exponent, coefficient, max_size=max_terms).map(lambda t: Polynomial(m, t))
+
+
+@st.composite
+def system_and_polynomials(draw):
+    name = draw(st.sampled_from(sorted(SYSTEMS)))
+    m, nk, build = SYSTEMS[name]
+    kappas = draw(st.lists(kappa, min_size=nk, max_size=nk))
+    return name, build(kappas), draw(polynomials(m)), draw(polynomials(m))
+
+
+@given(system_and_polynomials())
+@settings(max_examples=60, deadline=None)
+def test_memoized_map_equals_the_reference(case):
+    name, system, f, g = case
+    ctx = DunklContext(system)
+    for p in (f, g, f + g):  # the later inputs reuse images the earlier ones filled
+        for i in range(ctx.m):
+            assert dunkl_derivative(ctx, i, p) == _dunkl_derivative_reference(ctx, i, p), (name, i, p)
+        expected = Polynomial.zero(ctx.m)
+        for i in range(ctx.m):
+            expected = expected + _dunkl_derivative_reference(
+                ctx, i, _dunkl_derivative_reference(ctx, i, p))
+        assert dunkl_laplacian(ctx, p) == expected, (name, p)
+
+
+@pytest.mark.parametrize("family, m, kappas", [("z2", 3, [1, 2, 3]), ("a", 4, [1]), ("b", 3, [1, 2]),
+                                               ("d", 4, [1])])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_builtin_reflections_relabel_like_compose_linear(family, m, kappas, data):
+    ctx = DunklContext(builtin_root_system(family, m, kappas))
+    p = data.draw(polynomials(m, max_degree=6, max_terms=6))
+    for refl in ctx.reflections:
+        perm = signed_permutation(refl)
+        assert perm is not None
+        assert compose_signed_permutation(p, perm) == compose_linear(p, refl)
+
+
+def test_generic_reflections_are_classified():
+    """G2: the three short reflections swap coordinates; F4: the 8 half-integer ones are generic."""
+    for data, expected in ((g2_json(1, 1), [True] * 3 + [False] * 3),
+                           (f4_json(1, 1), [True] * 16 + [False] * 8)):
+        ctx = DunklContext(root_system_from_json(data))
+        assert [signed_permutation(refl) is not None for refl in ctx.reflections] == expected
+        assert [perm is not None for *_, perm in ctx._active] == expected
+
+
+@pytest.mark.parametrize("perm", [((1, 1), (0, 1)), None])
+def test_inexact_division_still_raises(perm):
+    """A substitution that is not the root's reflection leaves a remainder on either path."""
+    ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
+    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    alpha = (Fraction(1), Fraction(0))
+    ctx._active = ((alpha, Fraction(1), swap, perm),)
+    with pytest.raises(InexactDivision):
+        dunkl_derivative(ctx, 0, Polynomial.variable(2, 0))
+
+
+# -- independent oracle: sympy only, no package code -----------------------------
+
+B2_ROOTS = [((1, 0), 0), ((0, 1), 0), ((1, -1), 1), ((1, 1), 1)]  # (root, orbit)
+G2_ROOTS = [((1, -1, 0), 0), ((1, 0, -1), 0), ((0, 1, -1), 0),
+            ((2, -1, -1), 1), ((-1, 2, -1), 1), ((-1, -1, 2), 1)]
+
+
+def sympy_dunkl(sp, xs, roots, kappas, axis, f):
+    """d f / dx_axis + sum kappa_alpha alpha_axis cancel((f - f(r_alpha x)) / <alpha, x>)."""
+    out = sp.diff(f, xs[axis])
+    for alpha, orbit in roots:
+        alpha = [sp.Integer(a) for a in alpha]
+        pairing = sum(a * x for a, x in zip(alpha, xs))
+        norm = sum(a * a for a in alpha)
+        reflected = {x: x - 2 * pairing / norm * a for x, a in zip(xs, alpha)}
+        quotient = sp.cancel((f - f.subs(reflected, simultaneous=True)) / pairing)
+        out += kappas[orbit] * alpha[axis] * quotient
+    return sp.expand(out)
+
+
+@pytest.mark.parametrize("name, roots, build", [
+    ("b2", B2_ROOTS, lambda k: builtin_root_system("b", 2, k)),
+    ("G2", G2_ROOTS, lambda k: root_system_from_json(g2_json(*k))),
+])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_dunkl_derivative_matches_sympy(name, roots, build, data):
+    sp = pytest.importorskip("sympy")
+    m = len(roots[0][0])
+    kappas = data.draw(st.lists(kappa, min_size=2, max_size=2))
+    p = data.draw(polynomials(m))
+    ctx = DunklContext(build(kappas))
+    xs = sp.symbols(f"x1:{m + 1}")
+    f = sum((sp.Rational(c.numerator, c.denominator) * sp.prod([x ** n for x, n in zip(xs, e)])
+             for e, c in p.terms.items()), sp.Integer(0))
+    sp_kappas = [sp.Rational(k.numerator, k.denominator) for k in kappas]
+    for axis in range(m):
+        expected = sympy_dunkl(sp, xs, roots, sp_kappas, axis, f)
+        got = dunkl_derivative(ctx, axis, p)
+        terms = sp.Poly(expected, *xs).as_dict() if expected != 0 else {}
+        assert {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items()} == dict(got.terms), (name, axis)
+
+
+def test_a_dropped_context_is_released():
+    """Neither the harmonic basis cache nor the memo keeps a context alive."""
+    ctx = DunklContext(builtin_root_system("b", 2, [Fraction(1, 2), Fraction(1, 3)]))
+    assert len(harmonic_basis(ctx, 4).elements) == 2
+    dunkl_laplacian(ctx, Polynomial.monomial(2, (3, 2)))
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None

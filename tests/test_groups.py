@@ -146,3 +146,8 @@ def test_from_json_rejects_missing_orbit():
     with pytest.raises(InvalidRootSystem) as info:
         root_system_from_json(data)
     assert "missing multiplicity" in str(info.value)
+
+
+def test_orbit_decomposition_rejects_a_zero_root():
+    with pytest.raises(InvalidRootSystem, match="zero vector is not a valid root"):
+        orbit_decomposition([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))])

@@ -141,9 +141,6 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
     if poly.m != ctx.m:
         raise InputDataError(
             f"polynomial has m = {poly.m} but the root system has m = {ctx.m}")
-    if poly and not poly.is_homogeneous():
-        raise MathPrecondition("Fischer decomposition needs a homogeneous polynomial; "
-                               "split the input into homogeneous parts first")
     components = fischer_decompose(ctx, poly)
     payload = {"components": [{"i": i, "component": part.to_json()}
                               for i, part in components]}

@@ -21,8 +21,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence, Union
 
-from .errors import MathPrecondition
-from .linalg import materialize_on_degree, matrix_rank, rational_nullspace, solve_in_frame
+from .errors import DimensionMismatch, MathPrecondition
+from .linalg import FrameFactor, materialize_on_degree, matrix_rank, rational_nullspace, solve_in_frame
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
                         dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami)
 from .poly import (Polynomial, deglex_key, dim_homogeneous, monomial_basis, rational_str,
@@ -48,8 +48,13 @@ class HarmonicBasis:
     elements: tuple[Polynomial, ...]
 
 
-# keyed on a weak reference, so the cache does not keep a context (and its memo) alive
-@lru_cache(maxsize=None)
+# Keyed on a weak reference, so the cache does not keep a context (and its memo) alive.  An
+# entry of a dropped context is never hit again; the bound evicts those, and lies far above
+# the number of bases a computation revisits (a few degrees of a few live contexts).
+HARMONIC_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=HARMONIC_CACHE_SIZE)
 def _harmonic_basis_cached(ctx_ref: "weakref.ref[DunklContext]", degree: int) -> HarmonicBasis:
     ctx = ctx_ref()
     matrix = materialize_on_degree(lambda p: dunkl_laplacian(ctx, p), ctx.m, degree,
@@ -87,14 +92,35 @@ def fischer_frame(ctx: DunklContext, degree: int) -> list[tuple[int, int, Polyno
     return frame
 
 
+# context -> {degree: (frame, its factor)}; weak keys, so an entry lives and dies with its context
+_FISCHER_FACTORS: "weakref.WeakKeyDictionary[DunklContext, dict]" = weakref.WeakKeyDictionary()
+
+
+def _fischer_factor(ctx: DunklContext, degree: int) -> tuple[list[tuple[int, int, Polynomial]], FrameFactor]:
+    per_degree = _FISCHER_FACTORS.setdefault(ctx, {})
+    entry = per_degree.get(degree)
+    if entry is None:
+        frame = fischer_frame(ctx, degree)
+        entry = per_degree[degree] = (frame, FrameFactor([q for _, _, q in frame]))
+    return entry
+
+
 def fischer_decompose(ctx: DunklContext, p: Polynomial) -> list[tuple[int, Polynomial]]:
-    """Split homogeneous p into its |x|^{2i} x harmonic layers (nonzero ones only)."""
+    """Split homogeneous p into its |x|^{2i} x harmonic layers (nonzero ones only).
+
+    The frame of each degree is factored once per context and reused.
+    """
+    if p.m != ctx.m:
+        raise DimensionMismatch(
+            f"dimension mismatch: polynomial in {p.m} variables vs context dimension {ctx.m}")
+    if not p.is_homogeneous():
+        raise MathPrecondition("Fischer decomposition needs a homogeneous polynomial; "
+                               "split the input into homogeneous parts first")
     _require_mu(ctx, "Fischer decomposition")
     if not p:
         return []
-    degree = p.homogeneous_degree()
-    frame = fischer_frame(ctx, degree)
-    coords = solve_in_frame([q for _, _, q in frame], p)
+    frame, factor = _fischer_factor(ctx, p.homogeneous_degree())
+    coords = factor.solve(p)
     layers: dict[int, Polynomial] = {}
     for (i, _, q), c in zip(frame, coords):
         if c:

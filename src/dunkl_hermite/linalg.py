@@ -71,12 +71,17 @@ def materialize_on_degree(op: Callable[[Polynomial], Polynomial], m: int, degree
     return OperatorMatrix(m, degree, inferred, rows)
 
 
-def reduced_row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Unique RREF over the rationals; returns (rows, pivot column indices)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+# One step per pivot, in pivot order: the row swapped into the pivot position, the inverse
+# of the pivot, and the (row, factor) pairs subtracted from every other row.
+Step = tuple[int, Fraction, tuple[tuple[int, Fraction], ...]]
+
+
+def _eliminate(mat: list[list[Fraction]]) -> tuple[list[int], list[Step]]:
+    """Gauss-Jordan elimination of mat in place; returns the pivot columns and the row operations."""
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
+    steps: list[Step] = []
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
@@ -84,15 +89,25 @@ def reduced_row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[F
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        row = mat[r] = [x * inv for x in mat[r]]
+        eliminations = []
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+            factor = mat[i][c]
+            if i != r and factor:
+                mat[i] = [a - factor * b for a, b in zip(mat[i], row)]
+                eliminations.append((i, factor))
         pivots.append(c)
+        steps.append((pivot_row, inv, tuple(eliminations)))
         r += 1
         if r == nrows:
             break
+    return pivots, steps
+
+
+def reduced_row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Unique RREF over the rationals; returns (rows, pivot column indices)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots, _ = _eliminate(mat)
     return mat, pivots
 
 
@@ -141,28 +156,56 @@ def rational_nullspace(matrix: OperatorMatrix) -> list[tuple[int, ...]]:
     return kernel_vectors(matrix.entries, matrix.ncols)
 
 
+class FrameFactor:
+    """A polynomial frame factored once, for solving any number of targets in it.
+
+    The frame's coefficient matrix (one row per monomial of its support, deg-lex
+    largest first; one column per frame polynomial) is eliminated once and its
+    row operations are kept.  Solving replays them on the target's coefficient
+    column: O(rows x columns) Fraction operations instead of a fresh RREF.
+    """
+
+    __slots__ = ("m", "size", "rows", "steps")
+
+    def __init__(self, frame: Sequence[Polynomial]):
+        if not frame:
+            raise ValueError("empty frame")
+        self.m = frame[0].m
+        self.size = len(frame)
+        support: set = set()
+        for q in frame:
+            support.update(q.terms)
+        order = sorted(support, key=deglex_key, reverse=True)
+        self.rows = {e: row for row, e in enumerate(order)}
+        _, self.steps = _eliminate([[q.coefficient(e) for q in frame] for e in order])
+
+    def solve(self, target: Polynomial) -> list[Fraction]:
+        """Exact coordinates of target; "not in the span" is reported before "dependent"."""
+        if target.m != self.m:
+            raise DimensionMismatch(f"dimension mismatch: {target.m} vs {self.m}")
+        column = [Fraction(0)] * len(self.rows)
+        for e, c in target.terms.items():
+            row = self.rows.get(e)
+            if row is None:  # a monomial no frame polynomial has
+                raise MathPrecondition("target polynomial is not in the span of the frame")
+            column[row] = c
+        for r, (pivot_row, inv, eliminations) in enumerate(self.steps):
+            column[r], column[pivot_row] = column[pivot_row], column[r]
+            x = column[r] = column[r] * inv
+            if x:
+                for i, factor in eliminations:
+                    column[i] -= factor * x
+        rank = len(self.steps)  # one step per pivot
+        if any(column[rank:]):
+            raise MathPrecondition("target polynomial is not in the span of the frame")
+        if rank != self.size:
+            raise MathPrecondition("frame polynomials are linearly dependent")
+        return column[:rank]
+
+
 def solve_in_frame(frame: Sequence[Polynomial], target: Polynomial) -> list[Fraction]:
     """Exact coordinates of target in a linearly independent polynomial frame.
 
     Raises if the frame is dependent or the target lies outside its span.
     """
-    if not frame:
-        raise ValueError("empty frame")
-    m = frame[0].m
-    if target.m != m:
-        raise DimensionMismatch(f"dimension mismatch: {target.m} vs {m}")
-    support = set(target.terms)
-    for q in frame:
-        support.update(q.terms)
-    order = sorted(support, key=deglex_key, reverse=True)
-    rows = [[q.coefficient(e) for q in frame] + [target.coefficient(e)] for e in order]
-    rref, pivots = reduced_row_echelon(rows)
-    n = len(frame)
-    if n in pivots:
-        raise MathPrecondition("target polynomial is not in the span of the frame")
-    if pivots != list(range(n)):
-        raise MathPrecondition("frame polynomials are linearly dependent")
-    solution = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        solution[p] = rref[r][n]
-    return solution
+    return FrameFactor(frame).solve(target)

@@ -157,8 +157,13 @@ def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:
 def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """|x|^2 Delta - E(mu - 2 + E) with E the Euler operator; degree preserving."""
     _check(ctx, f)
-    ef = euler_operator(f)
-    return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - (ctx.mu - 2) * ef - euler_operator(ef)
+    shift = ctx.mu - 2
+
+    def radial(e: Exponent) -> Terms:  # E(mu - 2 + E) x^e = d(mu - 2 + d) x^e for d = |e|
+        d = sum(e)
+        return ((e, d * (shift + d)),)
+
+    return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - linear_extension(f, radial)
 
 
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:

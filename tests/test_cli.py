@@ -1,9 +1,14 @@
 """Command line contract: outputs, exit codes, determinism."""
+import hashlib
 import json
 import subprocess
 import sys
 
 from dunkl_hermite.cli import main
+
+# sha256 of `verify --suite all --profile ci --seed 7` stdout; a change to any check,
+# draw, count or record shows up here
+CI_VERDICT_SHA256 = "1b7fb41ea9c49ba615042c7ac12c7e3b2dcf62e9ea3b42c4c2adc79403800a99"
 
 
 def run_cli(capsys, *argv):
@@ -246,3 +251,9 @@ def test_console_entry_point_runs():
          "--m", "3", "--kappa", "1"],
         capture_output=True, text=True, check=True)
     assert json.loads(result.stdout)["mu"] == "9/1"
+
+
+def test_ci_verdict_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--profile", "ci", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CI_VERDICT_SHA256

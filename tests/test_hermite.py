@@ -1,12 +1,14 @@
 """Harmonics, Fischer decomposition, and the three Hermite constructions."""
+import gc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dunkl_hermite.errors import MathPrecondition
+from dunkl_hermite.errors import DimensionMismatch, MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, custom_root_system, trivial_root_system
-from dunkl_hermite.hermite import (HermiteRecord, ch_laguerre, ch_recursion, ch_rodrigues,
+from dunkl_hermite.hermite import (HARMONIC_CACHE_SIZE, HermiteRecord, _harmonic_basis_cached,
+                                   ch_laguerre, ch_recursion, ch_rodrigues,
                                    coefficient_recursions_check, eigenspace_checks,
                                    fischer_decompose, fischer_project, harmonic_basis,
                                    harmonic_dimension_classical, laguerre_poly,
@@ -115,6 +117,28 @@ def test_fischer_components_are_radial_times_harmonic():
 def test_fischer_decompose_zero_polynomial():
     ctx = DunklContext(trivial_root_system(2))
     assert fischer_decompose(ctx, Polynomial.zero(2)) == []
+
+
+def test_fischer_decompose_input_errors_are_dunkl_errors():
+    ctx = ctx_for("b", 2, [1, 2])
+    with pytest.raises(MathPrecondition, match="needs a homogeneous polynomial"):
+        fischer_decompose(ctx, Polynomial(2, {(2, 0): 1, (1, 0): 1}))
+    with pytest.raises(DimensionMismatch):
+        fischer_decompose(ctx, Polynomial(3, {(2, 0, 0): 1}))
+    with pytest.raises(DimensionMismatch):
+        fischer_decompose(ctx, Polynomial.zero(3))
+
+
+def test_harmonic_cache_is_bounded():
+    """Entries of dropped contexts are retired once the bound is reached."""
+    for k in range(HARMONIC_CACHE_SIZE // 2 + 10):  # three degrees each: past the bound
+        ctx = ctx_for("z2", 1, [Fraction(k + 1, 7)])
+        for degree in range(3):
+            assert len(harmonic_basis(ctx, degree).elements) == (1 if degree < 2 else 0)
+    del ctx
+    gc.collect()
+    assert _harmonic_basis_cached.cache_info().maxsize == HARMONIC_CACHE_SIZE
+    assert _harmonic_basis_cached.cache_info().currsize <= HARMONIC_CACHE_SIZE
 
 
 def test_hermite_table_low_orders():

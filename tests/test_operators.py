@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_hermite.errors import MathPrecondition
-from dunkl_hermite.groups import builtin_root_system
+from dunkl_hermite.groups import builtin_root_system, trivial_root_system
 from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_dunkl,
                                      conjugated_laplacian, dunkl_derivative, dunkl_laplacian,
                                      euler_operator, heat_semigroup, laplace_beltrami,
@@ -100,6 +100,39 @@ def test_laplace_beltrami_annihilates_constants_and_eigenvalue():
     # x1 x2 is Dunkl-harmonic for Z2 x Z2; eigenvalue -ell(mu - 2 + ell), ell = 2
     h = Polynomial.monomial(2, (1, 1))
     assert laplace_beltrami(ctx, h) == (-2 * (mu - 2 + 2)) * h
+
+
+LB_CONTEXTS = {
+    "z2^2": (2, 2, lambda k: builtin_root_system("z2", 2, k)),
+    "a3": (3, 1, lambda k: builtin_root_system("a", 3, k)),
+    "b2": (2, 2, lambda k: builtin_root_system("b", 2, k)),
+    "d4": (4, 1, lambda k: builtin_root_system("d", 4, k)),
+    "trivial3": (3, 0, lambda k: trivial_root_system(3)),
+}
+
+
+@st.composite
+def context_and_polynomial(draw):
+    """A context with drawn multiplicities and a random polynomial mixing degrees 0-4."""
+    name = draw(st.sampled_from(sorted(LB_CONTEXTS)))
+    m, nk, build = LB_CONTEXTS[name]
+    kappas = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
+                           min_size=nk, max_size=nk))
+    exponent = st.lists(st.integers(0, m - 1), max_size=4).map(
+        lambda axes: tuple(axes.count(i) for i in range(m)))
+    terms = draw(st.dictionaries(exponent, st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                                 max_size=6))
+    return name, DunklContext(build(kappas)), Polynomial(m, terms)
+
+
+@given(context_and_polynomial())
+@settings(max_examples=60, deadline=None)
+def test_laplace_beltrami_equals_the_two_euler_formula(case):
+    """L f = |x|^2 Delta f - (mu - 2) E f - E(E f) exactly, on polynomials of mixed degree."""
+    name, ctx, f = case
+    ef = euler_operator(f)
+    expected = multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - (ctx.mu - 2) * ef - euler_operator(ef)
+    assert laplace_beltrami(ctx, f) == expected, (name, f)
 
 
 def test_conjugated_dunkl_adds_multiplication_term():

@@ -9,13 +9,13 @@ combination D+ = -D + 2x act on these.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import DimensionMismatch, MathPrecondition
-from .linalg import kernel_vectors
-from .operators import DunklContext, d_plus_squared_form, dunkl_derivative
-from .poly import Polynomial, monomial_basis
+from .linalg import kernel_basis
+from .operators import DunklContext, d_plus_squared_form, dunkl_derivative, dunkl_images
+from .poly import Polynomial, json_int, monomial_basis
 
 ScalarLike = Union[int, Fraction]
 
@@ -161,8 +161,8 @@ class CliffordPolynomial:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CliffordPolynomial":
-        m = int(data["m"])
-        return cls(m, {int(entry["mask"]): Polynomial.from_json(entry["poly"])
+        m = json_int(data["m"], "m")
+        return cls(m, {json_int(entry["mask"], "mask"): Polynomial.from_json(entry["poly"])
                        for entry in data.get("blades", ())})
 
     def __str__(self) -> str:
@@ -217,28 +217,19 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
     m = ctx.m
+    masks = range(1 << m)
     dom_basis = monomial_basis(m, degree)
-    cod_basis = monomial_basis(m, degree - 1)
-    columns = list(product(range(1 << m), dom_basis))
-    row_index = {key: idx for idx, key in enumerate(product(range(1 << m), cod_basis))}
-    rows = [[Fraction(0)] * len(columns) for _ in row_index]
-    # D(x^e e_A) = sum_i sign(e_i e_A) T_i(x^e) e_{A xor i}: each T_i x^e serves every blade
-    images = {e: [dunkl_derivative(ctx, i, Polynomial.monomial(m, e)) for i in range(m)]
-              for e in dom_basis}
-    for col, (mask, e) in enumerate(columns):
-        for i, image in enumerate(images[e]):
-            sign, bmask = blade_product(1 << i, mask)
-            for ee, c in image.terms.items():
-                rows[row_index[(bmask, ee)]][col] = sign * c
-    vectors = kernel_vectors(rows, len(columns))
-    out = []
-    for vec in vectors:
-        blades: dict[int, dict] = {}
-        for val, (mask, e) in zip(vec, columns):
-            if val:
-                blades.setdefault(mask, {})[e] = Fraction(val)
-        out.append(CliffordPolynomial(m, {mask: Polynomial(m, terms) for mask, terms in blades.items()}))
-    return out
+    # D(x^e e_A) = sum_i sign(e_i e_A) T_i(x^e) e_{A xor i}, read from the context's memo of T_i x^e
+    columns = []
+    for mask in masks:
+        relabels = [blade_product(1 << i, mask) for i in range(m)]
+        columns += [[((bmask, f), sign * c) for (sign, bmask), image in zip(relabels, dunkl_images(ctx, e))
+                     for f, c in image] for e in dom_basis]
+    rows = list(product(masks, monomial_basis(m, degree - 1)))
+    # kernel vectors list their keys blade-mask-major, so each blade's terms are consecutive
+    return [CliffordPolynomial(m, {mask: Polynomial(m, {e: v for (_, e), v in terms})
+                                   for mask, terms in groupby(vec.items(), key=lambda item: item[0][0])})
+            for vec in kernel_basis(columns, list(product(masks, dom_basis)), rows)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

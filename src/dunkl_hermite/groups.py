@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InvalidRootSystem
-from .poly import parse_rational, rational_str
+from .poly import json_int, parse_rational, rational_str
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -248,35 +248,13 @@ def builtin_root_system(family: str, m: int, kappas: Sequence) -> RootSystem:
     kappas = [Fraction(k) for k in kappas]
     if any(k < 0 for k in kappas):
         raise InvalidRootSystem("builtin families use nonnegative multiplicities")
-    roots: list[Vector] = []
-    if family == "trivial":
-        pass
-    elif family == "z2":
-        roots = [_unit(m, i) for i in range(m)]
-    elif family == "a":
-        if m < 2:
-            raise InvalidRootSystem("family a needs m >= 2")
-        for i in range(m):
-            for j in range(i + 1, m):
-                roots.append(tuple(Fraction(1) if k == i else Fraction(-1) if k == j else Fraction(0)
-                                   for k in range(m)))
-    elif family == "b":
-        if m < 2:
-            raise InvalidRootSystem("family b needs m >= 2")
-        roots = [_unit(m, i) for i in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                for sign in (Fraction(-1), Fraction(1)):
-                    roots.append(tuple(Fraction(1) if k == i else sign if k == j else Fraction(0)
-                                       for k in range(m)))
-    elif family == "d":
-        if m < 2:
-            raise InvalidRootSystem("family d needs m >= 2")
-        for i in range(m):
-            for j in range(i + 1, m):
-                for sign in (Fraction(-1), Fraction(1)):
-                    roots.append(tuple(Fraction(1) if k == i else sign if k == j else Fraction(0)
-                                       for k in range(m)))
+    if family in ("a", "b", "d") and m < 2:
+        raise InvalidRootSystem(f"family {family} needs m >= 2")
+    # e_i for z2 and b, then e_i + s e_j (i < j) for each sign s of the family
+    roots: list[Vector] = [_unit(m, i) for i in range(m)] if family in ("z2", "b") else []
+    signs = {"a": (-1,), "b": (-1, 1), "d": (-1, 1)}.get(family, ())
+    roots += [tuple(Fraction(1) if k == i else Fraction(s) if k == j else Fraction(0) for k in range(m))
+              for i in range(m) for j in range(i + 1, m) for s in signs]
     if not roots:
         if kappas:
             raise InvalidRootSystem("trivial family takes no multiplicities")
@@ -290,17 +268,31 @@ def builtin_root_system(family: str, m: int, kappas: Sequence) -> RootSystem:
     return _with_multiplicities(roots, m, index, orbits, reps)
 
 
+def _json_field(field: str, parse: Callable):
+    """parse(), with a malformed value of the JSON field reported as InvalidRootSystem."""
+    try:
+        return parse()
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InvalidRootSystem(f"root system JSON: bad {field}: {detail}") from None
+
+
 def root_system_from_json(data: Mapping) -> RootSystem:
-    """Parse the root system JSON contract; validation errors pass through."""
-    if "m" not in data or "positive_roots" not in data or "multiplicities" not in data:
+    """Parse the root system JSON contract; a malformed field or invalid system raises
+    InvalidRootSystem."""
+    if not isinstance(data, Mapping) or not {"m", "positive_roots", "multiplicities"} <= data.keys():
         raise InvalidRootSystem("root system JSON needs keys m, positive_roots, multiplicities")
-    m = int(data["m"])
-    roots = [tuple(parse_rational(c) for c in root) for root in data["positive_roots"]]
+    m = _json_field("m", lambda: json_int(data["m"], "m"))
+    roots = _json_field("positive_roots", lambda: [tuple(map(parse_rational, root))
+                                                   for root in data["positive_roots"]])
     if not roots:
+        if data["multiplicities"]:
+            raise InvalidRootSystem("root system JSON: multiplicities given, but positive_roots is empty")
         return trivial_root_system(m)
     for root in roots:
         if len(root) != m:
             raise InvalidRootSystem(f"root {[str(c) for c in root]} does not have dimension {m}")
-    mults = [(tuple(parse_rational(c) for c in entry["orbit_rep"]), parse_rational(entry["kappa"]))
-             for entry in data["multiplicities"]]
+    mults = _json_field("multiplicities", lambda: [
+        (tuple(map(parse_rational, entry["orbit_rep"])), parse_rational(entry["kappa"]))
+        for entry in data["multiplicities"]])
     return custom_root_system(roots, mults)

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .linalg import FrameFactor, materialize_on_degree, matrix_rank, rational_nullspace, solve_in_frame
+from .linalg import FrameFactor, coefficient_grid, kernel_basis, matrix_rank, solve_in_frame
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
-                        dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami)
-from .poly import (Polynomial, deglex_key, dim_homogeneous, monomial_basis, rational_str,
-                   parse_rational)
+                        dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami, laplacian_image)
+from .poly import Polynomial, dim_homogeneous, json_int, monomial_basis, parse_rational, rational_str
 
 
 def mu_is_degenerate(mu: Fraction) -> bool:
@@ -57,13 +56,9 @@ HARMONIC_CACHE_SIZE = 256
 @lru_cache(maxsize=HARMONIC_CACHE_SIZE)
 def _harmonic_basis_cached(ctx_ref: "weakref.ref[DunklContext]", degree: int) -> HarmonicBasis:
     ctx = ctx_ref()
-    matrix = materialize_on_degree(lambda p: dunkl_laplacian(ctx, p), ctx.m, degree,
-                                   codomain_degree=degree - 2)
-    vectors = rational_nullspace(matrix)
     basis = monomial_basis(ctx.m, degree)
-    elements = tuple(Polynomial(ctx.m, {e: Fraction(v) for e, v in zip(basis, vec) if v})
-                     for vec in vectors)
-    return HarmonicBasis(degree=degree, elements=elements)
+    vectors = kernel_basis([laplacian_image(ctx, e) for e in basis], basis, monomial_basis(ctx.m, degree - 2))
+    return HarmonicBasis(degree=degree, elements=tuple(Polynomial(ctx.m, v) for v in vectors))
 
 
 def harmonic_basis(ctx: DunklContext, degree: int) -> HarmonicBasis:
@@ -185,8 +180,8 @@ class HermiteRecord:
     @classmethod
     def from_json(cls, data) -> "HermiteRecord":
         return cls(
-            t=int(data["t"]),
-            ell=int(data["ell"]),
+            t=json_int(data["t"], "t"),
+            ell=json_int(data["ell"], "ell"),
             mu=parse_rational(data["mu"]),
             harmonic=Polynomial.from_json(data["harmonic"]),
             radial_coeffs=tuple(parse_rational(c) for c in data["radial_coeffs"]),
@@ -352,12 +347,9 @@ class EigenspaceReport:
                 and self.combined_rank == self.expected_rank)
 
 
-def _coefficient_rows(polys: Sequence[Polynomial]) -> list[list[Fraction]]:
-    support = set()
-    for p in polys:
-        support.update(p.terms)
-    order = sorted(support, key=deglex_key, reverse=True)
-    return [[p.coefficient(e) for e in order] for p in polys]
+def _span_rank(polys: Sequence[Polynomial]) -> int:
+    support = list(set().union(*(p.terms for p in polys)))  # a rank does not depend on the row order
+    return matrix_rank(coefficient_grid([p.terms.items() for p in polys], support))
 
 
 def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:
@@ -380,12 +372,10 @@ def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:
             if residual:
                 failures.append({"family": label, "input": q.to_json(), "residual": residual.to_json()})
     expected = dim_homogeneous(ctx.m, degree)
-    heat_rank = matrix_rank(_coefficient_rows(heat_family)) if heat_family else 0
-    herm_rank = matrix_rank(_coefficient_rows(hermite_family)) if hermite_family else 0
-    combined = matrix_rank(_coefficient_rows(heat_family + hermite_family)) if heat_family else 0
     return EigenspaceReport(degree=degree, cases=cases, failures=tuple(failures),
-                            heat_family_rank=heat_rank, hermite_family_rank=herm_rank,
-                            combined_rank=combined, expected_rank=expected)
+                            heat_family_rank=_span_rank(heat_family),
+                            hermite_family_rank=_span_rank(hermite_family),
+                            combined_rank=_span_rank(heat_family + hermite_family), expected_rank=expected)
 
 
 def proportionality_constant(ctx: DunklContext, i: int, n: int, harmonic: Polynomial) -> Fraction:

@@ -1,22 +1,38 @@
 """Exact rational linear algebra for graded operator matrices.
 
-Matrices are dense lists of Fraction rows; columns of an operator matrix are
-indexed by the deg-lex (largest first) monomial basis of the domain degree,
-rows by that of the codomain degree.  Kernels come back canonicalized: free
-variables taken in column order, denominators cleared, content 1, leading
-nonzero coefficient positive.
+Matrices are dense lists of Fraction rows, all filled by coefficient_grid
+from term lists; columns of an operator matrix are indexed by the deg-lex
+(largest first) monomial basis of the domain degree, rows by that of the
+codomain degree.  Kernels come back canonicalized: free variables taken in
+column order, denominators cleared, content 1, leading nonzero coefficient
+positive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
 from .poly import Polynomial, deglex_key, dim_homogeneous, monomial_basis
 
 Row = tuple[Fraction, ...]
+
+
+def coefficient_grid(columns: Sequence[Iterable[tuple[Hashable, Fraction]]],
+                     rows: Sequence[Hashable]) -> list[list[Fraction]]:
+    """Dense grid whose entry [i][j] is the coefficient of rows[i] in the term list columns[j].
+
+    A row key is an exponent, or a (blade mask, exponent) pair; a term list names each key at
+    most once, and only keys among rows.
+    """
+    index = {key: i for i, key in enumerate(rows)}
+    grid = [[Fraction(0)] * len(columns) for _ in rows]
+    for j, terms in enumerate(columns):
+        for key, value in terms:
+            grid[index[key]][j] = value
+    return grid
 
 
 @dataclass(frozen=True)
@@ -49,10 +65,9 @@ def materialize_on_degree(op: Callable[[Polynomial], Polynomial], m: int, degree
     The operator must send the whole component into one homogeneous degree;
     the offending monomial is named otherwise.
     """
-    basis = monomial_basis(m, degree)
     images = []
     inferred = codomain_degree
-    for e in basis:
+    for e in monomial_basis(m, degree):
         image = op(Polynomial.monomial(m, e))
         if image and not image.is_homogeneous():
             raise MathPrecondition(f"operator is not graded: image of x^{list(e)} mixes degrees")
@@ -63,12 +78,9 @@ def materialize_on_degree(op: Callable[[Polynomial], Polynomial], m: int, degree
             elif d != inferred:
                 raise MathPrecondition(
                     f"operator is not degree-homogeneous: image of x^{list(e)} has degree {d}, expected {inferred}")
-        images.append(image)
-    if inferred is None or inferred < 0:
-        return OperatorMatrix(m, degree, -1 if inferred is None else inferred, ())
-    cod = monomial_basis(m, inferred)
-    rows = tuple(tuple(img.coefficient(e) for img in images) for e in cod)
-    return OperatorMatrix(m, degree, inferred, rows)
+        images.append(image.terms.items())
+    cod = -1 if inferred is None else inferred  # below 0 the codomain basis, and the grid, are empty
+    return OperatorMatrix(m, degree, cod, tuple(map(tuple, coefficient_grid(images, monomial_basis(m, cod)))))
 
 
 # One step per pivot, in pivot order: the row swapped into the pivot position, the inverse
@@ -132,17 +144,9 @@ def _canonical_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 def kernel_vectors(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, ...]]:
     """Canonical basis of the kernel of the matrix with the given column count."""
-    if ncols == 0:
-        return []
-    if not rows:
-        rref: list[list[Fraction]] = []
-        pivots: list[int] = []
-    else:
-        rref, pivots = reduced_row_echelon(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    rref, pivots = reduced_row_echelon(rows)
     basis = []
-    for f in free_cols:
+    for f in sorted(set(range(ncols)) - set(pivots)):  # the free columns
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, p in enumerate(pivots):
@@ -154,6 +158,14 @@ def kernel_vectors(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple
 def rational_nullspace(matrix: OperatorMatrix) -> list[tuple[int, ...]]:
     """Canonical exact kernel basis of an operator matrix."""
     return kernel_vectors(matrix.entries, matrix.ncols)
+
+
+def kernel_basis(columns: Sequence[Iterable[tuple[Hashable, Fraction]]], column_keys: Sequence[Hashable],
+                 rows: Sequence[Hashable]) -> list[dict[Hashable, int]]:
+    """Canonical kernel of coefficient_grid(columns, rows), each vector as {column key: coefficient}
+    over its nonzero entries."""
+    vectors = kernel_vectors(coefficient_grid(columns, rows), len(column_keys))
+    return [{key: v for key, v in zip(column_keys, vec) if v} for vec in vectors]
 
 
 class FrameFactor:
@@ -172,12 +184,9 @@ class FrameFactor:
             raise ValueError("empty frame")
         self.m = frame[0].m
         self.size = len(frame)
-        support: set = set()
-        for q in frame:
-            support.update(q.terms)
-        order = sorted(support, key=deglex_key, reverse=True)
+        order = sorted(set().union(*(q.terms for q in frame)), key=deglex_key, reverse=True)
         self.rows = {e: row for row, e in enumerate(order)}
-        _, self.steps = _eliminate([[q.coefficient(e) for q in frame] for e in order])
+        _, self.steps = _eliminate(coefficient_grid([q.terms.items() for q in frame], order))
 
     def solve(self, target: Polynomial) -> list[Fraction]:
         """Exact coordinates of target; "not in the span" is reported before "dependent"."""

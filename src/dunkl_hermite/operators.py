@@ -65,7 +65,7 @@ class DunklContext:
         return f"DunklContext(m={self.m}, roots={len(self.root_system.positive_roots)}, mu={self.mu})"
 
 
-def _dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
+def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
     """The terms of T_1 x^e, ..., T_m x^e, memoized; each root's divided difference is taken
     once for all axes."""
     images = ctx._images.get(e)
@@ -86,13 +86,13 @@ def _dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
     return images
 
 
-def _laplacian_image(ctx: DunklContext, e: Exponent) -> Terms:
-    """The terms of Delta x^e, memoized."""
+def laplacian_image(ctx: DunklContext, e: Exponent) -> Terms:
+    """The terms of Delta x^e = sum_i T_i (T_i x^e), memoized; both steps read the memo of T_i."""
     image = ctx._laplacians.get(e)
     if image is None:
         total = Polynomial.zero(ctx.m)
-        for i, first in enumerate(_dunkl_images(ctx, e)):
-            total = total + dunkl_derivative(ctx, i, Polynomial(ctx.m, first))
+        for i, first in enumerate(dunkl_images(ctx, e)):
+            total = total + linear_extension(ctx.m, first, lambda f, i=i: dunkl_images(ctx, f)[i])
         image = ctx._laplacians[e] = tuple(total.terms.items())
     return image
 
@@ -102,13 +102,13 @@ def dunkl_derivative(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
     _check(ctx, f)
     if not 0 <= axis < ctx.m:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
-    return linear_extension(f, lambda e: _dunkl_images(ctx, e)[axis])
+    return linear_extension(f.m, f.terms.items(), lambda e: dunkl_images(ctx, e)[axis])
 
 
 def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """Sum over axes of the squared Dunkl operator."""
     _check(ctx, f)
-    return linear_extension(f, lambda e: _laplacian_image(ctx, e))
+    return linear_extension(f.m, f.terms.items(), lambda e: laplacian_image(ctx, e))
 
 
 def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
@@ -163,7 +163,7 @@ def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
         d = sum(e)
         return ((e, d * (shift + d)),)
 
-    return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - linear_extension(f, radial)
+    return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - linear_extension(f.m, f.terms.items(), radial)
 
 
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:

@@ -33,8 +33,18 @@ def rational_str(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "3/2", "-4/1" or plain "3" into a Fraction."""
-    return Fraction(str(text).strip())
+    """Parse "3/2", "-4/1" or plain "3" into a Fraction; malformed text raises ValueError."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def json_int(value, field: str) -> int:
+    """value if it is a JSON integer (an int, not a bool); ValueError naming the field otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def dim_homogeneous(m: int, degree: int) -> int:
@@ -268,10 +278,10 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Polynomial":
-        m = int(data["m"])
+        m = json_int(data["m"], "m")
         pairs = []
         for entry in data.get("terms", ()):
-            e = tuple(int(x) for x in entry["e"])
+            e = tuple(json_int(x, "exponent") for x in entry["e"])
             pairs.append((e, parse_rational(entry["c"])))
         return cls(m, pairs)
 
@@ -382,17 +392,19 @@ def compose_signed_permutation(p: Polynomial, perm: SignedPermutation) -> Polyno
     return _raw(m, terms)
 
 
-def linear_extension(p: Polynomial, image: Callable[[Exponent], Terms]) -> Polynomial:
-    """sum of c * image(e) over the terms c x^e of p: the linear map with the given monomial images."""
-    terms: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
+def linear_extension(m: int, terms: Iterable[tuple[Exponent, Fraction]],
+                     image: Callable[[Exponent], Terms]) -> Polynomial:
+    """sum of c * image(e) over the terms (e, c) of a polynomial in m variables: the linear map
+    with the given monomial images."""
+    out: dict[Exponent, Fraction] = {}
+    for e, c in terms:
         for ee, v in image(e):
-            acc = terms.get(ee, _ZERO) + c * v
+            acc = out.get(ee, _ZERO) + c * v
             if acc:
-                terms[ee] = acc
+                out[ee] = acc
             else:
-                terms.pop(ee, None)
-    return _raw(p.m, terms)
+                out.pop(ee, None)
+    return _raw(m, out)
 
 
 def divide_by_linear_form(p: Polynomial, alpha: Sequence[ScalarLike]) -> Polynomial:

@@ -1,0 +1,138 @@
+"""Malformed numbers and fields in CLI arguments and JSON inputs exit 2 with one error line.
+
+Each case used to escape as a traceback (ZeroDivisionError, KeyError, a bare
+ValueError) or was silently coerced by int() into a different input.
+"""
+import json
+
+import pytest
+
+from dunkl_hermite.cli import main
+from dunkl_hermite.clifford import CliffordPolynomial
+from dunkl_hermite.hermite import HermiteRecord
+from dunkl_hermite.poly import Polynomial, parse_rational
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_input_error(code, out, err, *fragments):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dunkl-hermite: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err, (fragment, err)
+
+
+def test_parse_rational_refuses_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+    assert parse_rational(" -4/6 ") == parse_rational("-2/3")
+
+
+def test_kappa_with_zero_denominator_exit_2(capsys):
+    result = run_cli(capsys, "group-info", "--group", "z2", "--m", "1", "--kappa", "1/0")
+    assert_input_error(*result, "--kappa", "zero denominator")
+
+
+def decompose(capsys, tmp_path, poly):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(poly))
+    return run_cli(capsys, "decompose", "--group", "z2", "--m", "2", "--kappa", "1,1",
+                   "--poly-file", str(path))
+
+
+def test_polynomial_coefficient_with_zero_denominator_exit_2(capsys, tmp_path):
+    result = decompose(capsys, tmp_path, {"m": 2, "terms": [{"c": "1/0", "e": [1, 0]}]})
+    assert_input_error(*result, "bad polynomial JSON", "zero denominator")
+
+
+@pytest.mark.parametrize("exponent", [[1.5, 0.7], [True, False], [1.0, 0]])
+def test_non_integer_exponents_exit_2(capsys, tmp_path, exponent):
+    """int() used to turn these into x1 and answer for x1 with exit 0."""
+    result = decompose(capsys, tmp_path, {"m": 2, "terms": [{"c": "1", "e": exponent}]})
+    assert_input_error(*result, "exponent must be an integer")
+
+
+@pytest.mark.parametrize("m", [2.9, True, "2"])
+def test_non_integer_polynomial_dimension_exit_2(capsys, tmp_path, m):
+    result = decompose(capsys, tmp_path, {"m": m, "terms": [{"c": "1", "e": [1, 0]}]})
+    assert_input_error(*result, "m must be an integer")
+
+
+def test_integer_fields_still_parse(capsys, tmp_path):
+    code, out, _ = decompose(capsys, tmp_path, {"m": 2, "terms": [{"c": "1", "e": [1, 0]}]})
+    assert code == 0
+    assert json.loads(out)["components"][0]["i"] == 0
+
+
+GOOD_SYSTEM = {"m": 2, "positive_roots": [["1", "0"]],
+               "multiplicities": [{"orbit_rep": ["1", "0"], "kappa": "1"}]}
+
+
+@pytest.mark.parametrize("change, fragments", [
+    ({"m": "x"}, ("bad m", "m must be an integer")),
+    ({"m": 2.9}, ("bad m", "m must be an integer")),
+    ({"m": True}, ("bad m", "m must be an integer")),
+    ({"positive_roots": [["1/0", "0"]]}, ("bad positive_roots", "zero denominator")),
+    ({"positive_roots": [["one", "0"]]}, ("bad positive_roots",)),
+    ({"positive_roots": 5}, ("bad positive_roots",)),
+    ({"multiplicities": [{"orbit_rep": ["1", "0"]}]}, ("bad multiplicities", "missing key 'kappa'")),
+    ({"multiplicities": [{"kappa": "1"}]}, ("bad multiplicities", "missing key 'orbit_rep'")),
+    ({"multiplicities": [{"orbit_rep": ["1", "0"], "kappa": "1/0"}]},
+     ("bad multiplicities", "zero denominator")),
+    ({"multiplicities": [{"orbit_rep": ["0", "1"], "kappa": "1"}]}, ("not a root of the system",)),
+    ({"positive_roots": []}, ("multiplicities given", "positive_roots is empty")),
+])
+def test_root_system_json_faults_exit_2(capsys, tmp_path, change, fragments):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({**GOOD_SYSTEM, **change}))
+    result = run_cli(capsys, "group-info", "--group-file", str(path))
+    assert_input_error(*result, *fragments)
+
+
+def test_root_system_json_must_be_an_object(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text("[1, 2]")
+    result = run_cli(capsys, "group-info", "--group-file", str(path))
+    assert_input_error(*result, "needs keys m, positive_roots, multiplicities")
+
+
+def test_empty_root_system_without_multiplicities_is_trivial(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"m": 3, "positive_roots": [], "multiplicities": []}))
+    code, out, _ = run_cli(capsys, "group-info", "--group-file", str(path))
+    assert code == 0
+    assert json.loads(out)["mu"] == "3/1"
+
+
+def clifford_json(m=2, mask=1):
+    return {"m": m, "blades": [{"mask": mask, "poly": Polynomial.variable(2, 0).to_json()}]}
+
+
+def test_clifford_json_integer_fields():
+    assert CliffordPolynomial.from_json(clifford_json()).blade(1) == Polynomial.variable(2, 0)
+    for bad in (clifford_json(mask=1.0), clifford_json(mask=True), clifford_json(mask="1")):
+        with pytest.raises(ValueError, match="mask must be an integer"):
+            CliffordPolynomial.from_json(bad)
+    for bad in (clifford_json(m=2.0), clifford_json(m=True)):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            CliffordPolynomial.from_json(bad)
+
+
+def hermite_json(**change):
+    harmonic = Polynomial.constant(1, 1).to_json()
+    return {"t": 0, "ell": 0, "mu": "1/1", "harmonic": harmonic, "radial_coeffs": ["1/1"],
+            "polynomial": harmonic, **change}
+
+
+def test_hermite_record_json_integer_fields():
+    assert HermiteRecord.from_json(hermite_json()).t == 0
+    for field in ("t", "ell"):
+        for value in (0.0, False, "0", 1.5):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                HermiteRecord.from_json(hermite_json(**{field: value}))

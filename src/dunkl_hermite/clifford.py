@@ -62,7 +62,7 @@ class CliffordPolynomial:
     def __init__(self, m: int, blades: Mapping[int, Polynomial] = ()):
         if m < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {m}")
-        items = [(1, int(mask), poly) for mask, poly in
+        items = [(1, json_int(mask, "mask"), poly) for mask, poly in
                  (blades.items() if isinstance(blades, Mapping) else blades)]
         for _, mask, poly in items:
             if not 0 <= mask < (1 << m):
@@ -162,8 +162,8 @@ class CliffordPolynomial:
     @classmethod
     def from_json(cls, data: Mapping) -> "CliffordPolynomial":
         m = json_int(data["m"], "m")
-        return cls(m, {json_int(entry["mask"], "mask"): Polynomial.from_json(entry["poly"])
-                       for entry in data.get("blades", ())})
+        return cls(m, [(entry["mask"], Polynomial.from_json(entry["poly"]))
+                       for entry in data.get("blades", ())])
 
     def __str__(self) -> str:
         if not self._blades:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import FrameFactor, coefficient_grid, kernel_basis, matrix_rank, solve_in_frame
@@ -199,24 +199,26 @@ def _validated_harmonic(ctx: DunklContext, harmonic: Polynomial) -> int:
     return harmonic.homogeneous_degree()
 
 
-def _record_from_polynomial(ctx: DunklContext, t: int, ell: int, harmonic: Polynomial,
-                            result: Polynomial) -> HermiteRecord:
-    norm2 = Polynomial.norm_squared(ctx.m)
-    frame = [(norm2 ** i) * harmonic for i in range(t + 1)]
-    coords = solve_in_frame(frame, result)
-    return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
-                         radial_coeffs=tuple(coords), polynomial=result)
-
-
-def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
-    """t-fold application of the scalar operator -Delta - 4|x|^2 + 2(2E + mu)."""
+def _iterated_record(ctx: DunklContext, t: int, harmonic: Polynomial,
+                     step: Callable[[Polynomial], Polynomial]) -> HermiteRecord:
+    """The record of step applied t times to a Dunkl-harmonic factor, with its radial
+    coordinates solved in the frame |x|^{2i} * harmonic, i = 0..t."""
     if t < 0:
         raise MathPrecondition(f"index t must be >= 0, got {t}")
     ell = _validated_harmonic(ctx, harmonic)
     out = harmonic
     for _ in range(t):
-        out = d_plus_squared_form(ctx, out)
-    return _record_from_polynomial(ctx, t, ell, harmonic, out)
+        out = step(out)
+    norm2 = Polynomial.norm_squared(ctx.m)
+    frame = [(norm2 ** i) * harmonic for i in range(t + 1)]
+    coords = solve_in_frame(frame, out)
+    return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
+                         radial_coeffs=tuple(coords), polynomial=out)
+
+
+def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
+    """t-fold application of the scalar operator -Delta - 4|x|^2 + 2(2E + mu)."""
+    return _iterated_record(ctx, t, harmonic, lambda p: d_plus_squared_form(ctx, p))
 
 
 def ch_rodrigues(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
@@ -225,13 +227,7 @@ def ch_rodrigues(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteReco
     exp(|x|^2) (-Delta)^t exp(-|x|^2) acts on polynomials as the t-th power of
     the negated Laplacian conjugated at rate -1; no symbolic exponentials.
     """
-    if t < 0:
-        raise MathPrecondition(f"index t must be >= 0, got {t}")
-    ell = _validated_harmonic(ctx, harmonic)
-    out = harmonic
-    for _ in range(t):
-        out = -conjugated_laplacian(ctx, Fraction(-1), out)
-    return _record_from_polynomial(ctx, t, ell, harmonic, out)
+    return _iterated_record(ctx, t, harmonic, lambda p: -conjugated_laplacian(ctx, Fraction(-1), p))
 
 
 def laguerre_poly(t: int, a: Fraction) -> tuple[Fraction, ...]:

@@ -88,7 +88,7 @@ class Polynomial:
             if len(exponents) != m:
                 raise DimensionMismatch(
                     f"dimension mismatch: exponent tuple of length {len(exponents)} vs dimension {m}")
-            if any(e < 0 or not isinstance(e, int) for e in exponents):
+            if any(type(e) is not int or e < 0 for e in exponents):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
             coeff = Fraction(coeff)
             if coeff:
@@ -326,39 +326,28 @@ def _raw(m: int, terms: dict[Exponent, Fraction]) -> Polynomial:
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Polynomial:
-    """Substitute x_j -> sum_k matrix[j][k] * x_k, i.e. compute p(A x) exactly."""
+    """Substitute x_j -> sum_k matrix[j][k] * x_k, i.e. compute p(A x) exactly.
+
+    Each term c x^e expands as c times e[j] multiplications by the linear form of row j, for
+    every j; the expansions are summed into one term map and zeros are dropped at the end."""
     m = p.m
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise DimensionMismatch(f"dimension mismatch: matrix is not {m}x{m}")
-    rows = []
-    for row in matrix:
-        terms = {}
-        for k, c in enumerate(row):
-            c = Fraction(c)
-            if c:
-                e = [0] * m
-                e[k] = 1
-                terms[tuple(e)] = c
-        rows.append(Polynomial(m, terms))
-    powers: list[dict[int, Polynomial]] = [dict() for _ in range(m)]
-
-    def row_power(j: int, n: int) -> Polynomial:
-        cache = powers[j]
-        if n not in cache:
-            if n == 0:
-                cache[n] = Polynomial.constant(m, 1)
-            else:
-                cache[n] = row_power(j, n - 1) * rows[j]
-        return cache[n]
-
-    out = Polynomial.zero(m)
+    forms = [[(k, Fraction(a)) for k, a in enumerate(row) if a] for row in matrix]
+    out: dict[Exponent, Fraction] = {}
     for e, c in p.terms.items():
-        term = Polynomial.constant(m, c)
-        for j, n in enumerate(e):
-            if n:
-                term = term * row_power(j, n)
-        out = out + term
-    return out
+        expansion = {(0,) * m: c}
+        for form, n in zip(forms, e):
+            for _ in range(n):
+                product: dict[Exponent, Fraction] = {}
+                for te, tc in expansion.items():
+                    for k, a in form:
+                        ke = te[:k] + (te[k] + 1,) + te[k + 1:]
+                        product[ke] = product.get(ke, _ZERO) + tc * a
+                expansion = product
+        for te, tc in expansion.items():
+            out[te] = out.get(te, _ZERO) + tc
+    return _raw(m, {e: c for e, c in out.items() if c})
 
 
 def signed_permutation(matrix: Sequence[Sequence[ScalarLike]]) -> SignedPermutation | None:

@@ -51,11 +51,14 @@ def test_polynomial_coefficient_with_zero_denominator_exit_2(capsys, tmp_path):
     assert_input_error(*result, "bad polynomial JSON", "zero denominator")
 
 
-@pytest.mark.parametrize("exponent", [[1.5, 0.7], [True, False], [1.0, 0]])
+@pytest.mark.parametrize("exponent", [[1.5, 0.7], [True, False], [1.0, 0], ["1", 0]])
 def test_non_integer_exponents_exit_2(capsys, tmp_path, exponent):
-    """int() used to turn these into x1 and answer for x1 with exit 0."""
+    """int() used to turn these into x1 and answer for x1 with exit 0. The constructor refuses
+    them too, with ValueError: a bool exponent written back by to_json is JSON from_json refuses."""
     result = decompose(capsys, tmp_path, {"m": 2, "terms": [{"c": "1", "e": exponent}]})
     assert_input_error(*result, "exponent must be an integer")
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        Polynomial(2, {tuple(exponent): 1})
 
 
 @pytest.mark.parametrize("m", [2.9, True, "2"])
@@ -116,12 +119,16 @@ def clifford_json(m=2, mask=1):
 
 def test_clifford_json_integer_fields():
     assert CliffordPolynomial.from_json(clifford_json()).blade(1) == Polynomial.variable(2, 0)
-    for bad in (clifford_json(mask=1.0), clifford_json(mask=True), clifford_json(mask="1")):
+    for bad in (clifford_json(mask=1.0), clifford_json(mask=True), clifford_json(mask="1"),
+                clifford_json(mask=[1])):
         with pytest.raises(ValueError, match="mask must be an integer"):
             CliffordPolynomial.from_json(bad)
     for bad in (clifford_json(m=2.0), clifford_json(m=True)):
         with pytest.raises(ValueError, match="m must be an integer"):
             CliffordPolynomial.from_json(bad)
+    for mask in (1.5, True):  # the constructor checks masks too; int() made {1.5: x1} the e1 blade
+        with pytest.raises(ValueError, match="mask must be an integer"):
+            CliffordPolynomial(2, {mask: Polynomial.variable(2, 0)})
 
 
 def hermite_json(**change):

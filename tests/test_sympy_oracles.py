@@ -1,12 +1,18 @@
-"""laguerre_poly and weighted_moment against sympy, an oracle sharing no code with the package."""
+"""compose_linear, laguerre_poly and weighted_moment against sympy, an oracle sharing no code with
+the package."""
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.hermite import laguerre_poly
 from dunkl_hermite.moments import weighted_moment
+from dunkl_hermite.poly import Polynomial, compose_linear
+
+from test_dunkl_map import f4_json, g2_json, polynomials
 
 sp = pytest.importorskip("sympy")
 
@@ -58,3 +64,65 @@ def test_weighted_moment_matches_sympy_gamma(m):
             assert value.coefficient == to_fraction(expected), (exponents, kappas)
             if any(a % 2 for a in exponents):
                 assert value.is_zero
+
+
+def sympy_compose(p, matrix) -> dict:
+    """Terms of p(A x): sympy.expand of the simultaneous substitution x_j -> sum_k A_jk x_k."""
+    xs = sp.symbols(f"x1:{p.m + 1}")
+
+    def rational(value):
+        value = Fraction(value)
+        return sp.Rational(value.numerator, value.denominator)
+
+    f = sp.Add(*(rational(c) * sp.Mul(*(x ** n for x, n in zip(xs, e))) for e, c in p.terms.items()))
+    image = {x: sp.Add(*(rational(a) * y for a, y in zip(row, xs))) for x, row in zip(xs, matrix)}
+    expanded = sp.Poly(sp.expand(f.xreplace(image)), *xs)
+    return {e: to_fraction(c) for e, c in expanded.terms() if c}
+
+
+def reflection_matrices(data) -> list:
+    """r_alpha = I - 2 alpha alpha^T / <alpha, alpha> for each positive root of a root-system document."""
+    out = []
+    for root in data["positive_roots"]:
+        alpha = [Fraction(c) for c in root]
+        norm = sum(a * a for a in alpha)
+        out.append([[int(j == k) - 2 * alpha[j] * alpha[k] / norm for k in range(len(alpha))]
+                    for j in range(len(alpha))])
+    return out
+
+
+@st.composite
+def polynomial_and_matrix(draw):
+    """A polynomial of degree <= 5 in m <= 4 variables and an m x m matrix of int and Fraction
+    entries: dense, with a zero row, or singular (for m > 1: the last row a multiple of the first)."""
+    m = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    matrix = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["dense", "zero row", "singular"]))
+    if shape == "zero row":
+        matrix[draw(st.integers(0, m - 1))] = [0] * m
+    elif shape == "singular":
+        scale = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        matrix[-1] = [scale * Fraction(a) for a in matrix[0]]
+    return draw(polynomials(m, max_degree=5, max_terms=5)), matrix
+
+
+@given(polynomial_and_matrix())
+@example((Polynomial(2, {(1, 1): 1}), [[1, 1], [1, -1]]))  # x1 x2 -> x1^2 - x2^2: x1 x2 cancels
+@settings(max_examples=80, deadline=None)
+def test_compose_linear_matches_sympy_on_random_matrices(case):
+    p, matrix = case
+    assert dict(compose_linear(p, matrix).terms) == sympy_compose(p, matrix), (p, matrix)
+
+
+@pytest.mark.parametrize("name, data, count", [("G2", g2_json(1, 1), 6), ("F4", f4_json(1, 1), 24)],
+                         ids=["G2", "F4"])
+@given(draws=st.data())
+@settings(max_examples=12, deadline=None)
+def test_compose_linear_matches_sympy_on_every_reflection(name, data, count, draws):
+    """Every reflection of G2 and F4, the signed permutations among them included."""
+    matrices = reflection_matrices(data)
+    assert len(matrices) == count
+    p = draws.draw(polynomials(data["m"], max_degree=5, max_terms=4))
+    for matrix in matrices:
+        assert dict(compose_linear(p, matrix).terms) == sympy_compose(p, matrix), (name, p, matrix)

@@ -60,6 +60,7 @@ class CliffordPolynomial:
     __slots__ = ("m", "_blades")
 
     def __init__(self, m: int, blades: Mapping[int, Polynomial] = ()):
+        m = json_int(m, "m")
         if m < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {m}")
         items = [(1, json_int(mask, "mask"), poly) for mask, poly in
@@ -225,11 +226,10 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
         relabels = [blade_product(1 << i, mask) for i in range(m)]
         columns += [[((bmask, f), sign * c) for (sign, bmask), image in zip(relabels, dunkl_images(ctx, e))
                      for f, c in image] for e in dom_basis]
-    rows = list(product(masks, monomial_basis(m, degree - 1)))
     # kernel vectors list their keys blade-mask-major, so each blade's terms are consecutive
     return [CliffordPolynomial(m, {mask: Polynomial(m, {e: v for (_, e), v in terms})
                                    for mask, terms in groupby(vec.items(), key=lambda item: item[0][0])})
-            for vec in kernel_basis(columns, list(product(masks, dom_basis)), rows)]
+            for vec in kernel_basis(columns, list(product(masks, dom_basis)))]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

@@ -220,11 +220,20 @@ def _with_multiplicities(roots: tuple[Vector, ...], m: int, index: Mapping[Vecto
     return RootSystem(m=m, positive_roots=roots, multiplicities=per_root, orbits=orbits)
 
 
-def trivial_root_system(m: int) -> RootSystem:
-    """No roots at all: every Dunkl object degenerates to its classical version."""
+def _dimension(m) -> int:
+    """m if it is an integer >= 1; InvalidRootSystem naming m otherwise."""
+    try:
+        m = json_int(m, "m")
+    except ValueError as exc:
+        raise InvalidRootSystem(str(exc)) from None
     if m < 1:
         raise InvalidRootSystem(f"dimension must be >= 1, got {m}")
-    return RootSystem(m=m, positive_roots=(), multiplicities=(), orbits=())
+    return m
+
+
+def trivial_root_system(m: int) -> RootSystem:
+    """No roots at all: every Dunkl object degenerates to its classical version."""
+    return RootSystem(m=_dimension(m), positive_roots=(), multiplicities=(), orbits=())
 
 
 def _unit(m: int, i: int) -> Vector:
@@ -243,8 +252,7 @@ def builtin_root_system(family: str, m: int, kappas: Sequence) -> RootSystem:
     family = family.lower()
     if family not in BUILTIN_FAMILIES:
         raise InvalidRootSystem(f"unknown family {family!r}; expected one of {BUILTIN_FAMILIES}")
-    if m < 1:
-        raise InvalidRootSystem(f"dimension must be >= 1, got {m}")
+    m = _dimension(m)
     kappas = [Fraction(k) for k in kappas]
     if any(k < 0 for k in kappas):
         raise InvalidRootSystem("builtin families use nonnegative multiplicities")

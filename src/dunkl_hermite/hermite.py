@@ -22,7 +22,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .linalg import FrameFactor, coefficient_grid, kernel_basis, matrix_rank, solve_in_frame
+from .linalg import FrameFactor, kernel_basis, solve_in_frame
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
                         dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami, laplacian_image)
 from .poly import Polynomial, dim_homogeneous, json_int, monomial_basis, parse_rational, rational_str
@@ -57,7 +57,7 @@ HARMONIC_CACHE_SIZE = 256
 def _harmonic_basis_cached(ctx_ref: "weakref.ref[DunklContext]", degree: int) -> HarmonicBasis:
     ctx = ctx_ref()
     basis = monomial_basis(ctx.m, degree)
-    vectors = kernel_basis([laplacian_image(ctx, e) for e in basis], basis, monomial_basis(ctx.m, degree - 2))
+    vectors = kernel_basis([laplacian_image(ctx, e) for e in basis], basis)
     return HarmonicBasis(degree=degree, elements=tuple(Polynomial(ctx.m, v) for v in vectors))
 
 
@@ -344,8 +344,7 @@ class EigenspaceReport:
 
 
 def _span_rank(polys: Sequence[Polynomial]) -> int:
-    support = list(set().union(*(p.terms for p in polys)))  # a rank does not depend on the row order
-    return matrix_rank(coefficient_grid([p.terms.items() for p in polys], support))
+    return len(FrameFactor(polys).steps) if polys else 0  # one step per pivot; no polynomial below degree 0
 
 
 def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:

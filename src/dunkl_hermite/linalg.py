@@ -1,11 +1,13 @@
 """Exact rational linear algebra for graded operator matrices.
 
-Matrices are dense lists of Fraction rows, all filled by coefficient_grid
-from term lists; columns of an operator matrix are indexed by the deg-lex
-(largest first) monomial basis of the domain degree, rows by that of the
-codomain degree.  Kernels come back canonicalized: free variables taken in
-column order, denominators cleared, content 1, leading nonzero coefficient
-positive.
+A matrix reaches this module as one term list per column: (row key, coefficient) pairs, a row
+key being an exponent or a (blade mask, exponent) pair.  Only this module lays it out: each row,
+keyed by its own key in order of first appearance, is a sparse {column: Fraction} map, and one
+Gauss-Jordan loop over those rows serves every RREF, rank, kernel and frame solve.  The public
+dense functions convert at the boundary; columns of an operator matrix are indexed by the deg-lex
+(largest first) monomial basis of the domain degree, rows by that of the codomain degree.
+Kernels come back canonicalized: free variables taken in column order, denominators cleared,
+content 1, leading nonzero coefficient positive.
 """
 from __future__ import annotations
 
@@ -15,24 +17,27 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .poly import Polynomial, deglex_key, dim_homogeneous, monomial_basis
+from .poly import Polynomial, dim_homogeneous, monomial_basis
 
 Row = tuple[Fraction, ...]
+SparseRows = dict[Hashable, dict[int, Fraction]]  # row key -> {column: nonzero entry}
 
 
-def coefficient_grid(columns: Sequence[Iterable[tuple[Hashable, Fraction]]],
-                     rows: Sequence[Hashable]) -> list[list[Fraction]]:
-    """Dense grid whose entry [i][j] is the coefficient of rows[i] in the term list columns[j].
-
-    A row key is an exponent, or a (blade mask, exponent) pair; a term list names each key at
-    most once, and only keys among rows.
-    """
-    index = {key: i for i, key in enumerate(rows)}
-    grid = [[Fraction(0)] * len(columns) for _ in rows]
+def _sparse_rows(columns: Sequence[Iterable[tuple[Hashable, Fraction]]]) -> SparseRows:
+    """The rows of the matrix whose column j is the term list columns[j]; a term list names each
+    key at most once, with a nonzero coefficient."""
+    rows: SparseRows = {}
     for j, terms in enumerate(columns):
         for key, value in terms:
-            grid[index[key]][j] = value
-    return grid
+            rows.setdefault(key, {})[j] = value
+    return rows
+
+
+def _dense_to_sparse(rows: Sequence[Sequence[Fraction]], ncols: int) -> SparseRows:
+    lengths = {len(row) for row in rows} - {ncols}
+    if lengths:
+        raise DimensionMismatch(f"dimension mismatch: rows of length {sorted(lengths)} vs {ncols} columns")
+    return {i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
 
 
 @dataclass(frozen=True)
@@ -79,80 +84,83 @@ def materialize_on_degree(op: Callable[[Polynomial], Polynomial], m: int, degree
                 raise MathPrecondition(
                     f"operator is not degree-homogeneous: image of x^{list(e)} has degree {d}, expected {inferred}")
         images.append(image.terms.items())
-    cod = -1 if inferred is None else inferred  # below 0 the codomain basis, and the grid, are empty
-    return OperatorMatrix(m, degree, cod, tuple(map(tuple, coefficient_grid(images, monomial_basis(m, cod)))))
+    cod = -1 if inferred is None else inferred  # below 0 the codomain basis, and the matrix, are empty
+    rows, zero = _sparse_rows(images), Fraction(0)
+    return OperatorMatrix(m, degree, cod, tuple(tuple(rows.get(f, {}).get(j, zero) for j in range(len(images)))
+                                                for f in monomial_basis(m, cod)))
 
 
-# One step per pivot, in pivot order: the row swapped into the pivot position, the inverse
-# of the pivot, and the (row, factor) pairs subtracted from every other row.
-Step = tuple[int, Fraction, tuple[tuple[int, Fraction], ...]]
+# One step per pivot, in pivot order: the key of the pivot row, the pivot column, the inverse
+# of the pivot, and the (row key, factor) pairs subtracted from every other row.
+Step = tuple[Hashable, int, Fraction, tuple[tuple[Hashable, Fraction], ...]]
 
 
-def _eliminate(mat: list[list[Fraction]]) -> tuple[list[int], list[Step]]:
-    """Gauss-Jordan elimination of mat in place; returns the pivot columns and the row operations."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
+def _eliminate(rows: SparseRows, ncols: int) -> list[Step]:
+    """Gauss-Jordan elimination of sparse rows in place; returns the row operations.  An update
+    visits only the pivot row's nonzero entries, and drops what cancels."""
+    pending = dict.fromkeys(rows)  # the rows that are no pivot row yet, in order of first appearance
     steps: list[Step] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pivot_row is None:
+        key = next((k for k in pending if c in rows[k]), None)
+        if key is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        row = mat[r] = [x * inv for x in mat[r]]
+        del pending[key]
+        inv = 1 / rows[key][c]
+        pivot = rows[key] = {j: x * inv for j, x in rows[key].items()}
         eliminations = []
-        for i in range(nrows):
-            factor = mat[i][c]
-            if i != r and factor:
-                mat[i] = [a - factor * b for a, b in zip(mat[i], row)]
-                eliminations.append((i, factor))
-        pivots.append(c)
-        steps.append((pivot_row, inv, tuple(eliminations)))
-        r += 1
-        if r == nrows:
-            break
-    return pivots, steps
+        for k, row in rows.items():
+            factor = row.get(c)
+            if factor and k != key:
+                for j, b in pivot.items():
+                    a = row.get(j, 0) - factor * b
+                    if a:
+                        row[j] = a
+                    else:
+                        del row[j]
+                eliminations.append((k, factor))
+        steps.append((key, c, inv, tuple(eliminations)))
+    return steps
 
 
 def reduced_row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Unique RREF over the rationals; returns (rows, pivot column indices)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots, _ = _eliminate(mat)
-    return mat, pivots
+    ncols = len(rows[0]) if rows else 0
+    sparse, zero = _dense_to_sparse(rows, ncols), Fraction(0)
+    steps = _eliminate(sparse, ncols)
+    echelon = [[sparse[key].get(j, zero) for j in range(ncols)] for key, _, _, _ in steps]
+    return echelon + [[zero] * ncols for _ in range(len(rows) - len(steps))], [c for _, c, _, _ in steps]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(reduced_row_echelon(rows)[1])
 
 
-def _canonical_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators, reduce to content 1, make the leading entry positive."""
-    den = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * den) for x in vec]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x))
-    if content > 1:
-        ints = [x // content for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def _canonical_integer(vec: dict[int, Fraction]) -> dict[int, int]:
+    """Clear denominators, reduce to content 1, make the leading entry positive; the nonzero
+    entries come back in column order."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    ints = {j: int(vec[j] * den) for j in sorted(vec)}
+    content = gcd(*ints.values())
+    if next(iter(ints.values())) < 0:
+        content = -content
+    return {j: x // content for j, x in ints.items()}
+
+
+def _kernel(rows: SparseRows, ncols: int) -> list[dict[int, int]]:
+    """Canonical kernel basis of sparse rows, each vector as {column: coefficient} over its
+    nonzero entries."""
+    pivot_rows = [(c, rows[key]) for key, c, _, _ in _eliminate(rows, ncols)]
+    basis = []
+    for f in sorted(set(range(ncols)) - {c for c, _ in pivot_rows}):  # the free columns
+        vec = {p: -row[f] for p, row in pivot_rows if f in row}
+        vec[f] = Fraction(1)
+        basis.append(_canonical_integer(vec))
+    return basis
 
 
 def kernel_vectors(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, ...]]:
     """Canonical basis of the kernel of the matrix with the given column count."""
-    rref, pivots = reduced_row_echelon(rows)
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):  # the free columns
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(_canonical_integer(vec))
-    return basis
+    return [tuple(vec.get(j, 0) for j in range(ncols)) for vec in _kernel(_dense_to_sparse(rows, ncols), ncols)]
 
 
 def rational_nullspace(matrix: OperatorMatrix) -> list[tuple[int, ...]]:
@@ -160,56 +168,47 @@ def rational_nullspace(matrix: OperatorMatrix) -> list[tuple[int, ...]]:
     return kernel_vectors(matrix.entries, matrix.ncols)
 
 
-def kernel_basis(columns: Sequence[Iterable[tuple[Hashable, Fraction]]], column_keys: Sequence[Hashable],
-                 rows: Sequence[Hashable]) -> list[dict[Hashable, int]]:
-    """Canonical kernel of coefficient_grid(columns, rows), each vector as {column key: coefficient}
-    over its nonzero entries."""
-    vectors = kernel_vectors(coefficient_grid(columns, rows), len(column_keys))
-    return [{key: v for key, v in zip(column_keys, vec) if v} for vec in vectors]
+def kernel_basis(columns: Sequence[Iterable[tuple[Hashable, Fraction]]],
+                 column_keys: Sequence[Hashable]) -> list[dict[Hashable, int]]:
+    """Canonical kernel of the matrix whose column j is the term list columns[j], each vector as
+    {column key: coefficient} over its nonzero entries, in column order."""
+    vectors = _kernel(_sparse_rows(columns), len(column_keys))
+    return [{column_keys[j]: v for j, v in vec.items()} for vec in vectors]
 
 
 class FrameFactor:
     """A polynomial frame factored once, for solving any number of targets in it.
 
-    The frame's coefficient matrix (one row per monomial of its support, deg-lex
-    largest first; one column per frame polynomial) is eliminated once and its
-    row operations are kept.  Solving replays them on the target's coefficient
-    column: O(rows x columns) Fraction operations instead of a fresh RREF.
+    The frame's coefficient matrix (one column per frame polynomial, one row per monomial of its
+    support) is eliminated once and its row operations are kept.  Solving replays them on a copy
+    of the target's term map: only the nonzero eliminations, instead of a fresh RREF.
     """
 
-    __slots__ = ("m", "size", "rows", "steps")
+    __slots__ = ("m", "size", "steps")
 
     def __init__(self, frame: Sequence[Polynomial]):
         if not frame:
             raise ValueError("empty frame")
         self.m = frame[0].m
         self.size = len(frame)
-        order = sorted(set().union(*(q.terms for q in frame)), key=deglex_key, reverse=True)
-        self.rows = {e: row for row, e in enumerate(order)}
-        _, self.steps = _eliminate(coefficient_grid([q.terms.items() for q in frame], order))
+        self.steps = _eliminate(_sparse_rows([q.terms.items() for q in frame]), self.size)
 
     def solve(self, target: Polynomial) -> list[Fraction]:
         """Exact coordinates of target; "not in the span" is reported before "dependent"."""
         if target.m != self.m:
             raise DimensionMismatch(f"dimension mismatch: {target.m} vs {self.m}")
-        column = [Fraction(0)] * len(self.rows)
-        for e, c in target.terms.items():
-            row = self.rows.get(e)
-            if row is None:  # a monomial no frame polynomial has
-                raise MathPrecondition("target polynomial is not in the span of the frame")
-            column[row] = c
-        for r, (pivot_row, inv, eliminations) in enumerate(self.steps):
-            column[r], column[pivot_row] = column[pivot_row], column[r]
-            x = column[r] = column[r] * inv
+        terms = dict(target.terms)
+        for key, _, inv, eliminations in self.steps:
+            x = terms[key] = terms.get(key, 0) * inv
             if x:
-                for i, factor in eliminations:
-                    column[i] -= factor * x
-        rank = len(self.steps)  # one step per pivot
-        if any(column[rank:]):
+                for k, factor in eliminations:
+                    terms[k] = terms.get(k, 0) - factor * x
+        coordinates = [terms.pop(key) for key, _, _, _ in self.steps]
+        if any(terms.values()):  # a term left over, on a monomial of the frame's or not
             raise MathPrecondition("target polynomial is not in the span of the frame")
-        if rank != self.size:
+        if len(coordinates) != self.size:  # one coordinate per pivot
             raise MathPrecondition("frame polynomials are linearly dependent")
-        return column[:rank]
+        return coordinates
 
 
 def solve_in_frame(frame: Sequence[Polynomial], target: Polynomial) -> list[Fraction]:

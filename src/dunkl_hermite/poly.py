@@ -79,6 +79,7 @@ class Polynomial:
     __slots__ = ("m", "_terms")
 
     def __init__(self, m: int, terms: Union[Mapping[Exponent, ScalarLike], Iterable[tuple[Exponent, ScalarLike]]] = ()):
+        m = json_int(m, "m")
         if m < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {m}")
         items = terms.items() if isinstance(terms, Mapping) else terms

@@ -11,7 +11,7 @@ from dunkl_hermite import hermite
 from dunkl_hermite.errors import DimensionMismatch, MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.hermite import fischer_decompose, fischer_frame
-from dunkl_hermite.linalg import reduced_row_echelon, solve_in_frame
+from dunkl_hermite.linalg import FrameFactor, reduced_row_echelon, solve_in_frame
 from dunkl_hermite.operators import DunklContext
 from dunkl_hermite.poly import Polynomial, deglex_key, monomial_basis
 
@@ -161,3 +161,27 @@ def test_a_context_dropped_after_fischer_decompose_is_released():
     del ctx
     gc.collect()
     assert ref() is None
+
+
+def reordered(p, random):
+    """p with its terms in another order: the rows of a frame matrix appear in another order."""
+    items = list(p.terms.items())
+    random.shuffle(items)
+    return Polynomial(p.m, items)
+
+
+@given(frames_and_targets(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_solve_in_frame_does_not_depend_on_the_row_order(case, random):
+    frame, target = case
+    permuted = [reordered(q, random) for q in frame]
+    assert outcome(solve_in_frame, permuted, reordered(target, random)) == outcome(solve_in_frame, frame, target)
+
+
+def test_the_row_order_picks_the_pivot_rows_but_not_the_coordinates():
+    frame = [Polynomial(2, {(2, 0): 1, (0, 2): 1}), Polynomial(2, {(2, 0): 1, (0, 2): -1})]
+    flipped = [Polynomial(2, list(q.terms.items())[::-1]) for q in frame]
+    target = Polynomial(2, {(2, 0): 3, (0, 2): 1})
+    assert [key for key, _, _, _ in FrameFactor(frame).steps] == [(2, 0), (0, 2)]
+    assert [key for key, _, _, _ in FrameFactor(flipped).steps] == [(0, 2), (2, 0)]
+    assert solve_in_frame(frame, target) == solve_in_frame(flipped, target) == [2, 1]

@@ -299,3 +299,5 @@ def test_eigenspace_ranks_match_full_polynomial_space():
     assert report.expected_rank == 4
     assert (report.heat_family_rank, report.hermite_family_rank,
             report.combined_rank) == (4, 4, 4)
+    empty = eigenspace_checks(ctx, -1)  # no polynomial has a negative degree: both families are empty
+    assert empty.ok and (empty.cases, empty.combined_rank, empty.expected_rank) == (0, 0, 0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl_hermite.errors import MathPrecondition
+from dunkl_hermite.errors import DimensionMismatch, MathPrecondition
 from dunkl_hermite.groups import builtin_root_system
 from dunkl_hermite.linalg import (kernel_vectors, materialize_on_degree, matrix_rank,
                                   rational_nullspace, reduced_row_echelon, solve_in_frame)
@@ -64,6 +64,14 @@ def test_rref_unique_form():
     assert all(not any(row) for row in echelon[1:])
     assert pivots == [0]
     assert matrix_rank(rows) == 1
+
+
+def test_dense_functions_refuse_rows_of_another_length():
+    # ragged rows used to raise a bare IndexError or be truncated to the shortest row
+    for call in (lambda: reduced_row_echelon([[1, 2], [3]]), lambda: matrix_rank([[1], [2, 3]]),
+                 lambda: kernel_vectors([[0, 0, 1]], 2), lambda: kernel_vectors([[1, 2]], 3)):
+        with pytest.raises(DimensionMismatch, match="dimension mismatch: rows of length"):
+            call()
 
 
 def test_kernel_canonicalization():

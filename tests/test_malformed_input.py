@@ -9,6 +9,8 @@ import pytest
 
 from dunkl_hermite.cli import main
 from dunkl_hermite.clifford import CliffordPolynomial
+from dunkl_hermite.errors import InvalidRootSystem
+from dunkl_hermite.groups import builtin_root_system, trivial_root_system
 from dunkl_hermite.hermite import HermiteRecord
 from dunkl_hermite.poly import Polynomial, parse_rational
 
@@ -143,3 +145,26 @@ def test_hermite_record_json_integer_fields():
         for value in (0.0, False, "0", 1.5):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 HermiteRecord.from_json(hermite_json(**{field: value}))
+
+
+@pytest.mark.parametrize("m", [True, 2.0, "2"], ids=repr)
+def test_non_integer_dimension_is_refused_by_every_constructor(m):
+    """A bool or float dimension used to be kept (Polynomial, the root systems), written back as
+    JSON `"m": true`, or escape as a bare TypeError (CliffordPolynomial, builtin_root_system)."""
+    with pytest.raises(ValueError, match="m must be an integer"):
+        Polynomial(m, {(1, 0): 1})
+    with pytest.raises(ValueError, match="m must be an integer"):
+        CliffordPolynomial(m, {1: Polynomial.variable(2, 0)})
+    for build in (lambda: builtin_root_system("z2", m, [1, 1]), lambda: builtin_root_system("b", m, [1, 1]),
+                  lambda: trivial_root_system(m)):
+        with pytest.raises(InvalidRootSystem, match="m must be an integer"):
+            build()
+
+
+def test_integer_dimensions_still_build():
+    assert Polynomial(2, {(1, 0): 1}).to_json()["m"] == 2
+    assert CliffordPolynomial(2, {1: Polynomial.variable(2, 0)}).m == 2
+    assert builtin_root_system("z2", 2, [1, 1]).m == trivial_root_system(2).m == 2
+    for build in (lambda: builtin_root_system("z2", 0, []), lambda: trivial_root_system(0)):
+        with pytest.raises(InvalidRootSystem, match="dimension must be >= 1, got 0"):
+            build()

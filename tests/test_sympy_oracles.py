@@ -1,6 +1,7 @@
-"""compose_linear, laguerre_poly and weighted_moment against sympy, an oracle sharing no code with
-the package."""
+"""compose_linear, laguerre_poly, weighted_moment and the exact RREF, rank and kernel against sympy,
+an oracle sharing no code with the package."""
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.hermite import laguerre_poly
+from dunkl_hermite.linalg import kernel_vectors, matrix_rank, reduced_row_echelon
 from dunkl_hermite.moments import weighted_moment
 from dunkl_hermite.poly import Polynomial, compose_linear
 
@@ -66,13 +68,14 @@ def test_weighted_moment_matches_sympy_gamma(m):
                 assert value.is_zero
 
 
+def rational(value):
+    value = Fraction(value)
+    return sp.Rational(value.numerator, value.denominator)
+
+
 def sympy_compose(p, matrix) -> dict:
     """Terms of p(A x): sympy.expand of the simultaneous substitution x_j -> sum_k A_jk x_k."""
     xs = sp.symbols(f"x1:{p.m + 1}")
-
-    def rational(value):
-        value = Fraction(value)
-        return sp.Rational(value.numerator, value.denominator)
 
     f = sp.Add(*(rational(c) * sp.Mul(*(x ** n for x, n in zip(xs, e))) for e, c in p.terms.items()))
     image = {x: sp.Add(*(rational(a) * y for a, y in zip(row, xs))) for x, row in zip(xs, matrix)}
@@ -126,3 +129,46 @@ def test_compose_linear_matches_sympy_on_every_reflection(name, data, count, dra
     p = draws.draw(polynomials(data["m"], max_degree=5, max_terms=4))
     for matrix in matrices:
         assert dict(compose_linear(p, matrix).terms) == sympy_compose(p, matrix), (name, p, matrix)
+
+
+def canonical(vector) -> tuple:
+    """Denominators cleared, content 1, leading nonzero entry positive."""
+    values = [to_fraction(x) for x in vector]
+    den = math.lcm(*(x.denominator for x in values))
+    ints = [int(x * den) for x in values]
+    content = math.gcd(*ints)
+    sign = -1 if next(x for x in ints if x) < 0 else 1
+    return tuple(sign * x // content for x in ints)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rational matrices up to 6 x 8, about three quarters zeros, with a zero row, a zero column and
+    (from two rows on) a row duplicated over another."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    entry = st.tuples(st.integers(0, 3), nonzero).map(lambda t: t[1] if t[0] == 0 else Fraction(0))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    zero_column = draw(st.integers(0, ncols - 1))
+    for row in rows:
+        row[zero_column] = Fraction(0)
+    if nrows > 1:
+        source, target = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2, unique=True))
+        rows[target] = list(rows[source])
+    return rows
+
+
+@given(sparse_matrices())
+@example([[Fraction(0), Fraction(2), Fraction(4)], [Fraction(0), Fraction(0), Fraction(0)],
+          [Fraction(0), Fraction(2), Fraction(4)]])
+@settings(max_examples=200, deadline=None)
+def test_rref_rank_and_kernel_match_sympy(rows):
+    ncols = len(rows[0])
+    matrix = sp.Matrix([[rational(x) for x in row] for row in rows])
+    expected_rref, expected_pivots = matrix.rref()
+    echelon, pivots = reduced_row_echelon(rows)
+    assert echelon == [[to_fraction(x) for x in row] for row in expected_rref.tolist()], rows
+    assert pivots == list(expected_pivots), rows
+    assert matrix_rank(rows) == matrix.rank(), rows
+    assert kernel_vectors(rows, ncols) == [canonical(v) for v in matrix.nullspace()], rows

@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import FrameFactor, kernel_basis, solve_in_frame
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
-                        dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami, laplacian_image)
+                        dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami, laplacian_image,
+                        radial_tower)
 from .poly import Polynomial, dim_homogeneous, json_int, monomial_basis, parse_rational, rational_str
 
 
@@ -77,14 +78,8 @@ def harmonic_dimension_classical(m: int, degree: int) -> int:
 
 def fischer_frame(ctx: DunklContext, degree: int) -> list[tuple[int, int, Polynomial]]:
     """Basis (i, harmonic index, |x|^{2i} h) of the degree-k component."""
-    frame = []
-    norm2 = Polynomial.norm_squared(ctx.m)
-    for i in range(degree // 2 + 1):
-        radial = norm2 ** i
-        hb = harmonic_basis(ctx, degree - 2 * i)
-        for j, h in enumerate(hb.elements):
-            frame.append((i, j, radial * h))
-    return frame
+    return [(i, j, radial_tower(h, i)[i]) for i in range(degree // 2 + 1)
+            for j, h in enumerate(harmonic_basis(ctx, degree - 2 * i).elements)]
 
 
 # context -> {degree: (frame, its factor)}; weak keys, so an entry lives and dies with its context
@@ -131,6 +126,8 @@ def fischer_project(ctx: DunklContext, i: int, degree: int, p: Polynomial) -> Po
     where L = |x|^2 Delta - E(mu-2+E); every denominator is checked.
     """
     _require_mu(ctx, "Fischer projection")
+    if not p.is_homogeneous():
+        raise MathPrecondition("Fischer projection needs a homogeneous polynomial")
     if p and p.homogeneous_degree() != degree:
         raise MathPrecondition(
             f"polynomial of degree {p.homogeneous_degree()} fed to projection on degree {degree}")
@@ -209,11 +206,8 @@ def _iterated_record(ctx: DunklContext, t: int, harmonic: Polynomial,
     out = harmonic
     for _ in range(t):
         out = step(out)
-    norm2 = Polynomial.norm_squared(ctx.m)
-    frame = [(norm2 ** i) * harmonic for i in range(t + 1)]
-    coords = solve_in_frame(frame, out)
     return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
-                         radial_coeffs=tuple(coords), polynomial=out)
+                         radial_coeffs=tuple(solve_in_frame(radial_tower(harmonic, t), out)), polynomial=out)
 
 
 def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
@@ -258,15 +252,9 @@ def ch_laguerre(ctx: DunklContext, t: int, ell: int, harmonic: Polynomial) -> He
     actual = _validated_harmonic(ctx, harmonic)
     if actual != ell:
         raise MathPrecondition(f"harmonic has degree {actual}, expected ell = {ell}")
-    a = ctx.mu / 2 + ell - 1
-    lag = laguerre_poly(t, a)
-    scale = Fraction(4) ** t * factorial(t)
-    radial = tuple(scale * c for c in lag)
-    norm2 = Polynomial.norm_squared(ctx.m)
-    out = Polynomial.zero(ctx.m)
-    for i, c in enumerate(radial):
-        if c:
-            out = out + c * ((norm2 ** i) * harmonic)
+    scale = 4 ** t * factorial(t)
+    radial = tuple(scale * c for c in laguerre_poly(t, ctx.mu / 2 + ell - 1))
+    out = sum((c * layer for c, layer in zip(radial, radial_tower(harmonic, t))), Polynomial.zero(ctx.m))
     return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
                          radial_coeffs=radial, polynomial=out)
 
@@ -317,7 +305,7 @@ def coefficient_recursions_check(previous: HermiteRecord, current: HermiteRecord
 
 def rosler_hermite(ctx: DunklContext, p: Polynomial) -> Polynomial:
     """2^n exp(-Delta/4) p for homogeneous p of degree n."""
-    if not p:
+    if not p or not p.is_homogeneous():
         raise MathPrecondition("input must be a nonzero homogeneous polynomial")
     n = p.homogeneous_degree()
     return (Fraction(2) ** n) * heat_semigroup(ctx, p)
@@ -383,8 +371,7 @@ def proportionality_constant(ctx: DunklContext, i: int, n: int, harmonic: Polyno
     ell = _validated_harmonic(ctx, harmonic)
     if ell != n - 2 * i:
         raise MathPrecondition(f"harmonic degree {ell} does not match n - 2i = {n - 2 * i}")
-    norm2 = Polynomial.norm_squared(ctx.m)
-    heat_image = rosler_hermite(ctx, (norm2 ** i) * harmonic)
+    heat_image = rosler_hermite(ctx, radial_tower(harmonic, i)[i])
     hermite = ch_recursion(ctx, i, harmonic).polynomial
     lead_exp, lead_coeff = hermite.leading_term()
     c = heat_image.coefficient(lead_exp) / lead_coeff

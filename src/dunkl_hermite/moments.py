@@ -64,9 +64,12 @@ def weighted_moment(exponents: Sequence[int], kappas: Sequence) -> MomentValue:
     """Integral of x^a * prod |x_i|^{2 kappa_i} * exp(-|x|^2) over R^m."""
     if len(exponents) != len(kappas):
         raise DimensionMismatch(f"dimension mismatch: {len(exponents)} vs {len(kappas)}")
-    kappas = _check_kappas(kappas)
-    m = len(exponents)
-    pi_power = Fraction(m, 2)
+    return _moment(exponents, _check_kappas(kappas))
+
+
+def _moment(exponents: Sequence[int], kappas: Sequence[int]) -> MomentValue:
+    """weighted_moment for multiplicities already checked to be nonnegative integers."""
+    pi_power = Fraction(len(exponents), 2)
     coefficient = Fraction(1)
     for a, kappa in zip(exponents, kappas):
         if a < 0:
@@ -83,10 +86,10 @@ def inner_product(f: Polynomial, g: Polynomial, kappas: Sequence) -> MomentValue
         raise DimensionMismatch(f"dimension mismatch: {f.m} vs {g.m}")
     if len(kappas) != f.m:
         raise DimensionMismatch(f"dimension mismatch: {len(kappas)} multiplicities vs dimension {f.m}")
-    product = f * g
+    kappas = _check_kappas(kappas)  # checked once here; _moment trusts them for every product term
     total = MomentValue(Fraction(0), Fraction(f.m, 2))
-    for e, c in product.sorted_terms():
-        total = total + weighted_moment(e, kappas).scale(c)
+    for e, c in (f * g).terms.items():
+        total = total + _moment(e, kappas).scale(c)
     return total
 
 

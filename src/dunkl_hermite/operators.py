@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import (Exponent, Polynomial, SignedPermutation, Terms, compose_linear, compose_signed_permutation,
-                   divide_by_linear_form, linear_extension, signed_permutation)
+from .poly import (Exponent, Polynomial, ScalarLike, SignedPermutation, Terms, compose_linear,
+                   compose_signed_permutation, divide_by_linear_form, linear_extension, signed_permutation)
 
 
 class DunklContext:
@@ -129,13 +130,28 @@ def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> 
     return out
 
 
+def degree_weighted(f: Polynomial, weight: Callable[[int], ScalarLike]) -> Polynomial:
+    """x^e maps to weight(|e|) * x^e: any function of the Euler operator, as a diagonal map."""
+    return linear_extension(f.m, f.terms.items(), lambda e: ((e, weight(sum(e))),))
+
+
+def radial_tower(f: Polynomial, n: int) -> list[Polynomial]:
+    """[f, |x|^2 f, ..., |x|^{2n} f], each one shift of the one before."""
+    tower = [f]
+    for _ in range(n):
+        tower.append(multiply_by_norm_squared(tower[-1]))
+    return tower
+
+
 def euler_operator(f: Polynomial) -> Polynomial:
     """Degree-weighting operator: x^e maps to |e| * x^e."""
-    return Polynomial(f.m, {e: c * sum(e) for e, c in f.terms.items() if sum(e)})
+    return degree_weighted(f, lambda d: d)
 
 
 def multiply_by_norm_squared(f: Polynomial) -> Polynomial:
-    return f * Polynomial.norm_squared(f.m)
+    """|x|^2 f: x^e maps to the sum over i of x^(e + 2 eps_i), an exponent shift per axis."""
+    return linear_extension(f.m, f.terms.items(),
+                            lambda e: tuple((e[:i] + (e[i] + 2,) + e[i + 1:], 1) for i in range(f.m)))
 
 
 def sl2_e(f: Polynomial) -> Polynomial:
@@ -151,25 +167,19 @@ def sl2_f(ctx: DunklContext, f: Polynomial) -> Polynomial:
 def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """Neutral element: Euler operator plus mu/2."""
     _check(ctx, f)
-    return euler_operator(f) + f * (ctx.mu / 2)
+    return degree_weighted(f, lambda d, half=ctx.mu / 2: d + half)
 
 
 def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """|x|^2 Delta - E(mu - 2 + E) with E the Euler operator; degree preserving."""
-    _check(ctx, f)
     shift = ctx.mu - 2
-
-    def radial(e: Exponent) -> Terms:  # E(mu - 2 + E) x^e = d(mu - 2 + d) x^e for d = |e|
-        d = sum(e)
-        return ((e, d * (shift + d)),)
-
-    return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - linear_extension(f.m, f.terms.items(), radial)
+    return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - degree_weighted(f, lambda d: d * (shift + d))
 
 
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2."""
-    return (-dunkl_laplacian(ctx, f) - 4 * multiply_by_norm_squared(f)
-            + 4 * euler_operator(f) + (2 * ctx.mu) * f)
+    return (degree_weighted(f, lambda d, mu=ctx.mu: 2 * (2 * d + mu)) - dunkl_laplacian(ctx, f)
+            - 4 * multiply_by_norm_squared(f))
 
 
 def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> Polynomial:

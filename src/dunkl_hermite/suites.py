@@ -28,7 +28,7 @@ from .hermite import (ch_laguerre, ch_recursion, ch_rodrigues, coefficient_recur
                       rosler_hermite, weighted_eigenfunction_check)
 from .moments import orthogonality_report
 from .operators import (DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator,
-                        laplace_beltrami, sl2_e, sl2_f, sl2_h)
+                        laplace_beltrami, radial_tower, sl2_e, sl2_f, sl2_h)
 from .poly import Polynomial, monomial_basis, rational_str
 
 SUITE_NAMES = ("commute", "sl2", "lemma1", "anticommutator", "dplus2", "fischer",
@@ -199,16 +199,16 @@ def _lemma1(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Laplacian of a radial power times a homogeneous polynomial splits into
     the two-term commutation formula; checked on monomials and on computed
     harmonics (where the second term drops)."""
-    norm2 = Polynomial.norm_squared(ctx.m)
+    top = profile.radial_power_max
     for ell in range(profile.lemma_ell_max + 1):
         inputs = [Polynomial.monomial(ctx.m, e) for e in monomial_basis(ctx.m, ell)]
         inputs.extend(harmonic_basis(ctx, ell).elements)
-        for k in range(1, profile.radial_power_max + 1):
+        towers = [(R, radial_tower(R, top), radial_tower(dunkl_laplacian(ctx, R), top)) for R in inputs]
+        for k in range(1, top + 1):  # the radial power outside, the inputs inside: the record order
             factor = 2 * k * (2 * ell + ctx.mu + 2 * k - 2)
-            for R in inputs:
-                lhs = dunkl_laplacian(ctx, (norm2 ** k) * R)
-                rhs = factor * ((norm2 ** (k - 1)) * R) + (norm2 ** k) * dunkl_laplacian(ctx, R)
-                s.check("radial commutation", lhs - rhs, s=k, ell=ell, input=R)
+            for R, radial, laplacian in towers:
+                lhs = dunkl_laplacian(ctx, radial[k])
+                s.check("radial commutation", lhs - (factor * radial[k - 1] + laplacian[k]), s=k, ell=ell, input=R)
 
 
 def _clifford_inputs(m: int, max_deg: int) -> list[CliffordPolynomial]:

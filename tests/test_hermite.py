@@ -93,6 +93,13 @@ def test_fischer_project_matches_decomposition():
     assert fischer_project(ctx, 0, 2, p) == parts[0]
 
 
+def test_fischer_project_refuses_a_non_homogeneous_input():
+    ctx = ctx_for("z2", 2, [1, 2])
+    mixed = Polynomial(2, {(2, 0): Fraction(1), (1, 0): Fraction(1)})
+    with pytest.raises(MathPrecondition, match="homogeneous"):
+        fischer_project(ctx, 0, 2, mixed)
+
+
 def test_fischer_components_are_radial_times_harmonic():
     ctx = ctx_for("b", 2, [Fraction(1, 2), 1])
     norm2 = Polynomial.norm_squared(2)
@@ -255,6 +262,13 @@ def test_rosler_hermite_examples():
     assert rosler_hermite(ctx, norm2) == 4 * norm2 - Polynomial.constant(2, 2 * ctx.mu)
     h = harmonic_basis(ctx, 2).elements[0]
     assert rosler_hermite(ctx, h) == 4 * h
+
+
+def test_rosler_hermite_refuses_a_non_homogeneous_input():
+    ctx = ctx_for("z2", 2, [1, 2])
+    mixed = Polynomial(2, {(2, 0): Fraction(1), (0, 0): Fraction(1)})
+    with pytest.raises(MathPrecondition, match="homogeneous"):
+        rosler_hermite(ctx, mixed)
 
 
 def test_proportionality_constant_oracle():

@@ -52,6 +52,13 @@ def test_inner_product_of_constants():
     assert value.pi_power == Fraction(1, 2)
 
 
+def test_inner_product_checks_kappas_once_even_for_a_zero_product():
+    x = Polynomial.variable(1, 0)
+    assert inner_product(x, x, [0]) == weighted_moment((2,), [0])
+    with pytest.raises(MathPrecondition, match="integer"):
+        inner_product(Polynomial.zero(1), x, [Fraction(1, 2)])
+
+
 def test_moment_addition_guards_pi_power():
     a = MomentValue(Fraction(1), Fraction(1))
     b = MomentValue(Fraction(1), Fraction(3, 2))

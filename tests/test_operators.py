@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, trivial_root_system
 from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_dunkl,
-                                     conjugated_laplacian, dunkl_derivative, dunkl_laplacian,
-                                     euler_operator, heat_semigroup, laplace_beltrami,
-                                     multiply_by_norm_squared, sl2_e, sl2_f, sl2_h)
+                                     conjugated_laplacian, d_plus_squared_form, dunkl_derivative,
+                                     dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami,
+                                     multiply_by_norm_squared, radial_tower, sl2_e, sl2_f, sl2_h)
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
 
@@ -103,6 +103,7 @@ def test_laplace_beltrami_annihilates_constants_and_eigenvalue():
 
 
 LB_CONTEXTS = {
+    "z2^1": (1, 1, lambda k: builtin_root_system("z2", 1, k)),
     "z2^2": (2, 2, lambda k: builtin_root_system("z2", 2, k)),
     "a3": (3, 1, lambda k: builtin_root_system("a", 3, k)),
     "b2": (2, 2, lambda k: builtin_root_system("b", 2, k)),
@@ -131,8 +132,35 @@ def test_laplace_beltrami_equals_the_two_euler_formula(case):
     """L f = |x|^2 Delta f - (mu - 2) E f - E(E f) exactly, on polynomials of mixed degree."""
     name, ctx, f = case
     ef = euler_operator(f)
-    expected = multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - (ctx.mu - 2) * ef - euler_operator(ef)
+    expected = Polynomial.norm_squared(ctx.m) * dunkl_laplacian(ctx, f) - (ctx.mu - 2) * ef - euler_operator(ef)
     assert laplace_beltrami(ctx, f) == expected, (name, f)
+
+
+def euler_by_products(f):
+    """E f = sum_i x_i d_i f, through generic products only."""
+    out = Polynomial.zero(f.m)
+    for i in range(f.m):
+        out = out + Polynomial.variable(f.m, i) * f.derivative(i)
+    return out
+
+
+@given(context_and_polynomial(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_radial_and_euler_maps_equal_their_product_formulas(case, n):
+    """The |x|^2 shift, the radial tower and every function of E against the formulas they
+    replace, written with generic products of |x|^2 and x_i."""
+    name, ctx, f = case
+    norm2, mu = Polynomial.norm_squared(ctx.m), ctx.mu
+    assert multiply_by_norm_squared(f) == norm2 * f, (name, f)
+    tower = radial_tower(f, n)
+    assert len(tower) == n + 1
+    for k, layer in enumerate(tower):
+        assert layer == norm2 ** k * f, (name, f, k)
+    ef, lf = euler_by_products(f), dunkl_laplacian(ctx, f)
+    assert euler_operator(f) == ef, (name, f)
+    assert sl2_h(ctx, f) == ef + (mu / 2) * f, (name, f)
+    assert laplace_beltrami(ctx, f) == norm2 * lf - (mu - 2) * ef - euler_by_products(ef), (name, f)
+    assert d_plus_squared_form(ctx, f) == -lf - 4 * (norm2 * f) + 2 * (2 * ef + mu * f), (name, f)
 
 
 def test_conjugated_dunkl_adds_multiplication_term():
@@ -188,8 +216,3 @@ def test_weighted_function_rate_mismatch():
     b = WeightedFunction(Polynomial.constant(1, Fraction(1)), Fraction(-1, 4))
     with pytest.raises(MathPrecondition):
         a - b
-
-
-def test_multiply_by_norm_squared():
-    p = Polynomial.variable(2, 0)
-    assert multiply_by_norm_squared(p) == Polynomial.norm_squared(2) * p

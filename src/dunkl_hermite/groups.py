@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InvalidRootSystem
-from .poly import json_int, parse_rational, rational_str
+from .poly import exact, json_int, parse_rational, rational_str
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -21,8 +21,16 @@ Orbits = tuple[tuple[int, ...], ...]
 BUILTIN_FAMILIES = ("z2", "a", "b", "d", "trivial")
 
 
+def _exact(value) -> Fraction:
+    """poly.exact, with a refused value reported as InvalidRootSystem."""
+    try:
+        return exact(value)
+    except ValueError as exc:
+        raise InvalidRootSystem(str(exc)) from None
+
+
 def _vec(coords: Sequence) -> Vector:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(map(_exact, coords))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -206,7 +214,7 @@ def _with_multiplicities(roots: tuple[Vector, ...], m: int, index: Mapping[Vecto
         if rep not in index:
             raise InvalidRootSystem(f"multiplicity names {_fmt(rep)}, which is not a root of the system")
         oi = orbit_of[index[rep]]
-        kappa = Fraction(kappa)
+        kappa = _exact(kappa)
         if oi in assigned and assigned[oi] != kappa:
             raise InvalidRootSystem(
                 f"multiplicity is not orbit-constant: orbit of {_fmt(roots[orbits[oi][0]])} "
@@ -253,7 +261,7 @@ def builtin_root_system(family: str, m: int, kappas: Sequence) -> RootSystem:
     if family not in BUILTIN_FAMILIES:
         raise InvalidRootSystem(f"unknown family {family!r}; expected one of {BUILTIN_FAMILIES}")
     m = _dimension(m)
-    kappas = [Fraction(k) for k in kappas]
+    kappas = [_exact(k) for k in kappas]
     if any(k < 0 for k in kappas):
         raise InvalidRootSystem("builtin families use nonnegative multiplicities")
     if family in ("a", "b", "d") and m < 2:

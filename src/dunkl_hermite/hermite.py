@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import FrameFactor, kernel_basis, solve_in_frame
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
-                        dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami, laplacian_image,
-                        radial_tower)
-from .poly import Polynomial, dim_homogeneous, json_int, monomial_basis, parse_rational, rational_str
+                        dunkl_laplacian, heat_semigroup, hermite_shift, laplacian_image, radial_tower,
+                        spherical_shift)
+from .poly import Polynomial, dim_homogeneous, exact, json_int, monomial_basis, parse_rational, rational_str
 
 
 def mu_is_degenerate(mu: Fraction) -> bool:
@@ -142,8 +142,7 @@ def fischer_project(ctx: DunklContext, i: int, degree: int, p: Polynomial) -> Po
         if denominator == 0:
             raise MathPrecondition(
                 f"projection denominator vanishes at (i={i}, l={l}, mu={mu})")
-        shift = (degree - 2 * l) * (mu - 2 + degree - 2 * l)
-        out = (laplace_beltrami(ctx, out) + shift * out) * (1 / Fraction(denominator))
+        out = spherical_shift(ctx, out, degree - 2 * l) * (1 / Fraction(denominator))
     return out
 
 
@@ -232,7 +231,7 @@ def laguerre_poly(t: int, a: Fraction) -> tuple[Fraction, ...]:
     """
     if t < 0:
         raise MathPrecondition(f"index t must be >= 0, got {t}")
-    a = Fraction(a)
+    a = exact(a)
     if a.denominator == 1 and -t <= a <= -1:
         raise MathPrecondition(f"Laguerre parameter pole: a = {a} lies in {{-1, ..., -{t}}}")
     coeffs = []
@@ -351,7 +350,7 @@ def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:
     for label, family in (("heat", heat_family), ("hermite", hermite_family)):
         for q in family:
             cases += 1
-            residual = dunkl_laplacian(ctx, q) - 2 * euler_operator(q) + (2 * degree) * q
+            residual = hermite_shift(ctx, q, degree)
             if residual:
                 failures.append({"family": label, "input": q.to_json(), "residual": residual.to_json()})
     expected = dim_homogeneous(ctx.m, degree)
@@ -401,11 +400,9 @@ def weighted_eigenfunction_check(ctx: DunklContext, q: Polynomial) -> WeightedCh
     if not q:
         raise MathPrecondition("input must be nonzero")
     n = q.total_degree()
-    precondition = dunkl_laplacian(ctx, q) - 2 * euler_operator(q) + (2 * n) * q
+    precondition = hermite_shift(ctx, q, n)
     if precondition:
-        raise MathPrecondition(
-            f"input does not satisfy the degree-{n} eigenvalue equation; "
-            f"residual {precondition}")
+        raise MathPrecondition(f"input does not satisfy the degree-{n} eigenvalue equation; residual {precondition}")
     weighted = WeightedFunction(q, Fraction(-1, 2))
     lhs = weighted.laplacian(ctx) - weighted.times_norm_squared()
     eigenvalue = -(2 * n + ctx.mu)

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .poly import Polynomial, dim_homogeneous, monomial_basis
+from .poly import Polynomial, dim_homogeneous, exact, monomial_basis
 
 Row = tuple[Fraction, ...]
 SparseRows = dict[Hashable, dict[int, Fraction]]  # row key -> {column: nonzero entry}
@@ -37,7 +37,7 @@ def _dense_to_sparse(rows: Sequence[Sequence[Fraction]], ncols: int) -> SparseRo
     lengths = {len(row) for row in rows} - {ncols}
     if lengths:
         raise DimensionMismatch(f"dimension mismatch: rows of length {sorted(lengths)} vs {ncols} columns")
-    return {i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+    return {i: {j: x for j, x in enumerate(map(exact, row)) if x} for i, row in enumerate(rows)}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import (Exponent, Polynomial, ScalarLike, SignedPermutation, Terms, compose_linear,
+from .poly import (Exponent, Polynomial, ScalarLike, SignedPermutation, Terms, compose_linear, exact,
                    compose_signed_permutation, divide_by_linear_form, linear_extension, signed_permutation)
 
 
@@ -170,10 +170,20 @@ def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:
     return degree_weighted(f, lambda d, half=ctx.mu / 2: d + half)
 
 
+def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike) -> Polynomial:
+    """(L + ell(mu - 2 + ell)) f, L = |x|^2 Delta - E(mu - 2 + E); degree d weighs (d - ell)(mu - 2 + d + ell)."""
+    return (multiply_by_norm_squared(dunkl_laplacian(ctx, f))
+            - degree_weighted(f, lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d)))
+
+
+def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:
+    """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n."""
+    return dunkl_laplacian(ctx, f) - degree_weighted(f, lambda d: 2 * (d - n))
+
+
 def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """|x|^2 Delta - E(mu - 2 + E) with E the Euler operator; degree preserving."""
-    shift = ctx.mu - 2
-    return multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - degree_weighted(f, lambda d: d * (shift + d))
+    return spherical_shift(ctx, f, 0)
 
 
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
@@ -184,13 +194,13 @@ def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
 
 def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> Polynomial:
     """Dunkl operator conjugated by exp(rate * |x|^2): T_i + 2 * rate * x_i."""
-    return dunkl_derivative(ctx, axis, f) + (2 * Fraction(rate)) * f.times_variable(axis)
+    return dunkl_derivative(ctx, axis, f) + (2 * exact(rate)) * f.times_variable(axis)
 
 
 def conjugated_laplacian(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Polynomial:
     """Dunkl Laplacian conjugated by exp(rate * |x|^2): sum of squared conjugated operators."""
     _check(ctx, f)
-    rate = Fraction(rate)
+    rate = exact(rate)
     out = Polynomial.zero(ctx.m)
     for i in range(ctx.m):
         out = out + conjugated_dunkl(ctx, rate, i, conjugated_dunkl(ctx, rate, i, f))
@@ -205,7 +215,7 @@ def heat_semigroup(ctx: DunklContext, f: Polynomial, rate: Fraction = Fraction(-
     rate = +1/4 is its inverse on polynomials.
     """
     _check(ctx, f)
-    rate = Fraction(rate)
+    rate = exact(rate)
     out = f
     power = f
     factor = Fraction(1)
@@ -242,7 +252,7 @@ class WeightedFunction:
         return WeightedFunction(multiply_by_norm_squared(self.polynomial_part), self.gaussian_rate)
 
     def scale(self, c) -> "WeightedFunction":
-        return WeightedFunction(self.polynomial_part * Fraction(c), self.gaussian_rate)
+        return WeightedFunction(self.polynomial_part * exact(c), self.gaussian_rate)
 
     def __sub__(self, other: "WeightedFunction") -> "WeightedFunction":
         if self.gaussian_rate != other.gaussian_rate:

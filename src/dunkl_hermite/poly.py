@@ -40,6 +40,13 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def exact(value) -> Fraction:
+    """value as a Fraction; a float is refused (ValueError): its binary expansion is not the number written."""
+    if isinstance(value, float):
+        raise ValueError(f"inexact float {value!r}; pass an int, a Fraction or a string such as '1/10'")
+    return Fraction(value)
+
+
 def json_int(value, field: str) -> int:
     """value if it is a JSON integer (an int, not a bool); ValueError naming the field otherwise."""
     if type(value) is not int:
@@ -91,7 +98,7 @@ class Polynomial:
                     f"dimension mismatch: exponent tuple of length {len(exponents)} vs dimension {m}")
             if any(type(e) is not int or e < 0 for e in exponents):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
-            coeff = Fraction(coeff)
+            coeff = exact(coeff)
             if coeff:
                 acc = clean.get(exponents, _ZERO) + coeff
                 if acc:
@@ -109,7 +116,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, m: int, value: ScalarLike) -> "Polynomial":
-        return cls(m, {(0,) * m: Fraction(value)})
+        return cls(m, {(0,) * m: value})
 
     @classmethod
     def variable(cls, m: int, axis: int) -> "Polynomial":
@@ -120,7 +127,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, m: int, exponents: Exponent, coeff: ScalarLike = 1) -> "Polynomial":
-        return cls(m, {tuple(exponents): Fraction(coeff)})
+        return cls(m, {tuple(exponents): coeff})
 
     @classmethod
     def norm_squared(cls, m: int) -> "Polynomial":
@@ -334,7 +341,7 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Pol
     m = p.m
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise DimensionMismatch(f"dimension mismatch: matrix is not {m}x{m}")
-    forms = [[(k, Fraction(a)) for k, a in enumerate(row) if a] for row in matrix]
+    forms = [[(k, a) for k, a in enumerate(map(exact, row)) if a] for row in matrix]
     out: dict[Exponent, Fraction] = {}
     for e, c in p.terms.items():
         expansion = {(0,) * m: c}
@@ -405,7 +412,7 @@ def divide_by_linear_form(p: Polynomial, alpha: Sequence[ScalarLike]) -> Polynom
     invalid root system or an internal bug.
     """
     m = p.m
-    alpha = [Fraction(a) for a in alpha]
+    alpha = [exact(a) for a in alpha]
     if len(alpha) != m:
         raise DimensionMismatch(f"dimension mismatch: form of length {len(alpha)} vs dimension {m}")
     if not any(alpha):

@@ -27,8 +27,8 @@ from .hermite import (ch_laguerre, ch_recursion, ch_rodrigues, coefficient_recur
                       harmonic_basis, harmonic_dimension_classical, proportionality_constant,
                       rosler_hermite, weighted_eigenfunction_check)
 from .moments import orthogonality_report
-from .operators import (DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator,
-                        laplace_beltrami, radial_tower, sl2_e, sl2_f, sl2_h)
+from .operators import (DunklContext, degree_weighted, dunkl_derivative, dunkl_laplacian, hermite_shift,
+                        radial_tower, sl2_e, sl2_f, sl2_h, spherical_shift)
 from .poly import Polynomial, monomial_basis, rational_str
 
 SUITE_NAMES = ("commute", "sl2", "lemma1", "anticommutator", "dplus2", "fischer",
@@ -220,7 +220,7 @@ def _anticommutator(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """{D, x} = -(2E + mu) on every monomial-blade up to the Clifford cap."""
     for F in _clifford_inputs(ctx.m, profile.clifford_deg):
         lhs = dunkl_dirac(ctx, vector_multiply(F)) + vector_multiply(dunkl_dirac(ctx, F))
-        rhs = F.apply_scalar_operator(lambda p: -(2 * euler_operator(p) + ctx.mu * p))
+        rhs = F.apply_scalar_operator(lambda p: degree_weighted(p, lambda d, mu=ctx.mu: -(2 * d + mu)))
         s.check("{D, x} = -(2E + mu)", lhs - rhs, input=F)
 
 
@@ -324,11 +324,9 @@ def _diffeq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     for ell, h_index, h in _harmonics(ctx, profile.ell_max):
         for t in range(profile.t_max + 1):
             ch = ch_recursion(ctx, t, h).polynomial
-            s.check("(Delta - 2E) CH = -2(2t + ell) CH",
-                    dunkl_laplacian(ctx, ch) - 2 * euler_operator(ch) + 2 * (2 * t + ell) * ch,
+            s.check("(Delta - 2E) CH = -2(2t + ell) CH", hermite_shift(ctx, ch, 2 * t + ell),
                     t=t, ell=ell, h_index=h_index)
-            s.check("spherical eigenvalue -ell(mu - 2 + ell)",
-                    laplace_beltrami(ctx, ch) + ell * (ctx.mu - 2 + ell) * ch,
+            s.check("spherical eigenvalue -ell(mu - 2 + ell)", spherical_shift(ctx, ch, ell),
                     t=t, ell=ell, h_index=h_index)
 
 

@@ -5,6 +5,8 @@ anywhere.  The shared desk-profile suites run once per module and individual
 criteria assert on the relevant identity classes.  Run with -s to see the
 per-criterion lines.
 """
+import hashlib
+import json
 from fractions import Fraction
 
 from dunkl_hermite.clifford import d_plus, monogenic_basis, vector_multiply
@@ -163,3 +165,13 @@ def test_every_suite_ran_clean():
     assert not failures
     assert cases == DESK_CASES
     assert sum(cases.values()) == 22863
+
+
+# sha256 of `verify --suite all --profile desk --seed 7` stdout; the CLI writes exactly these
+# bytes, so the full battery's records are pinned without a second run
+DESK_VERDICT_SHA256 = "138018de5c24a90a03ce8dbdc89cd140f4fe4551c4384d599355a369ec55ee27"
+
+
+def test_desk_verdict_bytes_are_pinned():
+    text = json.dumps({"suites": [verdict(name).to_json() for name in SUITE_NAMES]}, separators=(",", ":"))
+    assert hashlib.sha256((text + "\n").encode()).hexdigest() == DESK_VERDICT_SHA256

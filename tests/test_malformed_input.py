@@ -4,15 +4,18 @@ Each case used to escape as a traceback (ZeroDivisionError, KeyError, a bare
 ValueError) or was silently coerced by int() into a different input.
 """
 import json
+from fractions import Fraction
 
 import pytest
 
 from dunkl_hermite.cli import main
 from dunkl_hermite.clifford import CliffordPolynomial
 from dunkl_hermite.errors import InvalidRootSystem
-from dunkl_hermite.groups import builtin_root_system, trivial_root_system
-from dunkl_hermite.hermite import HermiteRecord
-from dunkl_hermite.poly import Polynomial, parse_rational
+from dunkl_hermite.groups import builtin_root_system, custom_root_system, trivial_root_system
+from dunkl_hermite.hermite import HermiteRecord, laguerre_poly
+from dunkl_hermite.linalg import matrix_rank
+from dunkl_hermite.operators import DunklContext, WeightedFunction, conjugated_laplacian, heat_semigroup
+from dunkl_hermite.poly import Polynomial, compose_linear, divide_by_linear_form, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -168,3 +171,43 @@ def test_integer_dimensions_still_build():
     for build in (lambda: builtin_root_system("z2", 0, []), lambda: trivial_root_system(0)):
         with pytest.raises(InvalidRootSystem, match="dimension must be >= 1, got 0"):
             build()
+
+
+X = Polynomial.variable(1, 0)
+Z2 = DunklContext(builtin_root_system("z2", 1, [1]))
+FLOAT_INPUTS = {
+    "coefficient": lambda: Polynomial(1, {(1,): 0.1}), "zero": lambda: Polynomial(1, {(1,): 0.0}),
+    "constant": lambda: Polynomial.constant(2, 0.5), "monomial": lambda: Polynomial.monomial(1, (1,), 0.5),
+    "compose_linear": lambda: compose_linear(X, [[0.5]]), "divisor": lambda: divide_by_linear_form(X, [0.5]),
+    "heat_rate": lambda: heat_semigroup(Z2, X, 0.1), "conjugation_rate": lambda: conjugated_laplacian(Z2, -0.5, X),
+    "weighted_scale": lambda: WeightedFunction(X, -1).scale(0.5), "laguerre": lambda: laguerre_poly(1, 0.5),
+    "matrix": lambda: matrix_rank([[1, 0.5]]),
+}
+FLOAT_ROOT_SYSTEMS = {
+    "builtin_kappa": lambda: builtin_root_system("z2", 1, [0.1]),
+    "root": lambda: custom_root_system([[1.0, 0]], {(1, 0): 1}),
+    "kappa": lambda: custom_root_system([[1, 0]], {(1, 0): 0.5}),
+    "orbit_rep": lambda: custom_root_system([[1, 0]], {(1, 0.0): 1}),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_INPUTS)
+def test_floats_are_refused(name):
+    """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: a float is never read as exact."""
+    with pytest.raises(ValueError, match="inexact float"):
+        FLOAT_INPUTS[name]()
+
+
+@pytest.mark.parametrize("name", FLOAT_ROOT_SYSTEMS)
+def test_float_roots_and_kappas_are_refused(name):
+    with pytest.raises(InvalidRootSystem, match="inexact float"):
+        FLOAT_ROOT_SYSTEMS[name]()
+
+
+def test_ints_fractions_and_strings_are_still_exact():
+    assert Polynomial(1, {(1,): "1/10"}) == Polynomial.monomial(1, (1,), Fraction(1, 10))
+    assert Polynomial.constant(2, "1/2") == Polynomial.constant(2, Fraction(1, 2))
+    assert compose_linear(X, [["1/2"]]) == Polynomial(1, {(1,): Fraction(1, 2)})
+    assert divide_by_linear_form(X, ["1/2"]) == Polynomial.constant(1, 2)
+    assert builtin_root_system("z2", 1, ["1/10"]).mu == Fraction(6, 5)
+    assert custom_root_system([["1", 0]], {(1, 0): Fraction(1, 2)}).multiplicities == (Fraction(1, 2),)

@@ -9,8 +9,9 @@ from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, trivial_root_system
 from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_dunkl,
                                      conjugated_laplacian, d_plus_squared_form, dunkl_derivative,
-                                     dunkl_laplacian, euler_operator, heat_semigroup, laplace_beltrami,
-                                     multiply_by_norm_squared, radial_tower, sl2_e, sl2_f, sl2_h)
+                                     dunkl_laplacian, euler_operator, heat_semigroup, hermite_shift,
+                                     laplace_beltrami, multiply_by_norm_squared, radial_tower, sl2_e, sl2_f,
+                                     sl2_h, spherical_shift)
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
 
@@ -144,11 +145,11 @@ def euler_by_products(f):
     return out
 
 
-@given(context_and_polynomial(), st.integers(min_value=0, max_value=3))
+@given(context_and_polynomial(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=5))
 @settings(max_examples=60, deadline=None)
-def test_radial_and_euler_maps_equal_their_product_formulas(case, n):
-    """The |x|^2 shift, the radial tower and every function of E against the formulas they
-    replace, written with generic products of |x|^2 and x_i."""
+def test_radial_and_euler_maps_equal_their_product_formulas(case, n, ell):
+    """The |x|^2 shift, the radial tower, every function of E and the two shifted eigen-operators
+    against the formulas they replace, written with generic products of |x|^2 and x_i."""
     name, ctx, f = case
     norm2, mu = Polynomial.norm_squared(ctx.m), ctx.mu
     assert multiply_by_norm_squared(f) == norm2 * f, (name, f)
@@ -161,6 +162,9 @@ def test_radial_and_euler_maps_equal_their_product_formulas(case, n):
     assert sl2_h(ctx, f) == ef + (mu / 2) * f, (name, f)
     assert laplace_beltrami(ctx, f) == norm2 * lf - (mu - 2) * ef - euler_by_products(ef), (name, f)
     assert d_plus_squared_form(ctx, f) == -lf - 4 * (norm2 * f) + 2 * (2 * ef + mu * f), (name, f)
+    assert (spherical_shift(ctx, f, ell)
+            == norm2 * lf - (mu - 2) * ef - euler_by_products(ef) + ell * (mu - 2 + ell) * f), (name, f, ell)
+    assert hermite_shift(ctx, f, n) == lf - 2 * ef + (2 * n) * f, (name, f, n)
 
 
 def test_conjugated_dunkl_adds_multiplication_term():

@@ -56,11 +56,12 @@ def _add_group_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_json(path: str):
+    """The JSON at path (- for stdin); a non-integer number stays text, so parse_rational reads every digit."""
     try:
         if path == "-":
-            return json.loads(sys.stdin.read())
+            return json.loads(sys.stdin.read(), parse_float=str)
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=str)
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

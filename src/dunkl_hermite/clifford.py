@@ -2,76 +2,51 @@
 
 Basis blades of Cl(0, m) are bitmasks: bit i set means the generator e_{i+1}
 is present, generators multiply with e_i e_j = -e_j e_i (i != j) and
-e_i^2 = -1.  A CliffordPolynomial maps blade masks to scalar polynomials;
-the Dunkl-Dirac operator, vector variable multiplication, and their
-combination D+ = -D + 2x act on these.
+e_i^2 = -1.  A CliffordPolynomial is one term map from (blade mask, exponent)
+pairs to Fractions; the Dunkl-Dirac operator, vector variable multiplication,
+and their combination D+ = -D + 2x are each one accumulation over it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, groupby, product
-from typing import Callable, Iterable, Mapping, Union
+from functools import lru_cache
+from operator import add
+from typing import Callable, Mapping, Union
 
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import kernel_basis
-from .operators import DunklContext, d_plus_squared_form, dunkl_derivative, dunkl_images
-from .poly import Polynomial, json_int, monomial_basis
+from .operators import DunklContext, d_plus_squared_form, dunkl_images
+from .poly import Exponent, Polynomial, Terms, _raw, accumulate, exact, json_int, monomial_basis
 
 ScalarLike = Union[int, Fraction]
 
 
+@lru_cache(maxsize=None)
 def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:
-    """Sign and mask of the product of two basis blades (ascending index order)."""
-    swaps = 0
-    b = mask_b
-    while b:
-        low = b & -b
-        j = low.bit_length() - 1
-        swaps += (mask_a >> (j + 1)).bit_count()
-        b ^= low
-    sign = -1 if swaps & 1 else 1
-    if (mask_a & mask_b).bit_count() & 1:
-        sign = -sign
-    return sign, mask_a ^ mask_b
-
-
-def _trusted(m: int, pieces: Iterable[tuple[int, int, Polynomial]]) -> CliffordPolynomial:
-    """Sum of (sign, mask, polynomial) pieces already fitting dimension m; drops zero blades."""
-    blades: dict[int, Polynomial] = {}
-    for sign, mask, poly in pieces:
-        acc = blades.get(mask)
-        if acc is not None:
-            poly = acc + poly if sign > 0 else acc - poly
-        elif sign < 0:
-            poly = -poly
-        if poly:
-            blades[mask] = poly
-        else:
-            blades.pop(mask, None)
-    out = object.__new__(CliffordPolynomial)
-    object.__setattr__(out, "m", m)
-    object.__setattr__(out, "_blades", blades)
-    return out
+    """Sign and mask of the product of two basis blades (ascending index order): each e_j of b
+    moves past the e_i of a with i > j, and each shared e_j squares to -1."""
+    swaps = sum((mask_a >> (j + 1)).bit_count() for j in range(mask_b.bit_length()) if mask_b >> j & 1)
+    return -1 if (swaps + (mask_a & mask_b).bit_count()) & 1 else 1, mask_a ^ mask_b
 
 
 class CliffordPolynomial:
-    """Polynomial-coefficient element of Cl(0, m); blade masks to polynomials."""
+    """Polynomial-coefficient element of Cl(0, m): {(blade mask, exponent): nonzero Fraction}."""
 
-    __slots__ = ("m", "_blades")
+    __slots__ = ("m", "_terms")
 
     def __init__(self, m: int, blades: Mapping[int, Polynomial] = ()):
         m = json_int(m, "m")
         if m < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {m}")
-        items = [(1, json_int(mask, "mask"), poly) for mask, poly in
-                 (blades.items() if isinstance(blades, Mapping) else blades)]
-        for _, mask, poly in items:
+        parts = []
+        for mask, poly in (blades.items() if isinstance(blades, Mapping) else blades):
+            mask = json_int(mask, "mask")
             if not 0 <= mask < (1 << m):
                 raise DimensionMismatch(f"blade mask {mask} out of range for dimension {m}")
             if poly.m != m:
                 raise DimensionMismatch(f"dimension mismatch: {poly.m} vs {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_blades", _trusted(m, items)._blades)
+            parts.append((1, [((mask, e), c) for e, c in poly.terms.items()], None))
+        self.m, self._terms = m, accumulate(parts)
 
     # -- constructors ------------------------------------------------------
 
@@ -95,23 +70,26 @@ class CliffordPolynomial:
     # -- inspection --------------------------------------------------------
 
     @property
-    def blades(self) -> Mapping[int, Polynomial]:
-        """Blade map; callers must not mutate it."""
-        return self._blades
+    def blades(self) -> dict[int, Polynomial]:
+        """{mask: polynomial} over the nonzero blades in mask order, built on each call."""
+        blades: dict[int, dict[Exponent, Fraction]] = {}
+        for (mask, e), c in self._terms.items():
+            blades.setdefault(mask, {})[e] = c
+        return {mask: _raw(self.m, blades[mask]) for mask in sorted(blades)}
 
     def blade(self, mask: int) -> Polynomial:
-        return self._blades.get(mask, Polynomial.zero(self.m))
+        return _raw(self.m, {e: c for (a, e), c in self._terms.items() if a == mask})
 
     def __bool__(self) -> bool:
-        return bool(self._blades)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self.m == other.m and self._blades == other._blades
+        return self.m == other.m and self._terms == other._terms
 
     def max_degree(self) -> Union[int, None]:
-        return max((p.total_degree() for p in self._blades.values()), default=None)
+        return max((sum(e) for _, e in self._terms), default=None)
 
     # -- algebra -----------------------------------------------------------
 
@@ -119,46 +97,43 @@ class CliffordPolynomial:
         if self.m != other.m:
             raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
 
-    def __add__(self, other: "CliffordPolynomial") -> "CliffordPolynomial":
+    def _plus(self, other: "CliffordPolynomial", scale: int) -> "CliffordPolynomial":
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
         self._require_same_dim(other)
-        pieces = chain(self._blades.items(), other._blades.items())
-        return _trusted(self.m, ((1, mask, p) for mask, p in pieces))
+        return _flat(self.m, accumulate([(1, self._terms.items(), None), (scale, other._terms.items(), None)]))
+
+    def __add__(self, other: "CliffordPolynomial") -> "CliffordPolynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "CliffordPolynomial") -> "CliffordPolynomial":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "CliffordPolynomial":
-        return _trusted(self.m, ((-1, mask, p) for mask, p in self._blades.items()))
+        return _flat(self.m, accumulate([(-1, self._terms.items(), None)]))
 
     def __mul__(self, other: Union["CliffordPolynomial", Polynomial, ScalarLike]) -> "CliffordPolynomial":
-        if isinstance(other, CliffordPolynomial):
-            self._require_same_dim(other)
-            return _trusted(self.m, ((*blade_product(ma, mb), pa * pb)
-                                     for ma, pa in self._blades.items() for mb, pb in other._blades.items()))
-        if isinstance(other, Polynomial):
-            # scalar polynomials commute with every blade
-            return _trusted(self.m, ((1, mask, p * other) for mask, p in self._blades.items()))
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return _trusted(self.m, ((1, mask, p * c) for mask, p in self._blades.items()))
-        return NotImplemented
+            return _flat(self.m, accumulate([(exact(other), self._terms.items(), None)]))
+        if isinstance(other, Polynomial):  # scalar polynomials commute with every blade
+            other = CliffordPolynomial.from_polynomial(other)
+        if not isinstance(other, CliffordPolynomial):
+            return NotImplemented
+        self._require_same_dim(other)
+        return _flat(self.m, accumulate([(1, self._terms.items(), lambda key: [
+            ((mask, tuple(map(add, key[1], e))), c if sign > 0 else -c)
+            for (b, e), c in other._terms.items() for sign, mask in (blade_product(key[0], b),)])]))
 
     __rmul__ = __mul__
 
     def apply_scalar_operator(self, op: Callable[[Polynomial], Polynomial]) -> "CliffordPolynomial":
         """Apply a scalar operator blade-wise (scalar operators commute with blades)."""
-        return CliffordPolynomial(self.m, {mask: op(p) for mask, p in self._blades.items()})
+        return CliffordPolynomial(self.m, {mask: op(p) for mask, p in self.blades.items()})
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "blades": [{"mask": mask, "poly": self._blades[mask].to_json()}
-                       for mask in sorted(self._blades)],
-        }
+        return {"m": self.m, "blades": [{"mask": mask, "poly": p.to_json()} for mask, p in self.blades.items()]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CliffordPolynomial":
@@ -167,39 +142,53 @@ class CliffordPolynomial:
                        for entry in data.get("blades", ())])
 
     def __str__(self) -> str:
-        if not self._blades:
-            return "0"
-        parts = []
-        for mask in sorted(self._blades):
-            label = "".join(f"e{i + 1}" for i in range(self.m) if mask >> i & 1) or "1"
-            parts.append(f"({self._blades[mask]})*{label}")
-        return " + ".join(parts)
+        parts = [f"({p})*" + ("".join(f"e{i + 1}" for i in range(self.m) if mask >> i & 1) or "1")
+                 for mask, p in self.blades.items()]
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial(m={self.m}, {self!s})"
 
 
-def _relabel(F: CliffordPolynomial, part: Callable[[int, Polynomial], Polynomial]) -> CliffordPolynomial:
-    """sum_i e_i part(i, F_A) e_A over the blades A of F; e_i e_A is a sign and a mask flip."""
-    return _trusted(F.m, ((*blade_product(1 << i, mask), part(i, poly))
-                          for mask, poly in F.blades.items() for i in range(F.m)))
+def _flat(m: int, terms: dict) -> CliffordPolynomial:
+    """Internal constructor skipping validation: terms is a clean (mask, exponent) map in dimension m."""
+    out = object.__new__(CliffordPolynomial)
+    out.m, out._terms = m, terms
+    return out
+
+
+def _vector_image(m: int, image: Callable[[int, Exponent], Terms]) -> Callable:
+    """(A, e) -> the terms of sum_i e_i image(i, e) e_A, where e_i e_A is sign(e_i e_A) e_(A xor 2^i)."""
+    return lambda key: [((mask, f), v if sign > 0 else -v) for i in range(m)
+                        for sign, mask in (blade_product(1 << i, key[0]),) for f, v in image(i, key[1])]
+
+
+def _dirac_image(ctx: DunklContext) -> Callable:
+    """(A, e) -> the terms of D(x^e e_A) = sum_i sign(e_i e_A) T_i(x^e) e_(A xor 2^i), from the memo of T_i."""
+    return _vector_image(ctx.m, lambda i, e: dunkl_images(ctx, e)[i])
+
+
+def _x_image(m: int) -> Callable:
+    """(A, e) -> the terms of x x^e e_A = sum_i sign(e_i e_A) x_i x^e e_(A xor 2^i)."""
+    return _vector_image(m, lambda i, e, one=Fraction(1): ((e[:i] + (e[i] + 1,) + e[i + 1:], one),))
 
 
 def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """D F = sum_i e_i (T_i F), Dunkl operators acting blade-wise."""
     _check(ctx, F)
-    return _relabel(F, lambda i, p: dunkl_derivative(ctx, i, p))
+    return _flat(F.m, accumulate([(1, F._terms.items(), _dirac_image(ctx))]))
 
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
-    return _relabel(F, lambda i, p: p.times_variable(i))
+    return _flat(F.m, accumulate([(1, F._terms.items(), _x_image(F.m))]))
 
 
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
-    return _relabel(F, lambda i, p: 2 * p.times_variable(i) - dunkl_derivative(ctx, i, p))
+    terms = F._terms.items()
+    return _flat(F.m, accumulate([(-1, terms, _dirac_image(ctx)), (2, terms, _x_image(F.m))]))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
@@ -217,19 +206,10 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     """
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
-    m = ctx.m
-    masks = range(1 << m)
-    dom_basis = monomial_basis(m, degree)
-    # D(x^e e_A) = sum_i sign(e_i e_A) T_i(x^e) e_{A xor i}, read from the context's memo of T_i x^e
-    columns = []
-    for mask in masks:
-        relabels = [blade_product(1 << i, mask) for i in range(m)]
-        columns += [[((bmask, f), sign * c) for (sign, bmask), image in zip(relabels, dunkl_images(ctx, e))
-                     for f, c in image] for e in dom_basis]
-    # kernel vectors list their keys blade-mask-major, so each blade's terms are consecutive
-    return [CliffordPolynomial(m, {mask: Polynomial(m, {e: v for (_, e), v in terms})
-                                   for mask, terms in groupby(vec.items(), key=lambda item: item[0][0])})
-            for vec in kernel_basis(columns, list(product(masks, dom_basis)))]
+    keys = [(mask, e) for mask in range(1 << ctx.m) for e in monomial_basis(ctx.m, degree)]
+    image = _dirac_image(ctx)
+    return [_flat(ctx.m, {key: Fraction(v) for key, v in vec.items()})
+            for vec in kernel_basis([image(key) for key in keys], keys)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import (Exponent, Polynomial, ScalarLike, SignedPermutation, Terms, compose_linear, exact,
-                   compose_signed_permutation, divide_by_linear_form, linear_extension, signed_permutation)
+from .poly import (Exponent, Polynomial, ScalarLike, SignedPermutation, Terms, accumulate, compose_linear,
+                   compose_signed_permutation, divide_by_linear_form, exact, linear_extension, signed_permutation)
+
+_ONE = Fraction(1)
 
 
 class DunklContext:
@@ -72,18 +74,14 @@ def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
     images = ctx._images.get(e)
     if images is None:
         x = Polynomial.monomial(ctx.m, e)
-        axes = [x.derivative(i) for i in range(ctx.m)]
+        quotients = []
         for alpha, kappa, refl, perm in ctx._active:
-            reflected = compose_linear(x, refl) if perm is None else compose_signed_permutation(x, perm)
-            difference = x - reflected
-            if not difference:
-                continue
-            quotient = divide_by_linear_form(difference, alpha)
-            for i, a in enumerate(alpha):
-                if a:
-                    axes[i] = axes[i] + (kappa * a) * quotient
+            difference = x - (compose_linear(x, refl) if perm is None else compose_signed_permutation(x, perm))
+            if difference:
+                quotients.append((alpha, kappa, divide_by_linear_form(difference, alpha).terms.items()))
         # kept as term tuples, not Polynomials: the memo is most of what a context holds
-        images = ctx._images[e] = tuple(tuple(axis.terms.items()) for axis in axes)
+        images = ctx._images[e] = tuple(tuple(accumulate([(1, x.derivative(i).terms.items(), None)] + [
+            (kappa * alpha[i], q, None) for alpha, kappa, q in quotients if alpha[i]]).items()) for i in range(ctx.m))
     return images
 
 
@@ -91,33 +89,25 @@ def laplacian_image(ctx: DunklContext, e: Exponent) -> Terms:
     """The terms of Delta x^e = sum_i T_i (T_i x^e), memoized; both steps read the memo of T_i."""
     image = ctx._laplacians.get(e)
     if image is None:
-        total = Polynomial.zero(ctx.m)
-        for i, first in enumerate(dunkl_images(ctx, e)):
-            total = total + linear_extension(ctx.m, first, lambda f, i=i: dunkl_images(ctx, f)[i])
-        image = ctx._laplacians[e] = tuple(total.terms.items())
+        image = ctx._laplacians[e] = tuple(accumulate(
+            (1, first, lambda f, i=i: dunkl_images(ctx, f)[i]) for i, first in enumerate(dunkl_images(ctx, e))).items())
     return image
 
 
 def dunkl_derivative(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
     """Apply the Dunkl operator along one axis (0-based)."""
-    _check(ctx, f)
-    if not 0 <= axis < ctx.m:
-        raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
-    return linear_extension(f.m, f.terms.items(), lambda e: dunkl_images(ctx, e)[axis])
+    return linear_extension(f.m, [(1, _check(ctx, f, axis), lambda e: dunkl_images(ctx, e)[axis])])
 
 
 def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """Sum over axes of the squared Dunkl operator."""
-    _check(ctx, f)
-    return linear_extension(f.m, f.terms.items(), lambda e: laplacian_image(ctx, e))
+    return linear_extension(f.m, [(1, _check(ctx, f), lambda e: laplacian_image(ctx, e))])
 
 
 def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
     """T_axis f reflected and divided as a whole polynomial, through compose_linear for every
     root; the memoized map is tested against it."""
-    _check(ctx, f)
-    if not 0 <= axis < ctx.m:
-        raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
+    _check(ctx, f, axis)
     out = f.derivative(axis)
     if not f:
         return out
@@ -130,9 +120,18 @@ def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> 
     return out
 
 
+def _weighted(weight: Callable[[int], ScalarLike]) -> Callable[[Exponent], Terms]:
+    return lambda e: ((e, exact(weight(sum(e)))),)
+
+
+def _shifts(axes: Iterable[int], by: int) -> Callable[[Exponent], Terms]:
+    """x^e -> the sum over the axes i of x_i^by x^e: exponent shifts; |x|^2 for all axes and by = 2."""
+    return lambda e: tuple((e[:i] + (e[i] + by,) + e[i + 1:], _ONE) for i in axes)
+
+
 def degree_weighted(f: Polynomial, weight: Callable[[int], ScalarLike]) -> Polynomial:
     """x^e maps to weight(|e|) * x^e: any function of the Euler operator, as a diagonal map."""
-    return linear_extension(f.m, f.terms.items(), lambda e: ((e, weight(sum(e))),))
+    return linear_extension(f.m, [(1, f.terms.items(), _weighted(weight))])
 
 
 def radial_tower(f: Polynomial, n: int) -> list[Polynomial]:
@@ -150,8 +149,7 @@ def euler_operator(f: Polynomial) -> Polynomial:
 
 def multiply_by_norm_squared(f: Polynomial) -> Polynomial:
     """|x|^2 f: x^e maps to the sum over i of x^(e + 2 eps_i), an exponent shift per axis."""
-    return linear_extension(f.m, f.terms.items(),
-                            lambda e: tuple((e[:i] + (e[i] + 2,) + e[i + 1:], 1) for i in range(f.m)))
+    return linear_extension(f.m, [(1, f.terms.items(), _shifts(range(f.m), 2))])
 
 
 def sl2_e(f: Polynomial) -> Polynomial:
@@ -172,13 +170,16 @@ def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:
 
 def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike) -> Polynomial:
     """(L + ell(mu - 2 + ell)) f, L = |x|^2 Delta - E(mu - 2 + E); degree d weighs (d - ell)(mu - 2 + d + ell)."""
-    return (multiply_by_norm_squared(dunkl_laplacian(ctx, f))
-            - degree_weighted(f, lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d)))
+    weight = _weighted(lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
+    return linear_extension(f.m, [(1, dunkl_laplacian(ctx, f).terms.items(), _shifts(range(f.m), 2)),
+                                  (-1, f.terms.items(), weight)])
 
 
 def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:
     """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n."""
-    return dunkl_laplacian(ctx, f) - degree_weighted(f, lambda d: 2 * (d - n))
+    terms = _check(ctx, f)
+    return linear_extension(f.m, [(1, terms, lambda e: laplacian_image(ctx, e)),
+                                  (-1, terms, _weighted(lambda d: 2 * (d - n)))])
 
 
 def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
@@ -188,23 +189,27 @@ def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
 
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2."""
-    return (degree_weighted(f, lambda d, mu=ctx.mu: 2 * (2 * d + mu)) - dunkl_laplacian(ctx, f)
-            - 4 * multiply_by_norm_squared(f))
+    terms = _check(ctx, f)
+    return linear_extension(f.m, [(1, terms, _weighted(lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
+                                  (-1, terms, lambda e: laplacian_image(ctx, e)), (-4, terms, _shifts(range(f.m), 2))])
+
+
+def _conjugated(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> list:
+    """The parts of T_i f + 2 * rate * x_i f."""
+    terms = _check(ctx, f, axis)
+    return [(1, terms, lambda e: dunkl_images(ctx, e)[axis]),
+            (2 * exact(rate), terms, _shifts((axis,), 1))]
 
 
 def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> Polynomial:
     """Dunkl operator conjugated by exp(rate * |x|^2): T_i + 2 * rate * x_i."""
-    return dunkl_derivative(ctx, axis, f) + (2 * exact(rate)) * f.times_variable(axis)
+    return linear_extension(f.m, _conjugated(ctx, rate, axis, f))
 
 
 def conjugated_laplacian(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Polynomial:
     """Dunkl Laplacian conjugated by exp(rate * |x|^2): sum of squared conjugated operators."""
-    _check(ctx, f)
-    rate = exact(rate)
-    out = Polynomial.zero(ctx.m)
-    for i in range(ctx.m):
-        out = out + conjugated_dunkl(ctx, rate, i, conjugated_dunkl(ctx, rate, i, f))
-    return out
+    return linear_extension(f.m, [part for i in range(ctx.m)
+                                  for part in _conjugated(ctx, rate, i, conjugated_dunkl(ctx, rate, i, f))])
 
 
 def heat_semigroup(ctx: DunklContext, f: Polynomial, rate: Fraction = Fraction(-1, 4)) -> Polynomial:
@@ -216,17 +221,12 @@ def heat_semigroup(ctx: DunklContext, f: Polynomial, rate: Fraction = Fraction(-
     """
     _check(ctx, f)
     rate = exact(rate)
-    out = f
-    power = f
-    factor = Fraction(1)
-    n = 0
+    parts, power, factor, n = [], f, Fraction(1), 0
     while power:
+        parts.append((factor, power.terms.items(), None))
         n += 1
-        power = dunkl_laplacian(ctx, power)
-        factor *= rate / n
-        if power:
-            out = out + factor * power
-    return out
+        power, factor = dunkl_laplacian(ctx, power), factor * rate / n
+    return linear_extension(f.m, parts)
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,10 @@ class WeightedFunction:
         return WeightedFunction(self.polynomial_part - other.polynomial_part, self.gaussian_rate)
 
 
-def _check(ctx: DunklContext, f: Polynomial) -> None:
+def _check(ctx: DunklContext, f: Polynomial, axis: int = 0):
+    """The terms of f, once f has the context's dimension and axis is one of its axes."""
     if f.m != ctx.m:
         raise DimensionMismatch(f"dimension mismatch: polynomial in {f.m} variables vs context dimension {ctx.m}")
+    if not 0 <= axis < ctx.m:
+        raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
+    return f.terms.items()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InexactDivision
 
@@ -33,7 +33,9 @@ def rational_str(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "3/2", "-4/1" or plain "3" into a Fraction; malformed text raises ValueError."""
+    """Parse "3/2", "-4/1", "0.1" or plain "3" into a Fraction; malformed text or a float raises ValueError."""
+    if isinstance(text, float):
+        exact(text)  # refuses it: str() of a float is its shortest repr, not the number written
     try:
         return Fraction(str(text).strip())
     except ZeroDivisionError:
@@ -389,19 +391,30 @@ def compose_signed_permutation(p: Polynomial, perm: SignedPermutation) -> Polyno
     return _raw(m, terms)
 
 
-def linear_extension(m: int, terms: Iterable[tuple[Exponent, Fraction]],
-                     image: Callable[[Exponent], Terms]) -> Polynomial:
-    """sum of c * image(e) over the terms (e, c) of a polynomial in m variables: the linear map
-    with the given monomial images."""
-    out: dict[Exponent, Fraction] = {}
-    for e, c in terms:
-        for ee, v in image(e):
-            acc = out.get(ee, _ZERO) + c * v
-            if acc:
-                out[ee] = acc
-            else:
-                out.pop(ee, None)
-    return _raw(m, out)
+def accumulate(parts: Iterable[tuple]) -> dict:
+    """sum of scale * c * image(k) over the terms (k, c) of every part (scale, terms, image), as one
+    term map without zeros.  Keys are any hashable: an exponent, a (blade mask, exponent) pair.  An
+    image maps a key to (key, Fraction) terms; None is the identity.  Factors 1 and -1 cost no product."""
+    out: dict = {}
+    get = out.get
+    for scale, terms, image in parts:
+        if scale != 1:
+            terms = [(k, -c if scale == -1 else scale * c) for k, c in terms]
+        for key, c in terms:
+            sign = 1 if image is None or c == 1 else -1 if c == -1 else 0
+            for k, v in ((key, c),) if image is None else image(key):
+                acc = get(k)
+                if sign < 0:
+                    out[k] = -v if acc is None else acc - v
+                else:
+                    v = v if sign else c * v
+                    out[k] = v if acc is None else acc + v
+    return {k: v for k, v in out.items() if v}
+
+
+def linear_extension(m: int, parts: Iterable[tuple]) -> Polynomial:
+    """accumulate(parts) over exponents, as a polynomial in m variables."""
+    return _raw(m, accumulate(parts))
 
 
 def divide_by_linear_form(p: Polynomial, alpha: Sequence[ScalarLike]) -> Polynomial:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from dunkl_hermite.clifford import (CliffordPolynomial, blade_product, d_plus,
                                     d_plus_squared_scalar, dunkl_dirac, monogenic_basis,
                                     vector_multiply)
-from dunkl_hermite.groups import builtin_root_system, trivial_root_system
+from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator
 from dunkl_hermite.poly import Polynomial, dim_homogeneous, monomial_basis
+from test_dunkl_map import g2_json
+from test_kernel_bases import dirac_kernel
 
 
 def classical(m):
@@ -178,3 +180,36 @@ def test_relabels_match_the_clifford_products(case):
     assert dunkl_dirac(ctx, F) == dirac
     assert vector_multiply(F) == CliffordPolynomial.vector_variable(m) * F
     assert d_plus(ctx, F) == -dunkl_dirac(ctx, F) + 2 * vector_multiply(F)
+
+
+G2_EXPONENTS = [e for d in range(4) for e in monomial_basis(3, d)]
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_clifford_operators_on_g2(data):
+    """G2, where no reflection is a signed permutation: D, x and D+ against the Clifford products,
+    and the blade view rebuilds the element."""
+    kappas = [data.draw(st.fractions(min_value=0, max_value=3, max_denominator=4)) for _ in range(2)]
+    ctx = DunklContext(root_system_from_json(g2_json(*kappas)))
+    masks = data.draw(st.lists(st.integers(0, 7), max_size=3, unique=True))
+    F = CliffordPolynomial(3, {mask: Polynomial(3, data.draw(st.dictionaries(
+        st.sampled_from(G2_EXPONENTS), st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=3)))
+        for mask in masks})
+    dirac = CliffordPolynomial.zero(3)
+    for i in range(3):
+        dirac = dirac + CliffordPolynomial.unit_blade(3, 1 << i) * F.apply_scalar_operator(
+            lambda p, axis=i: dunkl_derivative(ctx, axis, p))
+    assert dunkl_dirac(ctx, F) == dirac
+    assert vector_multiply(F) == CliffordPolynomial.vector_variable(3) * F
+    assert d_plus(ctx, F) == -dunkl_dirac(ctx, F) + 2 * vector_multiply(F)
+    assert CliffordPolynomial(3, F.blades) == F
+
+
+def test_g2_monogenics_are_annihilated():
+    ctx = DunklContext(root_system_from_json(g2_json(Fraction(1, 2), Fraction(2, 3))))
+    for degree in range(3):
+        basis = monogenic_basis(ctx, degree)
+        assert basis == dirac_kernel(ctx, degree)
+        for M in basis:
+            assert not dunkl_dirac(ctx, M)

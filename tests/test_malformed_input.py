@@ -211,3 +211,30 @@ def test_ints_fractions_and_strings_are_still_exact():
     assert divide_by_linear_form(X, ["1/2"]) == Polynomial.constant(1, 2)
     assert builtin_root_system("z2", 1, ["1/10"]).mu == Fraction(6, 5)
     assert custom_root_system([["1", 0]], {(1, 0): Fraction(1, 2)}).multiplicities == (Fraction(1, 2),)
+
+
+def test_json_numbers_are_read_as_written(capsys, tmp_path):
+    """A JSON number with a fraction part reaches parse_rational as its text, not as a rounded float."""
+    path = tmp_path / "group.json"
+    path.write_text('{"m": 2, "positive_roots": [["1", "0"]], '
+                    '"multiplicities": [{"orbit_rep": ["1", "0"], "kappa": 0.12345678901234567890123}]}')
+    code, out, _ = run_cli(capsys, "group-info", "--group-file", str(path))
+    assert code == 0
+    kappa = json.loads(out)["multiplicities"][0]["kappa"]
+    assert Fraction(kappa) == Fraction(12345678901234567890123, 10 ** 23)
+
+
+def test_json_coefficient_is_read_as_written(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"m": 2, "terms": [{"c": 0.1, "e": [1, 0]}]}')
+    code, out, _ = run_cli(capsys, "decompose", "--group", "z2", "--m", "2", "--kappa", "1,1",
+                           "--poly-file", str(path))
+    assert code == 0
+    assert json.loads(out)["components"] == [
+        {"i": 0, "component": Polynomial.monomial(2, (1, 0), Fraction(1, 10)).to_json()}]
+
+
+def test_parse_rational_refuses_a_float():
+    with pytest.raises(ValueError, match="inexact float"):
+        parse_rational(0.5)
+    assert parse_rational("0.5") == parse_rational(1) / 2

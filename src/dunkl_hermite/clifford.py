@@ -157,38 +157,41 @@ def _flat(m: int, terms: dict) -> CliffordPolynomial:
     return out
 
 
-def _vector_image(m: int, image: Callable[[int, Exponent], Terms]) -> Callable:
-    """(A, e) -> the terms of sum_i e_i image(i, e) e_A, where e_i e_A is sign(e_i e_A) e_(A xor 2^i)."""
-    return lambda key: [((mask, f), v if sign > 0 else -v) for i in range(m)
-                        for sign, mask in (blade_product(1 << i, key[0]),) for f, v in image(i, key[1])]
+def _vector_parts(m: int, scale: int, terms, image: Callable[[int, Exponent], Terms]) -> list:
+    """The parts of scale * sum_i e_i image(i, e) e_A over the terms (A, e), where e_i e_A is
+    sign(e_i e_A) e_(A xor 2^i): one part per axis and sign, the sign folded into the part's scale."""
+    return [(sign * scale, part, lambda key, i=i: [((key[0] ^ 1 << i, f), v) for f, v in image(i, key[1])])
+            for i in range(m) for sign in (1, -1)
+            for part in ([(key, c) for key, c in terms if blade_product(1 << i, key[0])[0] == sign],) if part]
 
 
-def _dirac_image(ctx: DunklContext) -> Callable:
-    """(A, e) -> the terms of D(x^e e_A) = sum_i sign(e_i e_A) T_i(x^e) e_(A xor 2^i), from the memo of T_i."""
-    return _vector_image(ctx.m, lambda i, e: dunkl_images(ctx, e)[i])
+def _dirac(ctx: DunklContext) -> Callable[[int, Exponent], Terms]:
+    """(i, e) -> the terms of T_i(x^e), from the memo of T_i: D(x^e e_A) = sum_i e_i T_i(x^e) e_A."""
+    return lambda i, e: dunkl_images(ctx, e)[i]
 
 
-def _x_image(m: int) -> Callable:
-    """(A, e) -> the terms of x x^e e_A = sum_i sign(e_i e_A) x_i x^e e_(A xor 2^i)."""
-    return _vector_image(m, lambda i, e, one=Fraction(1): ((e[:i] + (e[i] + 1,) + e[i + 1:], one),))
+def _x(i: int, e: Exponent, one=Fraction(1)) -> Terms:
+    """The term of x_i x^e: x x^e e_A = sum_i e_i x_i x^e e_A."""
+    return ((e[:i] + (e[i] + 1,) + e[i + 1:], one),)
 
 
 def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """D F = sum_i e_i (T_i F), Dunkl operators acting blade-wise."""
     _check(ctx, F)
-    return _flat(F.m, accumulate([(1, F._terms.items(), _dirac_image(ctx))]))
+    return _flat(F.m, accumulate(_vector_parts(F.m, 1, F._terms.items(), _dirac(ctx))))
 
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
-    return _flat(F.m, accumulate([(1, F._terms.items(), _x_image(F.m))]))
+    return _flat(F.m, accumulate(_vector_parts(F.m, 1, F._terms.items(), _x)))
 
 
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
     terms = F._terms.items()
-    return _flat(F.m, accumulate([(-1, terms, _dirac_image(ctx)), (2, terms, _x_image(F.m))]))
+    return _flat(F.m, accumulate(_vector_parts(F.m, -1, terms, _dirac(ctx)) +
+                                 _vector_parts(F.m, 1, [(key, 2 * c) for key, c in terms], _x)))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
@@ -207,9 +210,8 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
     keys = [(mask, e) for mask in range(1 << ctx.m) for e in monomial_basis(ctx.m, degree)]
-    image = _dirac_image(ctx)
-    return [_flat(ctx.m, {key: Fraction(v) for key, v in vec.items()})
-            for vec in kernel_basis([image(key) for key in keys], keys)]
+    columns = [accumulate(_vector_parts(ctx.m, 1, [(key, 1)], _dirac(ctx))).items() for key in keys]
+    return [_flat(ctx.m, {key: Fraction(v) for key, v in vec.items()}) for vec in kernel_basis(columns, keys)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InvalidRootSystem
@@ -162,12 +163,12 @@ class RootSystem:
     multiplicities: tuple[Fraction, ...]  # aligned with positive_roots
     orbits: Orbits
 
-    @property
+    @cached_property  # kept in the instance __dict__, outside the fields that eq and hash compare
     def gamma(self) -> Fraction:
         """Sum of the multiplicities over the positive roots."""
         return sum(self.multiplicities, Fraction(0))
 
-    @property
+    @cached_property
     def mu(self) -> Fraction:
         """Effective (Dunkl) dimension m + 2*gamma."""
         return self.m + 2 * self.gamma

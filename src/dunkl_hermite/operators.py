@@ -7,22 +7,24 @@ axis i sends f to
 
 where r_alpha is the reflection in the hyperplane orthogonal to alpha.  The
 difference f - f o r_alpha vanishes on that hyperplane, so the division is
-exact; a remainder aborts loudly.  The operators are linear, so each
-context computes the images of a monomial once and applies them to any
-polynomial term by term.  Everything downstream (Laplacian, Euler
-operator, sl2 action, Gaussian conjugation, heat semigroup) is assembled from
-these exact pieces.
+exact; a remainder aborts loudly.  By the twisted Leibniz rule d_alpha(f g) =
+d_alpha(f) (g o r_alpha) + f d_alpha(g), a monomial's quotient follows from
+the coordinates' in integers.  The operators are linear, so each context
+computes the images of a monomial once and applies them to any polynomial
+term by term.  Everything downstream (Laplacian, Euler operator, sl2 action,
+Gaussian conjugation, heat semigroup) is assembled from these exact pieces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
 from .poly import (Exponent, Polynomial, ScalarLike, SignedPermutation, Terms, accumulate, compose_linear,
-                   compose_signed_permutation, divide_by_linear_form, exact, linear_extension, signed_permutation)
+                   divide_by_linear_form, exact, linear_extension, signed_permutation)
 
 _ONE = Fraction(1)
 
@@ -37,7 +39,7 @@ class DunklContext:
     context is immutable.
     """
 
-    __slots__ = ("root_system", "reflections", "_active", "_images", "_laplacians", "__weakref__")
+    __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "__weakref__")
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
@@ -49,6 +51,7 @@ class DunklContext:
             for alpha, kappa, refl in zip(root_system.positive_roots, root_system.multiplicities,
                                           self.reflections)
             if kappa)
+        self._chains = None  # per active root, derived from _active on the memo's first fill
         self._images: dict[Exponent, tuple[Terms, ...]] = {}
         self._laplacians: dict[Exponent, Terms] = {}
 
@@ -68,20 +71,58 @@ class DunklContext:
         return f"DunklContext(m={self.m}, roots={len(self.root_system.positive_roots)}, mu={self.mu})"
 
 
+def _chain_data(m: int, alpha: Vector, kappa: Fraction, refl: Matrix) -> tuple:
+    """(kappa alpha, s, the rows of the integer matrix s R, C, t) with C_j / t = d_alpha x_j, divided by
+    compose_linear and divide_by_linear_form: a substitution that is not alpha's reflection raises here,
+    and once every x_j - R x_j divides, every x^e - x^e o R does, by the Leibniz rule."""
+    s = lcm(*(a.denominator for row in refl for a in row))
+    firsts = [divide_by_linear_form(x - compose_linear(x, refl), alpha).coefficient((0,) * m)
+              for x in (Polynomial.variable(m, j) for j in range(m))]
+    t = lcm(*(c.denominator for c in firsts))
+    rows = [[(k, int(a * s)) for k, a in enumerate(row) if a] for row in refl]
+    return tuple(kappa * a for a in alpha), s, rows, [int(c * t) for c in firsts], t
+
+
+def _leibniz_chain(steps: list[int], s: int, rows: list, firsts: list[int]) -> dict[Exponent, int]:
+    """t s^(K-1) d_alpha x^e for e = sum of eps_j over the K steps j: Q <- s x_j Q + C_j G, G <- (s R)_j G,
+    so that G stays s^k (x^(e_k) o r_alpha)."""
+    g, q = {(0,) * len(rows): 1}, {}
+    for k, j in enumerate(steps):
+        if k:  # G takes the previous step's row here, so the last step builds no G it never reads
+            g, product = {}, g
+            for f, v in product.items():
+                for i, a in rows[steps[k - 1]]:
+                    fi = f[:i] + (f[i] + 1,) + f[i + 1:]
+                    g[fi] = g.get(fi, 0) + a * v
+        q = {f[:j] + (f[j] + 1,) + f[j + 1:]: s * v for f, v in q.items()}
+        if firsts[j]:
+            for f, v in g.items():
+                q[f] = q.get(f, 0) + firsts[j] * v
+    return q
+
+
 def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
-    """The terms of T_1 x^e, ..., T_m x^e, memoized; each root's divided difference is taken
-    once for all axes."""
+    """The terms of T_1 x^e, ..., T_m x^e, memoized: one Leibniz chain per root in integers, and per
+    axis one common denominator over the derivative and every root's quotient."""
     images = ctx._images.get(e)
     if images is None:
-        x = Polynomial.monomial(ctx.m, e)
-        quotients = []
-        for alpha, kappa, refl, perm in ctx._active:
-            difference = x - (compose_linear(x, refl) if perm is None else compose_signed_permutation(x, perm))
-            if difference:
-                quotients.append((alpha, kappa, divide_by_linear_form(difference, alpha).terms.items()))
-        # kept as term tuples, not Polynomials: the memo is most of what a context holds
-        images = ctx._images[e] = tuple(tuple(accumulate([(1, x.derivative(i).terms.items(), None)] + [
-            (kappa * alpha[i], q, None) for alpha, kappa, q in quotients if alpha[i]]).items()) for i in range(ctx.m))
+        if ctx._chains is None:
+            ctx._chains = tuple(_chain_data(ctx.m, alpha, kappa, refl) for alpha, kappa, refl, _ in ctx._active)
+        steps = [j for j, n in enumerate(e) for _ in range(n)]
+        quotients = [(weights, q, t * s ** (len(steps) - 1)) for weights, s, rows, firsts, t in ctx._chains
+                     for q in (_leibniz_chain(steps, s, rows, firsts),) if q]
+        images = []
+        for i, n in enumerate(e):
+            parts = [(weights[i] / den, q) for weights, q, den in quotients if weights[i]]
+            common = lcm(*(w.denominator for w, _ in parts))
+            out = {e[:i] + (n - 1,) + e[i + 1:]: n * common} if n else {}
+            for w, q in parts:
+                factor = w.numerator * (common // w.denominator)
+                for f, v in q.items():
+                    out[f] = out.get(f, 0) + factor * v
+            # kept as Fraction term tuples, not Polynomials: the memo is most of what a context holds
+            images.append(tuple((f, Fraction(v, common)) for f, v in out.items() if v))
+        images = ctx._images[e] = tuple(images)
     return images
 
 

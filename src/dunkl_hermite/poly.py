@@ -394,20 +394,21 @@ def compose_signed_permutation(p: Polynomial, perm: SignedPermutation) -> Polyno
 def accumulate(parts: Iterable[tuple]) -> dict:
     """sum of scale * c * image(k) over the terms (k, c) of every part (scale, terms, image), as one
     term map without zeros.  Keys are any hashable: an exponent, a (blade mask, exponent) pair.  An
-    image maps a key to (key, Fraction) terms; None is the identity.  Factors 1 and -1 cost no product."""
+    image maps a key to (key, Fraction) terms; None is the identity.  A factor 1 or -1 costs no
+    product, and its sign is a subtraction, not a negation."""
     out: dict = {}
     get = out.get
     for scale, terms, image in parts:
-        if scale != 1:
-            terms = [(k, -c if scale == -1 else scale * c) for k, c in terms]
+        if scale != 1 and scale != -1:
+            terms, scale = [(k, scale * c) for k, c in terms], 1
         for key, c in terms:
-            sign = 1 if image is None or c == 1 else -1 if c == -1 else 0
+            factor, sign = (None, scale) if image is None or c == 1 else (None, -scale) if c == -1 else (c, scale)
             for k, v in ((key, c),) if image is None else image(key):
+                v = v if factor is None else factor * v
                 acc = get(k)
                 if sign < 0:
                     out[k] = -v if acc is None else acc - v
                 else:
-                    v = v if sign else c * v
                     out[k] = v if acc is None else acc + v
     return {k: v for k, v in out.items() if v}
 

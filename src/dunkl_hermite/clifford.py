@@ -159,10 +159,11 @@ def _flat(m: int, terms: dict) -> CliffordPolynomial:
 
 def _vector_parts(m: int, scale: int, terms, image: Callable[[int, Exponent], Terms]) -> list:
     """The parts of scale * sum_i e_i image(i, e) e_A over the terms (A, e), where e_i e_A is
-    sign(e_i e_A) e_(A xor 2^i): one part per axis and sign, the sign folded into the part's scale."""
-    return [(sign * scale, part, lambda key, i=i: [((key[0] ^ 1 << i, f), v) for f, v in image(i, key[1])])
-            for i in range(m) for sign in (1, -1)
-            for part in ([(key, c) for key, c in terms if blade_product(1 << i, key[0])[0] == sign],) if part]
+    sign(e_i e_A) e_(A xor 2^i): one part per sign over all terms, the sign folded into the part's
+    scale, whose image sums over the axes i of that sign."""
+    return [(sign * scale, terms, lambda key, sign=sign: [
+        ((key[0] ^ 1 << i, f), v) for i in range(m) if blade_product(1 << i, key[0])[0] == sign
+        for f, v in image(i, key[1])]) for sign in (1, -1)]
 
 
 def _dirac(ctx: DunklContext) -> Callable[[int, Exponent], Terms]:

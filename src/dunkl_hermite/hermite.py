@@ -26,7 +26,8 @@ from .linalg import FrameFactor, kernel_basis, solve_in_frame
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
                         dunkl_laplacian, heat_semigroup, hermite_shift, laplacian_image, radial_tower,
                         spherical_shift)
-from .poly import Polynomial, dim_homogeneous, exact, json_int, monomial_basis, parse_rational, rational_str
+from .poly import (Polynomial, dim_homogeneous, exact, json_int, linear_extension, monomial_basis, parse_rational,
+                   rational_str)
 
 
 def mu_is_degenerate(mu: Fraction) -> bool:
@@ -111,11 +112,12 @@ def fischer_decompose(ctx: DunklContext, p: Polynomial) -> list[tuple[int, Polyn
         return []
     frame, factor = _fischer_factor(ctx, p.homogeneous_degree())
     coords = factor.solve(p)
-    layers: dict[int, Polynomial] = {}
+    parts: dict[int, list] = {}
     for (i, _, q), c in zip(frame, coords):
         if c:
-            layers[i] = layers.get(i, Polynomial.zero(ctx.m)) + c * q
-    return [(i, layers[i]) for i in sorted(layers) if layers[i]]
+            parts.setdefault(i, []).append((c, q.terms.items(), None))
+    layers = [(i, linear_extension(ctx.m, parts[i])) for i in sorted(parts)]
+    return [(i, layer) for i, layer in layers if layer]
 
 
 def fischer_project(ctx: DunklContext, i: int, degree: int, p: Polynomial) -> Polynomial:
@@ -253,7 +255,8 @@ def ch_laguerre(ctx: DunklContext, t: int, ell: int, harmonic: Polynomial) -> He
         raise MathPrecondition(f"harmonic has degree {actual}, expected ell = {ell}")
     scale = 4 ** t * factorial(t)
     radial = tuple(scale * c for c in laguerre_poly(t, ctx.mu / 2 + ell - 1))
-    out = sum((c * layer for c, layer in zip(radial, radial_tower(harmonic, t))), Polynomial.zero(ctx.m))
+    out = linear_extension(ctx.m, [(c, layer.terms.items(), None)
+                                   for c, layer in zip(radial, radial_tower(harmonic, t))])
     return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
                          radial_coeffs=radial, polynomial=out)
 

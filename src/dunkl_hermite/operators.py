@@ -23,8 +23,8 @@ from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import (Exponent, Polynomial, ScalarLike, SignedPermutation, Terms, accumulate, compose_linear,
-                   divide_by_linear_form, exact, linear_extension, signed_permutation)
+from .poly import (Exponent, Polynomial, ScalarLike, Terms, accumulate, compose_linear, divide_by_linear_form,
+                   exact, linear_extension)
 
 _ONE = Fraction(1)
 
@@ -32,11 +32,9 @@ _ONE = Fraction(1)
 class DunklContext:
     """A root system, its reflections, and a lazily filled memo of the Dunkl map.
 
-    Each active root's reflection is classified once: a signed permutation
-    (every x_j goes to +-x_k) or generic.  The images T_1 x^e, ..., T_m x^e
-    and Delta x^e of a monomial are computed on first use and kept in the
-    memo, which lives and dies with the context; apart from that memo the
-    context is immutable.
+    The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial are computed
+    on first use and kept in the memo, which lives and dies with the context;
+    apart from that memo the context is immutable.
     """
 
     __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "__weakref__")
@@ -46,11 +44,8 @@ class DunklContext:
         self.reflections: tuple[Matrix, ...] = tuple(
             reflection_matrix(alpha) for alpha in root_system.positive_roots)
         # roots with kappa = 0 contribute nothing and are skipped up front
-        self._active: tuple[tuple[Vector, Fraction, Matrix, SignedPermutation | None], ...] = tuple(
-            (alpha, kappa, refl, signed_permutation(refl))
-            for alpha, kappa, refl in zip(root_system.positive_roots, root_system.multiplicities,
-                                          self.reflections)
-            if kappa)
+        self._active: tuple[tuple[Vector, Fraction, Matrix], ...] = tuple(
+            root for root in zip(root_system.positive_roots, root_system.multiplicities, self.reflections) if root[1])
         self._chains = None  # per active root, derived from _active on the memo's first fill
         self._images: dict[Exponent, tuple[Terms, ...]] = {}
         self._laplacians: dict[Exponent, Terms] = {}
@@ -107,7 +102,7 @@ def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
     images = ctx._images.get(e)
     if images is None:
         if ctx._chains is None:
-            ctx._chains = tuple(_chain_data(ctx.m, alpha, kappa, refl) for alpha, kappa, refl, _ in ctx._active)
+            ctx._chains = tuple(_chain_data(ctx.m, alpha, kappa, refl) for alpha, kappa, refl in ctx._active)
         steps = [j for j, n in enumerate(e) for _ in range(n)]
         quotients = [(weights, q, t * s ** (len(steps) - 1)) for weights, s, rows, firsts, t in ctx._chains
                      for q in (_leibniz_chain(steps, s, rows, firsts),) if q]
@@ -152,7 +147,7 @@ def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> 
     out = f.derivative(axis)
     if not f:
         return out
-    for alpha, kappa, refl, _ in ctx._active:
+    for alpha, kappa, refl in ctx._active:
         if not alpha[axis]:
             continue
         difference = f - compose_linear(f, refl)

@@ -11,13 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InexactDivision
 
 Exponent = tuple[int, ...]
 ScalarLike = Union[int, Fraction]
-SignedPermutation = tuple[tuple[int, int], ...]  # (k, s) per variable j: x_j -> s * x_k
 Terms = tuple[tuple[Exponent, Fraction], ...]
 
 
@@ -92,7 +92,7 @@ class Polynomial:
         if m < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {m}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponent, Fraction] = {}
+        clean: list[tuple[Exponent, Fraction]] = []
         for exponents, coeff in items:
             exponents = tuple(exponents)
             if len(exponents) != m:
@@ -100,15 +100,9 @@ class Polynomial:
                     f"dimension mismatch: exponent tuple of length {len(exponents)} vs dimension {m}")
             if any(type(e) is not int or e < 0 for e in exponents):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
-            coeff = exact(coeff)
-            if coeff:
-                acc = clean.get(exponents, _ZERO) + coeff
-                if acc:
-                    clean[exponents] = acc
-                else:
-                    clean.pop(exponents, None)
+            clean.append((exponents, exact(coeff)))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", accumulate([(1, clean, None)]))
 
     # -- constructors ------------------------------------------------------
 
@@ -197,53 +191,29 @@ class Polynomial:
             return NotImplemented
         return self.m == other.m and self._terms == other._terms
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, other: "Polynomial", scale: int) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dim(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = terms.get(e, _ZERO) + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return _raw(self.m, terms)
+        return linear_extension(self.m, [(1, self._terms.items(), None), (scale, other._terms.items(), None)])
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_dim(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = terms.get(e, _ZERO) - c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return _raw(self.m, terms)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return _raw(self.m, {e: -c for e, c in self._terms.items()})
+        return linear_extension(self.m, [(-1, self._terms.items(), None)])
 
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
-            terms: dict[Exponent, Fraction] = {}
-            for ea, ca in self._terms.items():
-                for eb, cb in other._terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    acc = terms.get(e, _ZERO) + ca * cb
-                    if acc:
-                        terms[e] = acc
-                    else:
-                        terms.pop(e, None)
-            return _raw(self.m, terms)
+            factor = other._terms.items()
+            return linear_extension(self.m, [(1, self._terms.items(), lambda e: [
+                (tuple(map(add, e, f)), c) for f, c in factor])])
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial.zero(self.m)
-            return _raw(self.m, {e: c * v for e, v in self._terms.items()})
+            return linear_extension(self.m, [(other, self._terms.items(), None)])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -263,20 +233,16 @@ class Polynomial:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, axis: int) -> "Polynomial":
-        """Partial derivative along one axis."""
+        """Partial derivative along one axis: x^e maps to e_axis x^(e - eps_axis)."""
         _check_axis(self.m, axis)
-        terms: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            k = e[axis]
-            if k:
-                shifted = e[:axis] + (k - 1,) + e[axis + 1:]
-                terms[shifted] = terms.get(shifted, _ZERO) + c * k
-        return _raw(self.m, {e: c for e, c in terms.items() if c})
+        return linear_extension(self.m, [(1, self._terms.items(), lambda e: (
+            ((e[:axis] + (e[axis] - 1,) + e[axis + 1:], Fraction(e[axis])),) if e[axis] else ()))])
 
     def times_variable(self, axis: int) -> "Polynomial":
         """Multiplication by x_axis (exponent shift, no generic product)."""
         _check_axis(self.m, axis)
-        return _raw(self.m, {e[:axis] + (e[axis] + 1,) + e[axis + 1:]: c for e, c in self._terms.items()})
+        return linear_extension(self.m, [(1, self._terms.items(), lambda e: (
+            (e[:axis] + (e[axis] + 1,) + e[axis + 1:], _ONE),))])
 
     # -- serialization / rendering -----------------------------------------
 
@@ -320,6 +286,7 @@ class Polynomial:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _check_axis(m: int, axis: int) -> None:
@@ -338,57 +305,22 @@ def _raw(m: int, terms: dict[Exponent, Fraction]) -> Polynomial:
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Polynomial:
     """Substitute x_j -> sum_k matrix[j][k] * x_k, i.e. compute p(A x) exactly.
 
-    Each term c x^e expands as c times e[j] multiplications by the linear form of row j, for
-    every j; the expansions are summed into one term map and zeros are dropped at the end."""
+    x^e expands as e[j] multiplications by the linear form of row j, for every j, each one
+    accumulation; the expansions of the terms are summed as one linear extension."""
     m = p.m
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise DimensionMismatch(f"dimension mismatch: matrix is not {m}x{m}")
     forms = [[(k, a) for k, a in enumerate(map(exact, row)) if a] for row in matrix]
-    out: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        expansion = {(0,) * m: c}
+
+    def expand(e: Exponent):
+        expansion = {(0,) * m: _ONE}
         for form, n in zip(forms, e):
             for _ in range(n):
-                product: dict[Exponent, Fraction] = {}
-                for te, tc in expansion.items():
-                    for k, a in form:
-                        ke = te[:k] + (te[k] + 1,) + te[k + 1:]
-                        product[ke] = product.get(ke, _ZERO) + tc * a
-                expansion = product
-        for te, tc in expansion.items():
-            out[te] = out.get(te, _ZERO) + tc
-    return _raw(m, {e: c for e, c in out.items() if c})
+                expansion = accumulate([(1, expansion.items(), lambda f, form=form: [
+                    (f[:k] + (f[k] + 1,) + f[k + 1:], a) for k, a in form])])
+        return expansion.items()
 
-
-def signed_permutation(matrix: Sequence[Sequence[ScalarLike]]) -> SignedPermutation | None:
-    """(k, s) for each row j when every x_j -> s * x_k with s = +-1 and distinct k; None otherwise."""
-    out = []
-    for row in matrix:
-        support = [(k, c) for k, c in enumerate(row) if c]
-        if len(support) != 1 or support[0][1] not in (1, -1):
-            return None
-        out.append((support[0][0], int(support[0][1])))
-    if len({k for k, _ in out}) != len(out):
-        return None
-    return tuple(out)
-
-
-def compose_signed_permutation(p: Polynomial, perm: SignedPermutation) -> Polynomial:
-    """p(A x) for a signed permutation A: each exponent is relabelled, with the parity of its
-    negated variables as sign; equal to compose_linear(p, A) without any polynomial product."""
-    m = p.m
-    if len(perm) != m:
-        raise DimensionMismatch(f"dimension mismatch: permutation of length {len(perm)} vs dimension {m}")
-    terms: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        image = [0] * m
-        negated = 0
-        for (k, s), n in zip(perm, e):
-            image[k] = n
-            if s < 0:
-                negated += n
-        terms[tuple(image)] = -c if negated & 1 else c
-    return _raw(m, terms)
+    return linear_extension(m, [(1, p.terms.items(), expand)])
 
 
 def accumulate(parts: Iterable[tuple]) -> dict:
@@ -401,9 +333,14 @@ def accumulate(parts: Iterable[tuple]) -> dict:
     for scale, terms, image in parts:
         if scale != 1 and scale != -1:
             terms, scale = [(k, scale * c) for k, c in terms], 1
+        if image is None:  # each term is its own image: no unit check and no image call
+            for k, v in terms:
+                acc = get(k)
+                out[k] = (v if scale > 0 else -v) if acc is None else acc + v if scale > 0 else acc - v
+            continue
         for key, c in terms:
-            factor, sign = (None, scale) if image is None or c == 1 else (None, -scale) if c == -1 else (c, scale)
-            for k, v in ((key, c),) if image is None else image(key):
+            factor, sign = (None, scale) if c == 1 else (None, -scale) if c == -1 else (c, scale)
+            for k, v in image(key):
                 v = v if factor is None else factor * v
                 acc = get(k)
                 if sign < 0:

@@ -44,7 +44,7 @@ def test_swap_substitution_raises_at_degree_two():
     """x_0 - x_1 is not divisible by x_0, so the set-up refuses the swap for x_0^2 as for x_0."""
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-    ctx._active = (((Fraction(1), Fraction(0)), Fraction(1), swap, None),)
+    ctx._active = (((Fraction(1), Fraction(0)), Fraction(1), swap),)
     with pytest.raises(InexactDivision):
         dunkl_derivative(ctx, 0, Polynomial.monomial(2, (2, 0)))
 

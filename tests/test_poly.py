@@ -140,3 +140,67 @@ def test_dimension_mismatch_names_both():
 def test_norm_squared():
     assert Polynomial.norm_squared(3) == Polynomial(
         3, {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)})
+
+
+# -- every ring op against a plain dict reference written here ----------------
+
+unit_or_fraction = st.sampled_from([Fraction(1), Fraction(-1), Fraction(0)]) | rationals
+scalars = st.sampled_from([0, 1, -1, 2, Fraction(-1), Fraction(0)]) | rationals
+entries = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+matrices = st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+@st.composite
+def term_lists(draw):
+    """(exponent, coefficient) pairs in 3 variables with repeated keys, some cancelling a drawn pair."""
+    pairs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3), unit_or_fraction), max_size=6))
+    if pairs:
+        pairs += [(e, -c) for e, c in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return pairs
+
+
+def dict_sum(pairs) -> dict:
+    """The pairs added key by key into a dict; the zeros dropped at the end."""
+    total = {}
+    for e, c in pairs:
+        total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c != 0}
+
+
+def shifted(e, axis, by):
+    return e[:axis] + (e[axis] + by,) + e[axis + 1:]
+
+
+def composed(pairs, matrix) -> dict:
+    """Each term times one row's linear form per unit of its exponent, multiplied out in dicts."""
+    out = []
+    for e, c in pairs:
+        expansion = {(0, 0, 0): c}
+        for j, n in enumerate(e):
+            for _ in range(n):
+                expansion = dict_sum((shifted(f, k, 1), v * a) for f, v in expansion.items()
+                                     for k, a in enumerate(matrix[j]))
+        out += expansion.items()
+    return dict_sum(out)
+
+
+def assert_terms(p: Polynomial, expected: dict) -> None:
+    assert p.terms == expected
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@given(term_lists(), term_lists(), scalars, st.integers(0, 2), matrices)
+@settings(max_examples=200, deadline=None)
+def test_ring_ops_equal_a_dict_reference(a, b, scalar, axis, matrix):
+    p, q = Polynomial(3, a), Polynomial(3, b)
+    assert_terms(p, dict_sum(a))
+    assert_terms(p + q, dict_sum(a + b))
+    assert_terms(p - q, dict_sum(a + [(e, -c) for e, c in b]))
+    assert_terms(p - p, {})
+    assert_terms(-p, dict_sum((e, -c) for e, c in a))
+    assert_terms(p * scalar, dict_sum((e, scalar * c) for e, c in a))
+    assert_terms(scalar * p, dict_sum((e, scalar * c) for e, c in a))
+    assert_terms(p * q, dict_sum((tuple(x + y for x, y in zip(e, f)), c * d) for e, c in a for f, d in b))
+    assert_terms(p.derivative(axis), dict_sum((shifted(e, axis, -1), e[axis] * c) for e, c in a if e[axis]))
+    assert_terms(p.times_variable(axis), dict_sum((shifted(e, axis, 1), c) for e, c in a))
+    assert_terms(compose_linear(p, matrix), composed(a, matrix))

@@ -333,14 +333,9 @@ def accumulate(parts: Iterable[tuple]) -> dict:
     for scale, terms, image in parts:
         if scale != 1 and scale != -1:
             terms, scale = [(k, scale * c) for k, c in terms], 1
-        if image is None:  # each term is its own image: no unit check and no image call
-            for k, v in terms:
-                acc = get(k)
-                out[k] = (v if scale > 0 else -v) if acc is None else acc + v if scale > 0 else acc - v
-            continue
         for key, c in terms:
-            factor, sign = (None, scale) if c == 1 else (None, -scale) if c == -1 else (c, scale)
-            for k, v in image(key):
+            factor, sign = (None, scale) if image is None or c == 1 else (None, -scale) if c == -1 else (c, scale)
+            for k, v in ((key, c),) if image is None else image(key):
                 v = v if factor is None else factor * v
                 acc = get(k)
                 if sign < 0:

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidRootSystem, MathPrecondition
 from .groups import (BUILTIN_FAMILIES, RootSystem, builtin_root_system,
@@ -212,8 +213,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser main() reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InvalidRootSystem
@@ -267,22 +267,31 @@ def builtin_root_system(family: str, m: int, kappas: Sequence) -> RootSystem:
         raise InvalidRootSystem("builtin families use nonnegative multiplicities")
     if family in ("a", "b", "d") and m < 2:
         raise InvalidRootSystem(f"family {family} needs m >= 2")
-    # e_i for z2 and b, then e_i + s e_j (i < j) for each sign s of the family
-    roots: list[Vector] = [_unit(m, i) for i in range(m)] if family in ("z2", "b") else []
-    signs = {"a": (-1,), "b": (-1, 1), "d": (-1, 1)}.get(family, ())
-    roots += [tuple(Fraction(1) if k == i else Fraction(s) if k == j else Fraction(0) for k in range(m))
-              for i in range(m) for j in range(i + 1, m) for s in signs]
+    roots, index, orbits = _builtin_geometry(family, m)
     if not roots:
         if kappas:
             raise InvalidRootSystem("trivial family takes no multiplicities")
         return trivial_root_system(m)
-    roots = tuple(roots)
-    index, orbits = _validated_orbits(roots, m)
     if len(kappas) != len(orbits):
         raise InvalidRootSystem(
             f"family {family!r} with m={m} has {len(orbits)} orbits, got {len(kappas)} multiplicities")
     reps = [(roots[orbit[0]], kappa) for orbit, kappa in zip(orbits, kappas)]
     return _with_multiplicities(roots, m, index, orbits, reps)
+
+
+# Unbounded like poly.monomial_basis: validating n roots takes n^2 reflections, which keeps the
+# (family, m) pairs a process can afford to a few small m.
+@lru_cache(maxsize=None)
+def _builtin_geometry(family: str, m: int) -> tuple[tuple[Vector, ...], Mapping[Vector, int], Orbits]:
+    """The roots, signed index and orbits of a checked family and m, validated once per process;
+    callers only read the index."""
+    # e_i for z2 and b, then e_i + s e_j (i < j) for each sign s of the family
+    roots: list[Vector] = [_unit(m, i) for i in range(m)] if family in ("z2", "b") else []
+    signs = {"a": (-1,), "b": (-1, 1), "d": (-1, 1)}.get(family, ())
+    roots += [tuple(Fraction(1) if k == i else Fraction(s) if k == j else Fraction(0) for k in range(m))
+              for i in range(m) for j in range(i + 1, m) for s in signs]
+    roots = tuple(roots)
+    return (roots, *_validated_orbits(roots, m))
 
 
 def _json_field(field: str, parse: Callable):

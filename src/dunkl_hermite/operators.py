@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable
 
@@ -41,8 +42,7 @@ class DunklContext:
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self.reflections: tuple[Matrix, ...] = tuple(
-            reflection_matrix(alpha) for alpha in root_system.positive_roots)
+        self.reflections: tuple[Matrix, ...] = tuple(map(_reflection, root_system.positive_roots))
         # roots with kappa = 0 contribute nothing and are skipped up front
         self._active: tuple[tuple[Vector, Fraction, Matrix], ...] = tuple(
             root for root in zip(root_system.positive_roots, root_system.multiplicities, self.reflections) if root[1])
@@ -66,19 +66,30 @@ class DunklContext:
         return f"DunklContext(m={self.m}, roots={len(self.root_system.positive_roots)}, mu={self.mu})"
 
 
-def _chain_data(m: int, alpha: Vector, kappa: Fraction, refl: Matrix) -> tuple:
-    """(kappa alpha, s, the rows of the integer matrix s R, C, t) with C_j / t = d_alpha x_j, divided by
-    compose_linear and divide_by_linear_form: a substitution that is not alpha's reflection raises here,
-    and once every x_j - R x_j divides, every x^e - x^e o R does, by the Leibniz rule."""
+# The per-root caches below hold kappa-free geometry shared by every context of the process.  Their
+# keys come from custom root systems too, which can vary without limit, hence the bound.
+_ROOT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _reflection(alpha: Vector) -> Matrix:
+    return reflection_matrix(alpha)
+
+
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _chain_setup(m: int, alpha: Vector, refl: Matrix) -> tuple:
+    """(s, the rows of the integer matrix s R, C, t) with C_j / t = d_alpha x_j, divided by compose_linear
+    and divide_by_linear_form: a substitution that is not alpha's reflection raises here (and is not
+    cached), and once every x_j - R x_j divides, every x^e - x^e o R does, by the Leibniz rule."""
     s = lcm(*(a.denominator for row in refl for a in row))
     firsts = [divide_by_linear_form(x - compose_linear(x, refl), alpha).coefficient((0,) * m)
               for x in (Polynomial.variable(m, j) for j in range(m))]
     t = lcm(*(c.denominator for c in firsts))
-    rows = [[(k, int(a * s)) for k, a in enumerate(row) if a] for row in refl]
-    return tuple(kappa * a for a in alpha), s, rows, [int(c * t) for c in firsts], t
+    rows = tuple(tuple((k, int(a * s)) for k, a in enumerate(row) if a) for row in refl)
+    return s, rows, tuple(int(c * t) for c in firsts), t
 
 
-def _leibniz_chain(steps: list[int], s: int, rows: list, firsts: list[int]) -> dict[Exponent, int]:
+def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...]) -> dict[Exponent, int]:
     """t s^(K-1) d_alpha x^e for e = sum of eps_j over the K steps j: Q <- s x_j Q + C_j G, G <- (s R)_j G,
     so that G stays s^k (x^(e_k) o r_alpha)."""
     g, q = {(0,) * len(rows): 1}, {}
@@ -102,7 +113,8 @@ def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
     images = ctx._images.get(e)
     if images is None:
         if ctx._chains is None:
-            ctx._chains = tuple(_chain_data(ctx.m, alpha, kappa, refl) for alpha, kappa, refl in ctx._active)
+            ctx._chains = tuple((tuple(kappa * a for a in alpha), *_chain_setup(ctx.m, alpha, refl))
+                                for alpha, kappa, refl in ctx._active)
         steps = [j for j, n in enumerate(e) for _ in range(n)]
         quotients = [(weights, q, t * s ** (len(steps) - 1)) for weights, s, rows, firsts, t in ctx._chains
                      for q in (_leibniz_chain(steps, s, rows, firsts),) if q]

@@ -1,10 +1,15 @@
 """Command line contract: outputs, exit codes, determinism."""
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
+# suites and the errors are taken at import, with main: after a test that re-imports the package,
+# this file must still patch the suites module that main calls and raise the class it catches
+from dunkl_hermite import suites
 from dunkl_hermite.cli import main
+from dunkl_hermite.errors import MathPrecondition
 
 # sha256 of `verify --suite all --profile ci --seed 7` stdout; a change to any check,
 # draw, count or record shows up here
@@ -212,9 +217,6 @@ def test_verify_max_deg_flag(capsys):
 
 def test_verify_records_a_check_that_raises(capsys, monkeypatch):
     """A check that raises is one failed check in the verdict, not an aborted run."""
-    from dunkl_hermite import suites
-    from dunkl_hermite.errors import MathPrecondition
-
     def raising(ctx, i, n, h):
         raise MathPrecondition("injected fault")
 
@@ -243,6 +245,30 @@ def test_pretty_flag_after_subcommand(capsys):
     assert code == 0
     assert out.startswith("{\n  ")
     assert json.loads(out)["mu"] == "3/1"
+
+
+def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
+    """main() reuses one parser; each call still gives the exit code and output of its own process,
+    and --pretty does not carry over into the next call."""
+    poly = json.dumps({"m": 3, "terms": [{"c": "1/1", "e": [2, 1, 0]}, {"c": "-3/2", "e": [0, 0, 3]}]})
+    requests = [
+        (["group-info", "--group", "b", "--m", "3", "--kappa", "1,1/2"], ""),
+        (["--pretty", "group-info", "--group", "d", "--m", "3", "--kappa", "2"], ""),
+        (["hermite", "--group", "z2", "--m", "2"], ""),  # --t and --ell missing: exit 1
+        (["hermite", "--group", "a", "--m", "3", "--kappa", "1/3", "--t", "1", "--ell", "1",
+          "--construction", "all"], ""),
+        (["decompose", "--group", "b", "--m", "3", "--kappa", "1,2", "--poly-file", "-"], poly),
+        (["group-info", "--group", "d", "--m", "3", "--kappa", "2"], ""),
+    ]
+    results = []
+    for argv, stdin in requests:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        results.append(run_cli(capsys, *argv))
+        fresh = subprocess.run([sys.executable, "-m", "dunkl_hermite", *argv], input=stdin,
+                               capture_output=True, text=True)
+        assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in results] == [0, 0, 1, 0, 0, 0]
+    assert results[1][1].startswith("{\n  ") and results[-1][1].startswith('{"m":3,')
 
 
 def test_console_entry_point_runs():

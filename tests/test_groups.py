@@ -69,6 +69,26 @@ def test_builtin_rejects_wrong_arity():
         builtin_root_system("b", 2, [1])
 
 
+@pytest.mark.parametrize("kappas", [(1, Fraction(1, 2)), (Fraction(7, 3), 0)])
+def test_cached_builtin_geometry_equals_a_custom_system(kappas):
+    system = builtin_root_system("b", 3, kappas)
+    roots = system.positive_roots  # e_1, e_2, e_3 (short orbit), then e_i -+ e_j
+    assert system == custom_root_system(roots, {roots[0]: kappas[0], roots[3]: kappas[1]})
+    assert builtin_root_system("b", 3, [2, 3]).positive_roots is roots  # validated once per process
+
+
+@pytest.mark.parametrize("family, valid, kappas, message", [
+    ("b", [1, 1], [1], "has 2 orbits, got 1"),
+    ("b", [1, 1], [1, Fraction(-1, 2)], "nonnegative"),
+    ("trivial", [], [1], "takes no multiplicities"),
+])
+def test_kappa_checks_run_after_a_cached_success(family, valid, kappas, message):
+    builtin_root_system(family, 3, valid)
+    for _ in range(2):
+        with pytest.raises(InvalidRootSystem, match=message):
+            builtin_root_system(family, 3, kappas)
+
+
 def test_custom_system_allows_negative_multiplicity():
     system = custom_root_system([(Fraction(1),)], {(Fraction(1),): Fraction(-3, 2)})
     assert system.mu == -2
@@ -88,6 +108,13 @@ def test_not_closed_message():
     with pytest.raises(InvalidRootSystem) as info:
         custom_root_system(roots, {root: 1 for root in roots})
     assert "not closed" in str(info.value)
+
+
+def test_a_non_closed_custom_system_raises_on_every_call():
+    roots = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(-1))]
+    for _ in range(3):
+        with pytest.raises(InvalidRootSystem, match="not closed"):
+            custom_root_system(roots, {root: 1 for root in roots})
 
 
 def test_orbit_constant_multiplicity_enforced():

@@ -49,13 +49,34 @@ def test_swap_substitution_raises_at_degree_two():
         dunkl_derivative(ctx, 0, Polynomial.monomial(2, (2, 0)))
 
 
+def test_swap_substitution_raises_after_the_true_reflection_was_cached():
+    """The set-up is keyed on the substitution too: e_1's true reflection, set up and cached first,
+    does not stand in for the swap, and a refused set-up is refused again on every call."""
+    x0_squared = Polynomial.monomial(2, (2, 0))
+    ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
+    dunkl_derivative(ctx, 0, x0_squared)
+    alpha = ctx._active[0][0]
+    assert operators._chain_setup(2, alpha, ctx._active[0][2]) == ctx._chains[0][1:]
+    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    for _ in range(2):
+        ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
+        ctx._active = ((alpha, Fraction(1), swap),)
+        with pytest.raises(InexactDivision):
+            dunkl_derivative(ctx, 0, x0_squared)
+
+
 @pytest.mark.parametrize("degree", [1, 4])
 def test_a_cold_context_divides_m_times_per_active_root(monkeypatch, degree):
+    """The set-up divides m times per active root once per process; a second context with the same
+    roots and other multiplicities divides no more."""
     calls = []
     divide = operators.divide_by_linear_form
     monkeypatch.setattr(operators, "divide_by_linear_form", lambda p, alpha: calls.append(1) or divide(p, alpha))
-    ctx = DunklContext(root_system_from_json(g2_json(1, Fraction(1, 2))))
-    for d in range(degree, degree + 2):
-        for e in monomial_basis(3, d):
-            dunkl_derivative(ctx, 0, Polynomial.monomial(3, e))
-    assert len(calls) == 3 * len(ctx._active) == 18
+    operators._chain_setup.cache_clear()
+    for kappas in [(1, Fraction(1, 2)), (Fraction(-2, 3), 5)]:
+        ctx = DunklContext(root_system_from_json(g2_json(*kappas)))
+        for d in range(degree, degree + 2):
+            for e in monomial_basis(3, d):
+                dunkl_derivative(ctx, 0, Polynomial.monomial(3, e))
+        assert len(calls) == 3 * len(ctx._active) == 18  # the second context adds none
+    assert _mismatches(ctx, [degree])[1] == 0

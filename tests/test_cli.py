@@ -2,8 +2,10 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 # suites and the errors are taken at import, with main: after a test that re-imports the package,
 # this file must still patch the suites module that main calls and raise the class it catches
@@ -14,6 +16,14 @@ from dunkl_hermite.errors import MathPrecondition
 # sha256 of `verify --suite all --profile ci --seed 7` stdout; a change to any check,
 # draw, count or record shows up here
 CI_VERDICT_SHA256 = "1b7fb41ea9c49ba615042c7ac12c7e3b2dcf62e9ea3b42c4c2adc79403800a99"
+
+
+def run_fresh(*argv, stdin=""):
+    """argv in a new `python -m dunkl_hermite` process that imports the package from the same tree."""
+    src = str(Path(suites.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "dunkl_hermite", *argv], input=stdin,
+                          capture_output=True, text=True, env=env)
 
 
 def run_cli(capsys, *argv):
@@ -264,18 +274,15 @@ def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
     for argv, stdin in requests:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         results.append(run_cli(capsys, *argv))
-        fresh = subprocess.run([sys.executable, "-m", "dunkl_hermite", *argv], input=stdin,
-                               capture_output=True, text=True)
+        fresh = run_fresh(*argv, stdin=stdin)
         assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert [code for code, _, _ in results] == [0, 0, 1, 0, 0, 0]
     assert results[1][1].startswith("{\n  ") and results[-1][1].startswith('{"m":3,')
 
 
 def test_console_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "dunkl_hermite", "group-info", "--group", "a",
-         "--m", "3", "--kappa", "1"],
-        capture_output=True, text=True, check=True)
+    result = run_fresh("group-info", "--group", "a", "--m", "3", "--kappa", "1")
+    assert result.returncode == 0
     assert json.loads(result.stdout)["mu"] == "9/1"
 
 

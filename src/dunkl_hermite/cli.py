@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidRootSystem, MathPrecondition
 from .groups import (BUILTIN_FAMILIES, RootSystem, builtin_root_system,
@@ -213,14 +212,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> _Parser:
-    """The parser main() reuses: built on the first call, not at import."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)

@@ -257,9 +257,9 @@ def test_pretty_flag_after_subcommand(capsys):
     assert json.loads(out)["mu"] == "3/1"
 
 
-def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
-    """main() reuses one parser; each call still gives the exit code and output of its own process,
-    and --pretty does not carry over into the next call."""
+def test_main_calls_in_one_process_answer_like_fresh_processes(capsys, monkeypatch):
+    """main() calls in one process share its cached geometry and root set-up; each call still gives
+    the exit code and output of its own process, and --pretty does not carry over into the next call."""
     poly = json.dumps({"m": 3, "terms": [{"c": "1/1", "e": [2, 1, 0]}, {"c": "-3/2", "e": [0, 0, 3]}]})
     requests = [
         (["group-info", "--group", "b", "--m", "3", "--kappa", "1,1/2"], ""),

@@ -72,73 +72,49 @@ def _reflection_table(positive_roots: Sequence[Vector]) -> list[list[Vector]]:
     return table
 
 
-def _parallel(u: Vector, v: Vector) -> bool:
-    """True when v is a rational multiple of u (u nonzero)."""
-    ratio = None
-    for a, b in zip(u, v):
-        if a == 0:
-            if b != 0:
-                return False
-        else:
-            r = b / a
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return ratio is not None and ratio != 0
-
-
 def _signed_index(positive_roots: Sequence[Vector]) -> dict[Vector, int]:
     """Each root and its negative mapped to the root's index."""
     return {v: i for i, root in enumerate(positive_roots) for v in (root, tuple(-c for c in root))}
 
 
-def _orbits(index: Mapping[Vector, int], table: Sequence[Sequence[Vector]]) -> Orbits:
-    """Union-find over table[i][j], the reflection of root j in root i; first-occurrence order."""
-    n = len(table)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for row in table:
-        for j, image in enumerate(row):
-            k = index.get(image)
-            if k is not None:
-                union(j, k)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+def _orbits(positive_roots: Sequence[Vector], index: Mapping[Vector, int],
+            table: Sequence[Sequence[Vector]]) -> Orbits:
+    """Each orbit grown from its smallest index through table[i][j], root j reflected in root i; a
+    reflection is an involution, so the table holds each step both ways.  A root repeated up to sign
+    is indexed by its last copy and joins that copy's orbit.  Members sorted, first-occurrence order."""
+    copy_of = [index[root] for root in positive_roots]
+    orbits: list[tuple[int, ...]] = []
+    for start in range(len(copy_of)):
+        if any(start in orbit for orbit in orbits):
+            continue
+        reached = [copy_of[start]]
+        for j in reached:  # reached grows while it is read
+            reached += {index.get(row[j]) for row in table} - {None, *reached}
+        orbits.append(tuple(i for i, copy in enumerate(copy_of) if copy in reached))
+    return tuple(orbits)
 
 
 def orbit_decomposition(positive_roots: Sequence[Vector]) -> Orbits:
     """Partition of root indices under the reflection action, first occurrence order."""
-    table = _reflection_table(positive_roots)
-    return _orbits(_signed_index(positive_roots), table)
+    roots = tuple(map(_vec, positive_roots))
+    return _orbits(roots, _signed_index(roots), _reflection_table(roots))
 
 
 def _validated_orbits(positive_roots: Sequence[Vector], m: int) -> tuple[dict[Vector, int], Orbits]:
     """Validate the roots; return their signed index and orbits from one table of reflections."""
-    for root in positive_roots:
+    directions: dict[Vector, list[int]] = {}  # root / its first nonzero entry -> indices
+    for j, root in enumerate(positive_roots):
         if len(root) != m:
             raise InvalidRootSystem(f"root {[str(c) for c in root]} does not have dimension {m}")
         if not any(root):
             raise InvalidRootSystem("zero vector is not a valid root")
-    for i in range(len(positive_roots)):
-        for j in range(i + 1, len(positive_roots)):
-            if _parallel(positive_roots[i], positive_roots[j]):
-                raise InvalidRootSystem(
-                    f"root system is not reduced: roots {_fmt(positive_roots[i])} and "
-                    f"{_fmt(positive_roots[j])} are parallel")
+        lead = next(c for c in root if c)
+        directions.setdefault(tuple(c / lead for c in root), []).append(j)
+    for same in directions.values():  # in order of first index: the first parallel pair (i, j)
+        if len(same) > 1:
+            raise InvalidRootSystem(
+                f"root system is not reduced: roots {_fmt(positive_roots[same[0]])} and "
+                f"{_fmt(positive_roots[same[1]])} are parallel")
     index = _signed_index(positive_roots)
     table = _reflection_table(positive_roots)
     for alpha, row in zip(positive_roots, table):
@@ -147,7 +123,7 @@ def _validated_orbits(positive_roots: Sequence[Vector], m: int) -> tuple[dict[Ve
                 raise InvalidRootSystem(
                     f"root system is not closed: reflecting {_fmt(beta)} in {_fmt(alpha)} "
                     f"gives {_fmt(image)}, which is not a root up to sign")
-    return index, _orbits(index, table)
+    return index, _orbits(positive_roots, index, table)
 
 
 def _fmt(v: Vector) -> str:

@@ -32,7 +32,7 @@ from .poly import (Polynomial, dim_homogeneous, exact, json_int, linear_extensio
 
 def mu_is_degenerate(mu: Fraction) -> bool:
     """True when mu lies in {0, -2, -4, ...}, where Fischer theory fails."""
-    mu = Fraction(mu)
+    mu = exact(mu)
     return mu.denominator == 1 and mu <= 0 and mu.numerator % 2 == 0
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, MathPrecondition
 from .hermite import ch_recursion, harmonic_basis
 from .operators import DunklContext
-from .poly import Polynomial, rational_str
+from .poly import Polynomial, exact, json_int, rational_str
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class MomentValue:
         return MomentValue(self.coefficient + other.coefficient, self.pi_power)
 
     def scale(self, c: Fraction) -> "MomentValue":
-        return MomentValue(self.coefficient * Fraction(c), self.pi_power)
+        return MomentValue(self.coefficient * exact(c), self.pi_power)
 
     @property
     def is_zero(self) -> bool:
@@ -52,7 +52,7 @@ def gamma_half_integer(n: int) -> Fraction:
 def _check_kappas(kappas: Sequence) -> list[int]:
     clean = []
     for kappa in kappas:
-        kappa = Fraction(kappa)
+        kappa = exact(kappa)
         if kappa.denominator != 1 or kappa < 0:
             raise MathPrecondition(
                 f"moment evaluation needs nonnegative integer multiplicities, got {kappa}")
@@ -64,6 +64,8 @@ def weighted_moment(exponents: Sequence[int], kappas: Sequence) -> MomentValue:
     """Integral of x^a * prod |x_i|^{2 kappa_i} * exp(-|x|^2) over R^m."""
     if len(exponents) != len(kappas):
         raise DimensionMismatch(f"dimension mismatch: {len(exponents)} vs {len(kappas)}")
+    for a in exponents:
+        json_int(a, "exponent")
     return _moment(exponents, _check_kappas(kappas))
 
 

@@ -28,7 +28,7 @@ def deglex_key(exponents: Exponent) -> tuple[int, Exponent]:
 
 def rational_str(value: Fraction) -> str:
     """Render a rational as "num/den", denominator always explicit."""
-    value = Fraction(value)
+    value = exact(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -68,8 +68,6 @@ def monomial_basis(m: int, degree: int) -> tuple[Exponent, ...]:
     """All exponent tuples of the given total degree, deg-lex largest first."""
     if degree < 0:
         return ()
-    if m == 1:
-        return ((degree,),)
 
     def gen(vars_left: int, total: int) -> Iterator[Exponent]:
         if vars_left == 1:

@@ -83,7 +83,10 @@ class SuiteVerdict:
 
 
 def _run_cases(worker: Callable, cases: Sequence) -> list:
-    """Evaluate the group cases of one suite, in order."""
+    """Evaluate the group cases of one suite, in order.
+
+    run_suite calls this by its module name, never inlined: the bench rebinds it to time each group
+    case, and an inlined loop would leave battery-ci without latency samples."""
     return [worker(case) for case in cases]
 
 

@@ -1,4 +1,6 @@
 """Root systems: builtin families, validation, orbits, invariants."""
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -172,3 +174,114 @@ def test_from_json_rejects_missing_orbit():
 def test_orbit_decomposition_rejects_a_zero_root():
     with pytest.raises(InvalidRootSystem, match="zero vector is not a valid root"):
         orbit_decomposition([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))])
+
+
+def test_orbit_decomposition_reads_lists_like_tuples():
+    roots = [[1, 0], [0, 1], [1, -1], [1, 1]]
+    assert orbit_decomposition(roots) == orbit_decomposition([tuple(r) for r in roots]) == ((0, 1), (2, 3))
+
+
+def _reflect(alpha, v):
+    factor = 2 * sum(a * x for a, x in zip(alpha, v)) / sum(a * a for a in alpha)
+    return tuple(x - factor * a for x, a in zip(v, alpha))
+
+
+def _union_find_orbits(roots):
+    """Union-find over every (root j, its reflection in root i) found up to sign: a reference for the closure."""
+    index = {v: i for i, root in enumerate(roots) for v in (root, tuple(-c for c in root))}
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for alpha in roots:
+        for j, beta in enumerate(roots):
+            k = index.get(_reflect(alpha, beta))
+            if k is not None:
+                ri, rj = find(j), find(k)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
+def _positive_roots(text_rows):
+    return [tuple(Fraction(c) for c in row) for row in text_rows]
+
+
+# G2 in the sum-zero plane of R^3; F4 and B4 in R^4.
+_UNIT4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+_LONG4 = [tuple(1 if k == i else s if k == j else 0 for k in range(4))
+          for i in range(4) for j in range(i + 1, 4) for s in (1, -1)]
+ORBIT_SYSTEMS = {
+    "G2": _positive_roots([(1, -1, 0), (1, 0, -1), (0, 1, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]),
+    "F4": _positive_roots(_UNIT4 + _LONG4 + [("1/2",) + tuple(f"{s}/2" for s in signs)
+                                             for signs in itertools.product((1, -1), repeat=3)]),
+    "B4": _positive_roots(_UNIT4 + _LONG4),
+}
+
+
+@st.composite
+def root_subsets(draw):
+    """A subset of G2, F4 or B4 roots in any order, some rescaled, sign-flipped or repeated: closed or not."""
+    base = ORBIT_SYSTEMS[draw(st.sampled_from(sorted(ORBIT_SYSTEMS)))]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.sampled_from([1, -1, 2, Fraction(-1, 3)])), max_size=len(base) + 4))
+    return [tuple(scale * c for c in base[i]) for i, scale in picks]
+
+
+@given(root_subsets())
+@settings(max_examples=60, deadline=None)
+def test_orbit_closure_matches_union_find(roots):
+    assert orbit_decomposition(roots) == _union_find_orbits(roots)
+
+
+def test_orbit_closure_matches_union_find_on_whole_systems():
+    for roots in ORBIT_SYSTEMS.values():
+        assert orbit_decomposition(roots) == _union_find_orbits(roots)
+    assert orbit_decomposition(ORBIT_SYSTEMS["F4"]) == (tuple(range(4)) + tuple(range(16, 24)), tuple(range(4, 16)))
+
+
+def _first_parallel_pair(roots):
+    """The pairwise scan: the first (i, j), i < j, whose 2x2 minors all vanish."""
+    for i, j in itertools.combinations(range(len(roots)), 2):
+        u, v = roots[i], roots[j]
+        if all(u[a] * v[b] == u[b] * v[a] for a, b in itertools.combinations(range(len(u)), 2)):
+            return i, j
+    return None
+
+
+def _fmt(root):
+    return "(" + ", ".join(str(Fraction(c)) for c in root) + ")"
+
+
+@given(st.lists(st.tuples(st.sampled_from([(1, 0, 0), (0, 1, 0), (1, -1, 0), (1, 1, 2), (0, 3, -1)]),
+                          st.sampled_from([1, -1, 2, Fraction(1, 2)])), min_size=2, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_not_reduced_names_the_first_pair_of_the_pairwise_scan(picks):
+    roots = [tuple(scale * c for c in root) for root, scale in picks]
+    pair = _first_parallel_pair(roots)
+    if pair is None:
+        return
+    message = f"roots {_fmt(roots[pair[0]])} and {_fmt(roots[pair[1]])} are parallel"
+    with pytest.raises(InvalidRootSystem, match=re.escape(message)):
+        custom_root_system(roots, {})
+
+
+def test_not_reduced_names_the_smallest_pair_not_the_first_repeat():
+    with pytest.raises(InvalidRootSystem, match=re.escape("roots (1, 0) and (2, 0) are parallel")):
+        custom_root_system([(1, 0), (0, 1), (0, 2), (2, 0)], {})
+
+
+@pytest.mark.parametrize("roots, message", [
+    ([(1, 0), (2, 0), (1, 0, 0)], "does not have dimension 2"),
+    ([(1, 0), (2, 0), (0, 0)], "zero vector is not a valid root"),
+    ([(1, 0), (1, -1), (2, 0)], "not reduced"),  # also not closed
+])
+def test_validation_order_dimension_then_reducedness_then_closure(roots, message):
+    with pytest.raises(InvalidRootSystem, match=message):
+        custom_root_system(roots, {})

@@ -11,11 +11,13 @@ import pytest
 from dunkl_hermite.cli import main
 from dunkl_hermite.clifford import CliffordPolynomial
 from dunkl_hermite.errors import InvalidRootSystem
-from dunkl_hermite.groups import builtin_root_system, custom_root_system, trivial_root_system
-from dunkl_hermite.hermite import HermiteRecord, laguerre_poly
+from dunkl_hermite.groups import (builtin_root_system, custom_root_system, orbit_decomposition,
+                                  trivial_root_system)
+from dunkl_hermite.hermite import HermiteRecord, laguerre_poly, mu_is_degenerate
 from dunkl_hermite.linalg import matrix_rank
+from dunkl_hermite.moments import MomentValue, weighted_moment
 from dunkl_hermite.operators import DunklContext, WeightedFunction, conjugated_laplacian, heat_semigroup
-from dunkl_hermite.poly import Polynomial, compose_linear, divide_by_linear_form, parse_rational
+from dunkl_hermite.poly import Polynomial, compose_linear, divide_by_linear_form, parse_rational, rational_str
 
 
 def run_cli(capsys, *argv):
@@ -182,12 +184,16 @@ FLOAT_INPUTS = {
     "heat_rate": lambda: heat_semigroup(Z2, X, 0.1), "conjugation_rate": lambda: conjugated_laplacian(Z2, -0.5, X),
     "weighted_scale": lambda: WeightedFunction(X, -1).scale(0.5), "laguerre": lambda: laguerre_poly(1, 0.5),
     "matrix": lambda: matrix_rank([[1, 0.5]]),
+    "moment_kappa": lambda: weighted_moment([2, 0], [1.0, 0]),
+    "moment_scale": lambda: MomentValue(Fraction(1), Fraction(1, 2)).scale(0.1),
+    "rational_str": lambda: rational_str(0.1), "mu_is_degenerate": lambda: mu_is_degenerate(-2.0),
 }
 FLOAT_ROOT_SYSTEMS = {
     "builtin_kappa": lambda: builtin_root_system("z2", 1, [0.1]),
     "root": lambda: custom_root_system([[1.0, 0]], {(1, 0): 1}),
     "kappa": lambda: custom_root_system([[1, 0]], {(1, 0): 0.5}),
     "orbit_rep": lambda: custom_root_system([[1, 0]], {(1, 0.0): 1}),
+    "orbit_decomposition": lambda: orbit_decomposition([(1.0, 0.1), (0.1, 1.0)]),
 }
 
 

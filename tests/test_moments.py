@@ -45,6 +45,13 @@ def test_moment_requires_integer_kappas():
         weighted_moment((2,), [-1])
 
 
+@pytest.mark.parametrize("exponent", [1.5, Fraction(1, 2)])
+def test_moment_refuses_a_non_integer_exponent(exponent):
+    """a % 2 is truthy for both, so the moment used to come back as 0."""
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        weighted_moment([exponent], [0])
+
+
 def test_inner_product_of_constants():
     one = Polynomial.constant(1, Fraction(1))
     value = inner_product(one, one, [1])

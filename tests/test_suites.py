@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dunkl_hermite import suites
 from dunkl_hermite.suites import (CI, DESK, PROFILES, SUITE_NAMES, SUITES, draw_kappas,
                                   group_cases, run_suite)
 
@@ -76,3 +77,20 @@ def test_reimport_releases_the_old_package():
     out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[True, True, True]"
+
+
+def test_run_suite_sends_every_group_case_through_run_cases(monkeypatch):
+    """The bench times each group case by rebinding suites._run_cases; an inlined loop would bypass it."""
+    expected = run_suite("commute", CI, 7)
+    seen = []
+    original = suites._run_cases
+
+    def recorder(worker, cases):
+        cases = list(cases)
+        seen.extend(cases)
+        return original(worker, cases)
+
+    monkeypatch.setattr(suites, "_run_cases", recorder)
+    verdict = run_suite("commute", CI, 7)
+    assert seen == list(SUITES["commute"].cases(CI, 7)) and seen
+    assert json.dumps(verdict.to_json()) == json.dumps(expected.to_json())

@@ -218,6 +218,7 @@ def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:
 
 def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike) -> Polynomial:
     """(L + ell(mu - 2 + ell)) f, L = |x|^2 Delta - E(mu - 2 + E); degree d weighs (d - ell)(mu - 2 + d + ell)."""
+    ell = exact(ell)
     weight = _weighted(lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
     return linear_extension(f.m, [(1, dunkl_laplacian(ctx, f).terms.items(), _shifts(range(f.m), 2)),
                                   (-1, f.terms.items(), weight)])
@@ -225,6 +226,7 @@ def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike) -> Polyno
 
 def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:
     """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n."""
+    n = exact(n)
     terms = _check(ctx, f)
     return linear_extension(f.m, [(1, terms, lambda e: laplacian_image(ctx, e)),
                                   (-1, terms, _weighted(lambda d: 2 * (d - n)))])

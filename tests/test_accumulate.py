@@ -1,10 +1,11 @@
 """poly.accumulate against a plain dict sum written here, sharing no code with the package."""
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dunkl_hermite.poly import accumulate
+from dunkl_hermite.poly import _DEN_CAP, accumulate
 
 # Hashable keys of several kinds.
 KEYS = ((0, 1), (2, (1, 0)), "x", 7, (3, (0, 0, 2)), None)
@@ -61,3 +62,72 @@ def test_units_and_fractions_keep_their_values():
     out = accumulate([(1, [("x", Fraction(1))], image), (-1, [("x", Fraction(-1, 2))], image),
                       (Fraction(3, 2), [(7, Fraction(1))], None)])
     assert out == {"x": Fraction(3, 2), (0, 1): Fraction(1)}
+
+
+# Primes of 11 and 12 bits: any six distinct ones multiply past 60 bits, any seven past 70.
+PRIMES = [p for p in range(1031, 4096, 2) if all(p % q for q in range(3, 65, 2))][:200]
+
+
+def product_denominators(parts):
+    """The denominator of every product s * c * v, as each factor's numerator and denominator give it."""
+    for s, terms, image in parts:
+        s = Fraction(s)
+        for key, c in terms:
+            for k, v in [(key, Fraction(1))] if image is None else image(key):
+                yield s.denominator * c.denominator * v.denominator
+
+
+def running_lcm_bits(parts) -> list[int]:
+    """Bit length of the lcm of the product denominators after each product, written out with gcd."""
+    den, out = 1, []
+    for d in product_denominators(parts):
+        den = den * d // gcd(den, d)
+        out.append(den.bit_length())
+    return out
+
+
+@st.composite
+def coprime_parts(draw):
+    """Parts whose coefficients (and image values) have distinct prime denominators, one prime each, so that
+    their running common denominator passes _DEN_CAP after a few products and keeps growing."""
+    primes = iter(draw(st.permutations(PRIMES)))
+    numerator = st.integers(1, 40) | st.integers(-40, -1)
+    coprime = st.builds(lambda n: Fraction(n, next(primes)), numerator)
+    out = []
+    for _ in range(draw(st.integers(3, 5))):
+        terms = draw(st.lists(st.tuples(st.sampled_from(KEYS), coprime), min_size=3, max_size=6))
+        table = draw(st.none() | st.dictionaries(st.sampled_from(KEYS), st.lists(
+            st.tuples(st.sampled_from(KEYS), coprime), max_size=2), min_size=1))
+        image = None if table is None else (lambda key, table=table: table.get(key, ()))
+        out.append((draw(scale), terms, image))
+    return out
+
+
+@given(coprime_parts())
+@settings(max_examples=200, deadline=None)
+def test_pairwise_coprime_denominators_equal_the_ring_reference(drawn):
+    """Past the cap the rest of the sum is added as Fractions; the result is the same sum."""
+    bits = running_lcm_bits(drawn)
+    assume(any(b > _DEN_CAP for b in bits[:-1]))
+    out = accumulate(drawn)
+    assert all(type(c) is Fraction and c for c in out.values())
+    assert out == reference(drawn)
+
+
+def test_the_fraction_finish_takes_over_integer_sums_and_their_cancellations():
+    """Small denominators first, then distinct primes that take the common denominator past the cap.
+
+    'x' and (0, 1) are summed on both sides of the switch, and 'x' cancels to zero after it; 7 is summed only
+    before it."""
+    early = [("x", Fraction(5, 6)), (7, Fraction(-3, 4)), ((0, 1), Fraction(2)), ("x", Fraction(1, 3))]
+    late = [((0, 1), Fraction(1, PRIMES[0]))] + [(None, Fraction(i + 1, p)) for i, p in enumerate(PRIMES[1:12])]
+    late += [((0, 1), Fraction(-1, PRIMES[0])), ("x", Fraction(-7, 6))]
+    image = {7: [(7, Fraction(1, 5))]}.get
+    parts = [(1, early, None), (Fraction(1, 2), [(7, Fraction(3))], lambda key: image(key, [])), (1, late, None)]
+    bits = running_lcm_bits(parts)
+    switch = next(i for i, b in enumerate(bits) if b > _DEN_CAP)
+    assert len(early) + 1 < switch < len(bits) - 2
+    out = accumulate(parts)
+    assert out == reference(parts)
+    assert "x" not in out and out[7] == Fraction(-3, 4) + Fraction(3, 10) and out[(0, 1)] == 2
+    assert out[None] == sum(Fraction(i + 1, p) for i, p in enumerate(PRIMES[1:12]))

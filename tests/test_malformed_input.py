@@ -16,8 +16,10 @@ from dunkl_hermite.groups import (builtin_root_system, custom_root_system, orbit
 from dunkl_hermite.hermite import HermiteRecord, laguerre_poly, mu_is_degenerate
 from dunkl_hermite.linalg import matrix_rank
 from dunkl_hermite.moments import MomentValue, weighted_moment
-from dunkl_hermite.operators import DunklContext, WeightedFunction, conjugated_laplacian, heat_semigroup
-from dunkl_hermite.poly import Polynomial, compose_linear, divide_by_linear_form, parse_rational, rational_str
+from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_laplacian, heat_semigroup, hermite_shift,
+                                     spherical_shift)
+from dunkl_hermite.poly import (Polynomial, accumulate, compose_linear, divide_by_linear_form, parse_rational,
+                                rational_str)
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +204,23 @@ def test_floats_are_refused(name):
     """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: a float is never read as exact."""
     with pytest.raises(ValueError, match="inexact float"):
         FLOAT_INPUTS[name]()
+
+
+# A float 0.5 passed where a derived weight, or no term at all, would otherwise meet the gate first.
+FLOAT_ARGUMENTS = {
+    "accumulate_scale": lambda: accumulate([(0.5, [((1,), Fraction(1))], None)]),
+    "spherical_shift": lambda: spherical_shift(Z2, X, 0.5),
+    "spherical_shift_of_zero": lambda: spherical_shift(Z2, Polynomial.zero(1), 0.5),
+    "hermite_shift": lambda: hermite_shift(Z2, X, 0.5),
+    "hermite_shift_of_zero": lambda: hermite_shift(Z2, Polynomial.zero(1), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_ARGUMENTS)
+def test_a_float_argument_is_refused_as_passed(name):
+    """The error names the value passed, not a weight derived from it, and a zero polynomial does not skip it."""
+    with pytest.raises(ValueError, match=r"inexact float 0\.5;"):
+        FLOAT_ARGUMENTS[name]()
 
 
 @pytest.mark.parametrize("name", FLOAT_ROOT_SYSTEMS)

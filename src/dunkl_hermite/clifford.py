@@ -2,8 +2,9 @@
 
 Basis blades of Cl(0, m) are bitmasks: bit i set means the generator e_{i+1}
 is present, generators multiply with e_i e_j = -e_j e_i (i != j) and
-e_i^2 = -1.  A CliffordPolynomial is one term map from (blade mask, exponent)
-pairs to Fractions; the Dunkl-Dirac operator, vector variable multiplication,
+e_i^2 = -1.  A CliffordPolynomial is one positive integer denominator over a
+map from (blade mask, exponent) pairs to nonzero integer numerators, normalized
+as a Polynomial is; the Dunkl-Dirac operator, vector variable multiplication,
 and their combination D+ = -D + 2x are each one accumulation over it.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Mapping, Union
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import kernel_basis
 from .operators import DunklContext, d_plus_squared_form, dunkl_images
-from .poly import Exponent, Polynomial, Terms, _raw, accumulate, exact, json_int, monomial_basis
+from .poly import Block, Exponent, Polynomial, accumulate, json_int, linear_extension, monomial_basis
 
 ScalarLike = Union[int, Fraction]
 
@@ -30,9 +31,9 @@ def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:
 
 
 class CliffordPolynomial:
-    """Polynomial-coefficient element of Cl(0, m): {(blade mask, exponent): nonzero Fraction}."""
+    """Polynomial-coefficient element of Cl(0, m): {(blade mask, exponent): nonzero integer} over one denominator."""
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "_den", "_nums")
 
     def __init__(self, m: int, blades: Mapping[int, Polynomial] = ()):
         m = json_int(m, "m")
@@ -45,8 +46,8 @@ class CliffordPolynomial:
                 raise DimensionMismatch(f"blade mask {mask} out of range for dimension {m}")
             if poly.m != m:
                 raise DimensionMismatch(f"dimension mismatch: {poly.m} vs {m}")
-            parts.append((1, [((mask, e), c) for e, c in poly.terms.items()], None))
-        self.m, self._terms = m, accumulate(parts)
+            parts.append((1, (poly._den, [((mask, e), n) for e, n in poly._nums.items()]), None))
+        self.m, (self._den, self._nums) = m, accumulate(parts)
 
     # -- constructors ------------------------------------------------------
 
@@ -72,24 +73,29 @@ class CliffordPolynomial:
     @property
     def blades(self) -> dict[int, Polynomial]:
         """{mask: polynomial} over the nonzero blades in mask order, built on each call."""
-        blades: dict[int, dict[Exponent, Fraction]] = {}
-        for (mask, e), c in self._terms.items():
-            blades.setdefault(mask, {})[e] = c
-        return {mask: _raw(self.m, blades[mask]) for mask in sorted(blades)}
+        blades: dict[int, list[tuple[Exponent, int]]] = {}
+        for (mask, e), n in self._nums.items():
+            blades.setdefault(mask, []).append((e, n))
+        return {mask: linear_extension(self.m, [(1, (self._den, blades[mask]), None)]) for mask in sorted(blades)}
 
     def blade(self, mask: int) -> Polynomial:
-        return _raw(self.m, {e: c for (a, e), c in self._terms.items() if a == mask})
+        return self.blades.get(mask, Polynomial.zero(self.m))
+
+    @property
+    def _block(self) -> Block:
+        """(den, the integer terms), as a part of accumulate reads them."""
+        return self._den, self._nums.items()
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self.m == other.m and self._terms == other._terms
+        return self.m == other.m and self._den == other._den and self._nums == other._nums
 
     def max_degree(self) -> Union[int, None]:
-        return max((sum(e) for _, e in self._terms), default=None)
+        return max((sum(e) for _, e in self._nums), default=None)
 
     # -- algebra -----------------------------------------------------------
 
@@ -101,7 +107,7 @@ class CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
         self._require_same_dim(other)
-        return _flat(self.m, accumulate([(1, self._terms.items(), None), (scale, other._terms.items(), None)]))
+        return _flat(self.m, accumulate([(1, self._block, None), (scale, other._block, None)]))
 
     def __add__(self, other: "CliffordPolynomial") -> "CliffordPolynomial":
         return self._plus(other, 1)
@@ -110,19 +116,20 @@ class CliffordPolynomial:
         return self._plus(other, -1)
 
     def __neg__(self) -> "CliffordPolynomial":
-        return _flat(self.m, accumulate([(-1, self._terms.items(), None)]))
+        return _flat(self.m, accumulate([(-1, self._block, None)]))
 
     def __mul__(self, other: Union["CliffordPolynomial", Polynomial, ScalarLike]) -> "CliffordPolynomial":
         if isinstance(other, (int, Fraction)):
-            return _flat(self.m, accumulate([(exact(other), self._terms.items(), None)]))
+            return _flat(self.m, accumulate([(other, self._block, None)]))
         if isinstance(other, Polynomial):  # scalar polynomials commute with every blade
             other = CliffordPolynomial.from_polynomial(other)
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
         self._require_same_dim(other)
-        return _flat(self.m, accumulate([(1, self._terms.items(), lambda key: [
-            ((mask, tuple(map(add, key[1], e))), c if sign > 0 else -c)
-            for (b, e), c in other._terms.items() for sign, mask in (blade_product(key[0], b),)])]))
+        den, factor = other._block
+        return _flat(self.m, accumulate([(1, self._block, lambda key: (den, [
+            ((mask, tuple(map(add, key[1], e))), sign * c)
+            for (b, e), c in factor for sign, mask in (blade_product(key[0], b),)]))]))
 
     __rmul__ = __mul__
 
@@ -150,49 +157,50 @@ class CliffordPolynomial:
         return f"CliffordPolynomial(m={self.m}, {self!s})"
 
 
-def _flat(m: int, terms: dict) -> CliffordPolynomial:
-    """Internal constructor skipping validation: terms is a clean (mask, exponent) map in dimension m."""
+def _flat(m: int, block: tuple[int, dict]) -> CliffordPolynomial:
+    """Internal constructor skipping validation: block is a normalized (den, {(mask, exponent): int}) in dimension m."""
     out = object.__new__(CliffordPolynomial)
-    out.m, out._terms = m, terms
+    out.m, (out._den, out._nums) = m, block
     return out
 
 
-def _vector_parts(m: int, scale: int, terms, image: Callable[[int, Exponent], Terms]) -> list:
-    """The parts of scale * sum_i e_i image(i, e) e_A over the terms (A, e), where e_i e_A is
-    sign(e_i e_A) e_(A xor 2^i): one part per sign over all terms, the sign folded into the part's
-    scale, whose image sums over the axes i of that sign."""
-    return [(sign * scale, terms, lambda key, sign=sign: [
-        ((key[0] ^ 1 << i, f), v) for i in range(m) if blade_product(1 << i, key[0])[0] == sign
-        for f, v in image(i, key[1])]) for sign in (1, -1)]
+def _vector_parts(scale: int, m: int, block: Block, image: Callable[[int, Exponent], Block]) -> list:
+    """The parts of scale * sum_i e_i image(i, e) e_A over the terms (A, e) of a block in dimension m, one per
+    axis i: e_i e_A is sign(e_i e_A) e_(A xor 2^i), and the sign multiplies the numerators of image(i, e)."""
+    def part(i: int) -> tuple:
+        def signed(key):
+            sign, mask = blade_product(1 << i, key[0])
+            den, terms = image(i, key[1])
+            return den, [((mask, f), sign * v) for f, v in terms]
+        return scale, block, signed
+    return [part(i) for i in range(m)]
 
 
-def _dirac(ctx: DunklContext) -> Callable[[int, Exponent], Terms]:
-    """(i, e) -> the terms of T_i(x^e), from the memo of T_i: D(x^e e_A) = sum_i e_i T_i(x^e) e_A."""
+def _dirac(ctx: DunklContext) -> Callable[[int, Exponent], Block]:
+    """(i, e) -> T_i(x^e), from the memo of T_i: D(x^e e_A) = sum_i e_i T_i(x^e) e_A."""
     return lambda i, e: dunkl_images(ctx, e)[i]
 
 
-def _x(i: int, e: Exponent, one=Fraction(1)) -> Terms:
+def _x(i: int, e: Exponent) -> Block:
     """The term of x_i x^e: x x^e e_A = sum_i e_i x_i x^e e_A."""
-    return ((e[:i] + (e[i] + 1,) + e[i + 1:], one),)
+    return 1, ((e[:i] + (e[i] + 1,) + e[i + 1:], 1),)
 
 
 def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """D F = sum_i e_i (T_i F), Dunkl operators acting blade-wise."""
     _check(ctx, F)
-    return _flat(F.m, accumulate(_vector_parts(F.m, 1, F._terms.items(), _dirac(ctx))))
+    return _flat(F.m, accumulate(_vector_parts(1, F.m, F._block, _dirac(ctx))))
 
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
-    return _flat(F.m, accumulate(_vector_parts(F.m, 1, F._terms.items(), _x)))
+    return _flat(F.m, accumulate(_vector_parts(1, F.m, F._block, _x)))
 
 
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
-    terms = F._terms.items()
-    return _flat(F.m, accumulate(_vector_parts(F.m, -1, terms, _dirac(ctx)) +
-                                 _vector_parts(F.m, 1, [(key, 2 * c) for key, c in terms], _x)))
+    return _flat(F.m, accumulate(_vector_parts(-1, F.m, F._block, _dirac(ctx)) + _vector_parts(2, F.m, F._block, _x)))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
@@ -211,8 +219,11 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
     keys = [(mask, e) for mask in range(1 << ctx.m) for e in monomial_basis(ctx.m, degree)]
-    columns = [accumulate(_vector_parts(ctx.m, 1, [(key, 1)], _dirac(ctx))).items() for key in keys]
-    return [_flat(ctx.m, {key: Fraction(v) for key, v in vec.items()}) for vec in kernel_basis(columns, keys)]
+    columns = []
+    for key in keys:
+        den, nums = accumulate(_vector_parts(1, ctx.m, (1, ((key, 1),)), _dirac(ctx)))
+        columns.append([(k, Fraction(v, den)) for k, v in nums.items()])  # kernels need the true columns
+    return [_flat(ctx.m, (1, vec)) for vec in kernel_basis(columns, keys)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

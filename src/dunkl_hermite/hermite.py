@@ -59,7 +59,11 @@ HARMONIC_CACHE_SIZE = 256
 def _harmonic_basis_cached(ctx_ref: "weakref.ref[DunklContext]", degree: int) -> HarmonicBasis:
     ctx = ctx_ref()
     basis = monomial_basis(ctx.m, degree)
-    vectors = kernel_basis([laplacian_image(ctx, e) for e in basis], basis)
+    columns = []
+    for e in basis:
+        den, terms = laplacian_image(ctx, e)
+        columns.append([(f, Fraction(v, den)) for f, v in terms])  # kernels need the true columns
+    vectors = kernel_basis(columns, basis)
     return HarmonicBasis(degree=degree, elements=tuple(Polynomial(ctx.m, v) for v in vectors))
 
 
@@ -115,7 +119,7 @@ def fischer_decompose(ctx: DunklContext, p: Polynomial) -> list[tuple[int, Polyn
     parts: dict[int, list] = {}
     for (i, _, q), c in zip(frame, coords):
         if c:
-            parts.setdefault(i, []).append((c, q.terms.items(), None))
+            parts.setdefault(i, []).append((c, q._block, None))
     layers = [(i, linear_extension(ctx.m, parts[i])) for i in sorted(parts)]
     return [(i, layer) for i, layer in layers if layer]
 
@@ -255,7 +259,7 @@ def ch_laguerre(ctx: DunklContext, t: int, ell: int, harmonic: Polynomial) -> He
         raise MathPrecondition(f"harmonic has degree {actual}, expected ell = {ell}")
     scale = 4 ** t * factorial(t)
     radial = tuple(scale * c for c in laguerre_poly(t, ctx.mu / 2 + ell - 1))
-    out = linear_extension(ctx.m, [(c, layer.terms.items(), None)
+    out = linear_extension(ctx.m, [(c, layer._block, None)
                                    for c, layer in zip(radial, radial_tower(harmonic, t))])
     return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
                          radial_coeffs=radial, polynomial=out)

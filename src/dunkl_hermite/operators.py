@@ -24,18 +24,17 @@ from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import (Exponent, Polynomial, ScalarLike, Terms, accumulate, compose_linear, divide_by_linear_form,
+from .poly import (Block, Exponent, Polynomial, ScalarLike, accumulate, compose_linear, divide_by_linear_form,
                    exact, linear_extension)
-
-_ONE = Fraction(1)
 
 
 class DunklContext:
     """A root system, its reflections, and a lazily filled memo of the Dunkl map.
 
     The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial are computed
-    on first use and kept in the memo, which lives and dies with the context;
-    apart from that memo the context is immutable.
+    on first use and kept in the memo as integer numerators over one
+    denominator each; the memo lives and dies with the context, and apart from
+    it the context is immutable.
     """
 
     __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "__weakref__")
@@ -47,8 +46,8 @@ class DunklContext:
         self._active: tuple[tuple[Vector, Fraction, Matrix], ...] = tuple(
             root for root in zip(root_system.positive_roots, root_system.multiplicities, self.reflections) if root[1])
         self._chains = None  # per active root, derived from _active on the memo's first fill
-        self._images: dict[Exponent, tuple[Terms, ...]] = {}
-        self._laplacians: dict[Exponent, Terms] = {}
+        self._images: dict[Exponent, tuple[Block, ...]] = {}
+        self._laplacians: dict[Exponent, Block] = {}
 
     @property
     def m(self) -> int:
@@ -107,9 +106,9 @@ def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...
     return q
 
 
-def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
-    """The terms of T_1 x^e, ..., T_m x^e, memoized: one Leibniz chain per root in integers, and per
-    axis one common denominator over the derivative and every root's quotient."""
+def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Block, ...]:
+    """T_1 x^e, ..., T_m x^e as blocks (den, ((exponent, int), ...)), memoized: one Leibniz chain per root
+    in integers, and per axis one accumulation of the derivative and every root's weighted quotient."""
     images = ctx._images.get(e)
     if images is None:
         if ctx._chains is None:
@@ -120,25 +119,22 @@ def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Terms, ...]:
                      for q in (_leibniz_chain(steps, s, rows, firsts),) if q]
         images = []
         for i, n in enumerate(e):
-            parts = [(weights[i] / den, q) for weights, q, den in quotients if weights[i]]
-            common = lcm(*(w.denominator for w, _ in parts))
-            out = {e[:i] + (n - 1,) + e[i + 1:]: n * common} if n else {}
-            for w, q in parts:
-                factor = w.numerator * (common // w.denominator)
-                for f, v in q.items():
-                    out[f] = out.get(f, 0) + factor * v
-            # kept as Fraction term tuples, not Polynomials: the memo is most of what a context holds
-            images.append(tuple((f, Fraction(v, common)) for f, v in out.items() if v))
+            parts = [(n, (1, ((e[:i] + (n - 1,) + e[i + 1:], 1),)), None)] if n else []
+            parts += [(weights[i], (den, q.items()), None) for weights, q, den in quotients if weights[i]]
+            den, nums = accumulate(parts)
+            # kept as term tuples, not Polynomials: the memo is most of what a context holds
+            images.append((den, tuple(nums.items())))
         images = ctx._images[e] = tuple(images)
     return images
 
 
-def laplacian_image(ctx: DunklContext, e: Exponent) -> Terms:
-    """The terms of Delta x^e = sum_i T_i (T_i x^e), memoized; both steps read the memo of T_i."""
+def laplacian_image(ctx: DunklContext, e: Exponent) -> Block:
+    """Delta x^e = sum_i T_i (T_i x^e) as a block, memoized; both steps read the memo of T_i."""
     image = ctx._laplacians.get(e)
     if image is None:
-        image = ctx._laplacians[e] = tuple(accumulate(
-            (1, first, lambda f, i=i: dunkl_images(ctx, f)[i]) for i, first in enumerate(dunkl_images(ctx, e))).items())
+        den, nums = accumulate((1, first, lambda f, i=i: dunkl_images(ctx, f)[i])
+                               for i, first in enumerate(dunkl_images(ctx, e)))
+        image = ctx._laplacians[e] = (den, tuple(nums.items()))
     return image
 
 
@@ -168,18 +164,22 @@ def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> 
     return out
 
 
-def _weighted(weight: Callable[[int], ScalarLike]) -> Callable[[Exponent], Terms]:
-    return lambda e: ((e, exact(weight(sum(e)))),)
+def _weighted(weight: Callable[[int], ScalarLike]) -> Callable[[Exponent], Block]:
+    """x^e -> weight(|e|) x^e, the weight made exact (a float is refused)."""
+    def image(e: Exponent) -> Block:
+        w = exact(weight(sum(e)))
+        return w.denominator, ((e, w.numerator),)
+    return image
 
 
-def _shifts(axes: Iterable[int], by: int) -> Callable[[Exponent], Terms]:
+def _shifts(axes: Iterable[int], by: int) -> Callable[[Exponent], Block]:
     """x^e -> the sum over the axes i of x_i^by x^e: exponent shifts; |x|^2 for all axes and by = 2."""
-    return lambda e: tuple((e[:i] + (e[i] + by,) + e[i + 1:], _ONE) for i in axes)
+    return lambda e: (1, tuple((e[:i] + (e[i] + by,) + e[i + 1:], 1) for i in axes))
 
 
 def degree_weighted(f: Polynomial, weight: Callable[[int], ScalarLike]) -> Polynomial:
     """x^e maps to weight(|e|) * x^e: any function of the Euler operator, as a diagonal map."""
-    return linear_extension(f.m, [(1, f.terms.items(), _weighted(weight))])
+    return linear_extension(f.m, [(1, f._block, _weighted(weight))])
 
 
 def radial_tower(f: Polynomial, n: int) -> list[Polynomial]:
@@ -197,7 +197,7 @@ def euler_operator(f: Polynomial) -> Polynomial:
 
 def multiply_by_norm_squared(f: Polynomial) -> Polynomial:
     """|x|^2 f: x^e maps to the sum over i of x^(e + 2 eps_i), an exponent shift per axis."""
-    return linear_extension(f.m, [(1, f.terms.items(), _shifts(range(f.m), 2))])
+    return linear_extension(f.m, [(1, f._block, _shifts(range(f.m), 2))])
 
 
 def sl2_e(f: Polynomial) -> Polynomial:
@@ -220,16 +220,17 @@ def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike) -> Polyno
     """(L + ell(mu - 2 + ell)) f, L = |x|^2 Delta - E(mu - 2 + E); degree d weighs (d - ell)(mu - 2 + d + ell)."""
     ell = exact(ell)
     weight = _weighted(lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
-    return linear_extension(f.m, [(1, dunkl_laplacian(ctx, f).terms.items(), _shifts(range(f.m), 2)),
-                                  (-1, f.terms.items(), weight)])
+    lf = dunkl_laplacian(ctx, f)
+    return linear_extension(f.m, [(1, lf._block, _shifts(range(f.m), 2)),
+                                  (-1, f._block, weight)])
 
 
 def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:
     """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n."""
     n = exact(n)
-    terms = _check(ctx, f)
-    return linear_extension(f.m, [(1, terms, lambda e: laplacian_image(ctx, e)),
-                                  (-1, terms, _weighted(lambda d: 2 * (d - n)))])
+    block = _check(ctx, f)
+    return linear_extension(f.m, [(1, block, lambda e: laplacian_image(ctx, e)),
+                                  (-1, block, _weighted(lambda d: 2 * (d - n)))])
 
 
 def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
@@ -239,16 +240,16 @@ def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
 
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2."""
-    terms = _check(ctx, f)
-    return linear_extension(f.m, [(1, terms, _weighted(lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
-                                  (-1, terms, lambda e: laplacian_image(ctx, e)), (-4, terms, _shifts(range(f.m), 2))])
+    block = _check(ctx, f)
+    return linear_extension(f.m, [(1, block, _weighted(lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
+                                  (-1, block, lambda e: laplacian_image(ctx, e)), (-4, block, _shifts(range(f.m), 2))])
 
 
 def _conjugated(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> list:
     """The parts of T_i f + 2 * rate * x_i f."""
-    terms = _check(ctx, f, axis)
-    return [(1, terms, lambda e: dunkl_images(ctx, e)[axis]),
-            (2 * exact(rate), terms, _shifts((axis,), 1))]
+    block = _check(ctx, f, axis)
+    return [(1, block, lambda e: dunkl_images(ctx, e)[axis]),
+            (2 * exact(rate), block, _shifts((axis,), 1))]
 
 
 def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> Polynomial:
@@ -273,7 +274,7 @@ def heat_semigroup(ctx: DunklContext, f: Polynomial, rate: Fraction = Fraction(-
     rate = exact(rate)
     parts, power, factor, n = [], f, Fraction(1), 0
     while power:
-        parts.append((factor, power.terms.items(), None))
+        parts.append((factor, power._block, None))
         n += 1
         power, factor = dunkl_laplacian(ctx, power), factor * rate / n
     return linear_extension(f.m, parts)
@@ -311,9 +312,9 @@ class WeightedFunction:
 
 
 def _check(ctx: DunklContext, f: Polynomial, axis: int = 0):
-    """The terms of f, once f has the context's dimension and axis is one of its axes."""
+    """The block of f, once f has the context's dimension and axis is one of its axes."""
     if f.m != ctx.m:
         raise DimensionMismatch(f"dimension mismatch: polynomial in {f.m} variables vs context dimension {ctx.m}")
     if not 0 <= axis < ctx.m:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
-    return f.terms.items()
+    return f._block

@@ -1,7 +1,10 @@
 """Exact sparse multivariate polynomials over arbitrary-precision rationals.
 
-A polynomial in m variables is a map from exponent tuples (length m, nonnegative
-ints) to nonzero Fraction coefficients; the zero polynomial has no terms.  The
+A polynomial in m variables is one positive integer denominator over a map from
+exponent tuples (length m, nonnegative ints) to nonzero integer numerators
+(FLINT's fmpq_poly layout).  It is normalized at construction: the denominator
+and the numerators have gcd 1, and the zero polynomial has no terms and
+denominator 1, so two polynomials are equal exactly when these fields are.  The
 one term order used everywhere (printing, JSON, matrix columns, division) is
 degree-lexicographic with the largest monomial first: compare total degree,
 then the exponent tuples lexicographically.
@@ -11,15 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InexactDivision
 
 Exponent = tuple[int, ...]
 ScalarLike = Union[int, Fraction]
-Terms = tuple[tuple[Exponent, Fraction], ...]
+# (denominator, (key, integer numerator) terms): a part's terms, an image, and the summed polynomial
+Block = tuple[int, Iterable[tuple[Hashable, int]]]
 
 
 def deglex_key(exponents: Exponent) -> tuple[int, Exponent]:
@@ -45,6 +49,8 @@ def parse_rational(text: str) -> Fraction:
 
 def exact(value) -> Fraction:
     """value as a Fraction; a float is refused (ValueError): its binary expansion is not the number written."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ValueError(f"inexact float {value!r}; pass an int, a Fraction or a string such as '1/10'")
     return Fraction(value)
@@ -82,16 +88,16 @@ def monomial_basis(m: int, degree: int) -> tuple[Exponent, ...]:
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "_den", "_nums", "_terms")
 
     def __init__(self, m: int, terms: Union[Mapping[Exponent, ScalarLike], Iterable[tuple[Exponent, ScalarLike]]] = ()):
         m = json_int(m, "m")
         if m < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {m}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: list[tuple[Exponent, Fraction]] = []
+        clean: list[tuple[Exponent, int, int]] = []
         for exponents, coeff in items:
             exponents = tuple(exponents)
             if len(exponents) != m:
@@ -99,9 +105,13 @@ class Polynomial:
                     f"dimension mismatch: exponent tuple of length {len(exponents)} vs dimension {m}")
             if any(type(e) is not int or e < 0 for e in exponents):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
-            clean.append((exponents, exact(coeff)))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", accumulate([(1, clean, None)]))
+            if type(coeff) is not int:
+                coeff = exact(coeff)
+            clean.append((exponents, coeff.numerator, coeff.denominator))
+        den = lcm(*(d for _, _, d in clean))
+        self.m = m
+        self._den, self._nums = accumulate([(1, (den, [(e, n * (den // d)) for e, n, d in clean]), None)])
+        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
@@ -118,7 +128,7 @@ class Polynomial:
         _check_axis(m, axis)
         e = [0] * m
         e[axis] = 1
-        return cls(m, {tuple(e): Fraction(1)})
+        return cls(m, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, m: int, exponents: Exponent, coeff: ScalarLike = 1) -> "Polynomial":
@@ -131,50 +141,59 @@ class Polynomial:
         for i in range(m):
             e = [0] * m
             e[i] = 2
-            terms[tuple(e)] = Fraction(1)
+            terms[tuple(e)] = 1
         return cls(m, terms)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        """Term map; callers must not mutate it."""
-        return self._terms
+        """Term map of Fractions, built on first use and cached; callers must not mutate it."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = self._terms = {e: Fraction(n, den) for e, n in self._nums.items()}
+        return terms
+
+    @property
+    def _block(self) -> Block:
+        """(den, the integer terms), as a part of accumulate reads them."""
+        return self._den, self._nums.items()
 
     def coefficient(self, exponents: Exponent) -> Fraction:
-        return self._terms.get(tuple(exponents), _ZERO)
+        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order, deg-lex largest first."""
-        return sorted(self._terms.items(), key=lambda item: deglex_key(item[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda item: deglex_key(item[0]), reverse=True)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
-        if not self._terms:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=deglex_key)
-        return e, self._terms[e]
+        e = max(self._nums, key=deglex_key)
+        return e, Fraction(self._nums[e], self._den)
 
     def total_degree(self) -> Union[int, None]:
         """Maximal total degree, or None for the zero polynomial."""
-        if not self._terms:
+        if not self._nums:
             return None
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._nums)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._nums}
         return len(degrees) <= 1
 
     def homogeneous_degree(self) -> int:
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._nums}
         if len(degrees) != 1:
             raise ValueError(f"polynomial is not homogeneous of a single degree (degrees {sorted(degrees)})")
         return degrees.pop()
 
     def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        buckets: dict[int, dict[Exponent, Fraction]] = {}
-        for e, c in self._terms.items():
-            buckets.setdefault(sum(e), {})[e] = c
-        return {d: Polynomial(self.m, t) for d, t in sorted(buckets.items())}
+        buckets: dict[int, list[tuple[Exponent, int]]] = {}
+        for e, n in self._nums.items():
+            buckets.setdefault(sum(e), []).append((e, n))
+        return {d: linear_extension(self.m, [(1, (self._den, t), None)]) for d, t in sorted(buckets.items())}
 
     # -- ring operations ---------------------------------------------------
 
@@ -183,18 +202,18 @@ class Polynomial:
             raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.m == other.m and self._terms == other._terms
+        return self.m == other.m and self._den == other._den and self._nums == other._nums
 
     def _plus(self, other: "Polynomial", scale: int) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dim(other)
-        return linear_extension(self.m, [(1, self._terms.items(), None), (scale, other._terms.items(), None)])
+        return linear_extension(self.m, [(1, self._block, None), (scale, other._block, None)])
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, 1)
@@ -203,16 +222,16 @@ class Polynomial:
         return self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return linear_extension(self.m, [(-1, self._terms.items(), None)])
+        return linear_extension(self.m, [(-1, self._block, None)])
 
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
-            factor = other._terms.items()
-            return linear_extension(self.m, [(1, self._terms.items(), lambda e: [
-                (tuple(map(add, e, f)), c) for f, c in factor])])
+            den, factor = other._block
+            return linear_extension(self.m, [(1, self._block, lambda e: (den, [
+                (tuple(map(add, e, f)), c) for f, c in factor]))])
         if isinstance(other, (int, Fraction)):
-            return linear_extension(self.m, [(other, self._terms.items(), None)])
+            return linear_extension(self.m, [(other, self._block, None)])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -234,14 +253,14 @@ class Polynomial:
     def derivative(self, axis: int) -> "Polynomial":
         """Partial derivative along one axis: x^e maps to e_axis x^(e - eps_axis)."""
         _check_axis(self.m, axis)
-        return linear_extension(self.m, [(1, self._terms.items(), lambda e: (
-            ((e[:axis] + (e[axis] - 1,) + e[axis + 1:], Fraction(e[axis])),) if e[axis] else ()))])
+        return linear_extension(self.m, [(1, self._block, lambda e: (1, (
+            ((e[:axis] + (e[axis] - 1,) + e[axis + 1:], e[axis]),) if e[axis] else ())))])
 
     def times_variable(self, axis: int) -> "Polynomial":
         """Multiplication by x_axis (exponent shift, no generic product)."""
         _check_axis(self.m, axis)
-        return linear_extension(self.m, [(1, self._terms.items(), lambda e: (
-            (e[:axis] + (e[axis] + 1,) + e[axis + 1:], _ONE),))])
+        return linear_extension(self.m, [(1, self._block, lambda e: (1, (
+            (e[:axis] + (e[axis] + 1,) + e[axis + 1:], 1),)))])
 
     # -- serialization / rendering -----------------------------------------
 
@@ -261,7 +280,7 @@ class Polynomial:
         return cls(m, pairs)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -285,7 +304,6 @@ class Polynomial:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _check_axis(m: int, axis: int) -> None:
@@ -293,33 +311,30 @@ def _check_axis(m: int, axis: int) -> None:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {m}")
 
 
-def _raw(m: int, terms: dict[Exponent, Fraction]) -> Polynomial:
-    """Internal constructor skipping validation; terms must be clean already."""
+def _raw(m: int, block: tuple[int, dict[Exponent, int]]) -> Polynomial:
+    """Internal constructor skipping validation; block is (den, nums) normalized, as accumulate returns it."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "m", m)
-    object.__setattr__(p, "_terms", terms)
+    p.m, (p._den, p._nums), p._terms = m, block, None
     return p
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Polynomial:
     """Substitute x_j -> sum_k matrix[j][k] * x_k, i.e. compute p(A x) exactly.
 
-    x^e expands as e[j] multiplications by the linear form of row j, for every j, each one
-    accumulation; the expansions of the terms are summed as one linear extension."""
+    x^e expands as the product over j of the linear form of row j to the power e[j]; the
+    expansions of the terms are summed as one linear extension."""
     m = p.m
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise DimensionMismatch(f"dimension mismatch: matrix is not {m}x{m}")
-    forms = [[(k, a) for k, a in enumerate(map(exact, row)) if a] for row in matrix]
+    forms = [Polynomial(m, {tuple(int(i == k) for i in range(m)): a for k, a in enumerate(row)}) for row in matrix]
 
-    def expand(e: Exponent):
-        expansion = {(0,) * m: _ONE}
+    def expand(e: Exponent) -> Block:
+        out = Polynomial.constant(m, 1)
         for form, n in zip(forms, e):
-            for _ in range(n):
-                expansion = accumulate([(1, expansion.items(), lambda f, form=form: [
-                    (f[:k] + (f[k] + 1,) + f[k + 1:], a) for k, a in form])])
-        return expansion.items()
+            out = out * form ** n
+        return out._block
 
-    return linear_extension(m, [(1, p.terms.items(), expand)])
+    return linear_extension(m, [(1, p._block, expand)])
 
 
 # Bits of the running common denominator in accumulate past which the rest of a sum is finished in
@@ -330,34 +345,36 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Pol
 _DEN_CAP = 64
 
 
-def _products(parts: Iterable[tuple]) -> Iterator[tuple]:
-    """(key, numerator, denominator) of every product scale * c * v, in order; a float scale is refused."""
-    for scale, terms, image in parts:
-        scale = exact(scale)
-        sn, sd = scale.numerator, scale.denominator
-        for key, c in terms:
-            cn, cd = sn * c.numerator, sd * c.denominator
+def accumulate(parts: Iterable[tuple]) -> tuple[int, dict]:
+    """sum of scale * image(k) * c / den over the terms (k, c) of every part (scale, (den, terms), image),
+    as (denominator, {key: integer numerator}) in lowest terms without zeros; the zero sum has
+    denominator 1.  Keys are any hashable: an exponent, a (blade mask, exponent) pair.  A part's
+    terms are integer numerators over one positive denominator, and so is an image: it maps a key to
+    a block (den, ((key, int), ...)).  None is the identity.  A float scale is refused.
+
+    The numerators are summed over one running common denominator (FLINT's fmpq_poly layout), rescaled
+    when a block's denominator does not divide it.  A rescale that would take the denominator past
+    _DEN_CAP bits instead turns the partial sums into Fractions, adds the rest of the blocks as
+    Fractions, and clears their denominators once at the end."""
+    def blocks() -> Iterator[tuple[int, int, Iterable]]:
+        """(numerator, denominator, terms) of every block scale * c * image(k) / den, in order."""
+        for scale, block, image in parts:
+            if type(scale) is not int:
+                scale = exact(scale)  # before the block is read, so a float is named whatever the block
+            den, terms = block
+            scale, den = scale.numerator, scale.denominator * den
             if image is None:
-                yield key, cn, cd
+                yield scale, den, terms
             else:
-                for k, v in image(key):
-                    yield k, cn * v.numerator, cd * v.denominator
+                for key, c in terms:
+                    image_den, image_terms = image(key)
+                    yield scale * c, den * image_den, image_terms
 
-
-def accumulate(parts: Iterable[tuple]) -> dict:
-    """sum of scale * c * image(k) over the terms (k, c) of every part (scale, terms, image), as one
-    term map of Fractions without zeros.  Keys are any hashable: an exponent, a (blade mask, exponent)
-    pair.  An image maps a key to (key, Fraction) terms; None is the identity.
-
-    Integer numerators are summed over one running common denominator (FLINT's fmpq_poly layout),
-    rescaled when a product's denominator does not divide it, and one Fraction is built per output
-    term.  A rescale that would take the denominator past _DEN_CAP bits instead turns the partial
-    sums into Fractions, and the rest of the same product stream is added as Fractions."""
     out: dict = {}
     get = out.get
     den = 1
-    products = _products(parts)
-    for k, n, d in products:
+    stream = blocks()
+    for n, d, terms in stream:
         if d != den:
             if den % d:
                 common = lcm(den, d)
@@ -367,16 +384,21 @@ def accumulate(parts: Iterable[tuple]) -> dict:
                 for key in out:
                     out[key] *= rescale
             n *= den // d
-        out[k] = get(k, 0) + n
+        for k, v in terms:
+            out[k] = get(k, 0) + n * v
     else:
-        return {key: Fraction(v, den) for key, v in out.items() if v}
-    out = {key: Fraction(v, den) for key, v in out.items()}
-    get = out.get
-    for k, n, d in chain(((k, n, d),), products):
-        acc = get(k)  # acc + n/d, normalized once
-        out[k] = Fraction(n, d) if acc is None else Fraction(
-            acc.numerator * d + n * acc.denominator, acc.denominator * d)
-    return {key: v for key, v in out.items() if v}
+        out = {key: v for key, v in out.items() if v}
+        g = gcd(den, *out.values())  # den itself when out is empty
+        return (den, out) if g == 1 else (den // g, {key: v // g for key, v in out.items()})
+    sums = {key: Fraction(v, den) for key, v in out.items()}
+    get = sums.get
+    for n, d, terms in chain(((n, d, terms),), stream):
+        for k, v in terms:
+            acc = get(k)  # acc + n v / d, normalized once
+            sums[k] = Fraction(n * v, d) if acc is None else Fraction(
+                acc.numerator * d + n * v * acc.denominator, acc.denominator * d)
+    den = lcm(*(v.denominator for v in sums.values()))  # a zero sum has denominator 1
+    return den, {key: v.numerator * (den // v.denominator) for key, v in sums.items() if v}
 
 
 def linear_extension(m: int, parts: Iterable[tuple]) -> Polynomial:
@@ -418,4 +440,4 @@ def divide_by_linear_form(p: Polynomial, alpha: Sequence[ScalarLike]) -> Polynom
                 remaining[te] = acc
             else:
                 remaining.pop(te, None)
-    return _raw(m, {e: c for e, c in quotient.items() if c})
+    return Polynomial(m, quotient)

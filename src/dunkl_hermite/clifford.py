@@ -219,11 +219,8 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
     keys = [(mask, e) for mask in range(1 << ctx.m) for e in monomial_basis(ctx.m, degree)]
-    columns = []
-    for key in keys:
-        den, nums = accumulate(_vector_parts(1, ctx.m, (1, ((key, 1),)), _dirac(ctx)))
-        columns.append([(k, Fraction(v, den)) for k, v in nums.items()])  # kernels need the true columns
-    return [_flat(ctx.m, (1, vec)) for vec in kernel_basis(columns, keys)]
+    columns = [accumulate(_vector_parts(1, ctx.m, (1, ((key, 1),)), _dirac(ctx))) for key in keys]
+    return [_flat(ctx.m, (1, vec)) for vec in kernel_basis([(den, nums.items()) for den, nums in columns], keys)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

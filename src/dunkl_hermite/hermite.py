@@ -22,7 +22,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .linalg import FrameFactor, kernel_basis, solve_in_frame
+from .linalg import FrameFactor, _eliminate, _sparse_rows, kernel_basis, solve_in_frame
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
                         dunkl_laplacian, heat_semigroup, hermite_shift, laplacian_image, radial_tower,
                         spherical_shift)
@@ -59,11 +59,7 @@ HARMONIC_CACHE_SIZE = 256
 def _harmonic_basis_cached(ctx_ref: "weakref.ref[DunklContext]", degree: int) -> HarmonicBasis:
     ctx = ctx_ref()
     basis = monomial_basis(ctx.m, degree)
-    columns = []
-    for e in basis:
-        den, terms = laplacian_image(ctx, e)
-        columns.append([(f, Fraction(v, den)) for f, v in terms])  # kernels need the true columns
-    vectors = kernel_basis(columns, basis)
+    vectors = kernel_basis([laplacian_image(ctx, e) for e in basis], basis)
     return HarmonicBasis(degree=degree, elements=tuple(Polynomial(ctx.m, v) for v in vectors))
 
 
@@ -338,7 +334,7 @@ class EigenspaceReport:
 
 
 def _span_rank(polys: Sequence[Polynomial]) -> int:
-    return len(FrameFactor(polys).steps) if polys else 0  # one step per pivot; no polynomial below degree 0
+    return len(_eliminate(_sparse_rows([q._nums.items() for q in polys]), len(polys)))  # one step per pivot
 
 
 def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:

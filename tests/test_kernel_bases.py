@@ -70,45 +70,48 @@ def test_monogenic_basis_equals_the_kernel_of_the_dirac_matrix(name, data):
 
 def test_sparse_rows_place_each_term_by_row_key():
     # rows keyed by the terms' own keys, in order of first appearance
-    columns = [[((1, (1, 0)), Fraction(2))], [], [((0, (0, 1)), Fraction(-1, 3)), ((1, (1, 0)), Fraction(5))]]
+    columns = [[((1, (1, 0)), 2)], [], [((0, (0, 1)), -1), ((1, (1, 0)), 5)]]
     rows = _sparse_rows(columns)
-    assert rows == {(1, (1, 0)): {0: 2, 2: 5}, (0, (0, 1)): {2: Fraction(-1, 3)}}
+    assert rows == {(1, (1, 0)): {0: 2, 2: 5}, (0, (0, 1)): {2: -1}}
     assert list(rows) == [(1, (1, 0)), (0, (0, 1))]
     assert _sparse_rows([[], []]) == {}
 
 
 def test_kernel_basis_names_the_column_keys():
-    # a + 2b - c = 0: free columns b and c, each vector's leading entry made positive
-    columns = [[("r", Fraction(1))], [("r", Fraction(2))], [("r", Fraction(-1))]]
+    # a + 2b - c = 0 as blocks 3/3, 2/1 and -2/2: free columns b and c, each vector's leading entry
+    # made positive, the kernel of the true columns and not of the numerators [3, 2, -2]
+    columns = [(3, [("r", 3)]), (1, [("r", 2)]), (2, [("r", -2)])]
     assert kernel_basis(columns, ["a", "b", "c"]) == [{"a": 2, "b": -1}, {"a": 1, "c": 1}]
     assert kernel_basis(columns, ["a", "b", "c"]) == [
         {k: v for k, v in zip("abc", vec) if v} for vec in kernel_vectors([[1, 2, -1]], 3)]
 
 
 @st.composite
-def term_lists(draw):
-    """Up to 8 columns of term lists over eight (blade mask, exponent) keys, some left empty; so few
-    keys make rows overlap, so that some rows cancel and the pivot rows leave their first-appearance
-    order."""
+def blocks(draw):
+    """Up to 8 columns of blocks (den, integer terms) over eight (blade mask, exponent) keys, some
+    left empty; so few keys make rows overlap, so that some rows cancel and the pivot rows leave
+    their first-appearance order."""
     keys = st.tuples(st.integers(0, 1), st.tuples(st.integers(0, 1), st.integers(0, 1)))
-    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
-    columns = draw(st.lists(st.dictionaries(keys, nonzero, max_size=5), min_size=1, max_size=8))
-    return [list(terms.items()) for terms in columns]
+    nonzero = st.integers(-20, 20).filter(bool)
+    columns = draw(st.lists(st.tuples(st.integers(1, 12), st.dictionaries(keys, nonzero, max_size=5)),
+                            min_size=1, max_size=8))
+    return [(den, list(terms.items())) for den, terms in columns]
 
 
-@given(term_lists(), st.randoms(use_true_random=False))
+@given(blocks(), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_kernel_basis_does_not_depend_on_the_row_order(columns, random):
-    """Reordering the terms inside each term list reorders the rows, and so the pivot rows; every
-    vector must still be annihilated by the columns."""
+    """Reordering the terms inside each block reorders the rows, and so the pivot rows; every
+    vector must still be annihilated by the true columns, numerators over denominators."""
     basis = kernel_basis(columns, range(len(columns)))
-    permuted = [random.sample(terms, len(terms)) for terms in columns]
+    permuted = [(den, random.sample(terms, len(terms))) for den, terms in columns]
     assert kernel_basis(permuted, range(len(columns))) == basis
     for vec in basis:
         image = {}
         for j, v in vec.items():
-            for key, c in columns[j]:
-                image[key] = image.get(key, 0) + c * v
+            den, terms = columns[j]
+            for key, c in terms:
+                image[key] = image.get(key, 0) + Fraction(c, den) * v
         assert not any(image.values()), vec
 
 
@@ -116,6 +119,5 @@ def test_harmonic_kernel_does_not_depend_on_the_row_order():
     ctx = DunklContext(builtin_root_system("b", 3, [Fraction(1, 2), Fraction(2, 3)]))
     for d in (4, 5):
         basis = monomial_basis(3, d)
-        # the memo holds (den, integer terms); the kernel is taken of the Fraction term lists they stand for
-        images = [[(f, Fraction(v, den)) for f, v in terms] for den, terms in (laplacian_image(ctx, e) for e in basis)]
-        assert kernel_basis([image[::-1] for image in images], basis) == kernel_basis(images, basis)
+        images = [laplacian_image(ctx, e) for e in basis]  # the memo's blocks (den, integer terms)
+        assert kernel_basis([(den, terms[::-1]) for den, terms in images], basis) == kernel_basis(images, basis)

@@ -1,5 +1,5 @@
-"""compose_linear, laguerre_poly, weighted_moment and the exact RREF, rank and kernel against sympy,
-an oracle sharing no code with the package."""
+"""compose_linear, laguerre_poly, weighted_moment, the exact RREF, rank and kernel and the frame solve against
+sympy, an oracle sharing no code with the package."""
 import itertools
 import math
 from fractions import Fraction
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.hermite import laguerre_poly
-from dunkl_hermite.linalg import kernel_vectors, matrix_rank, reduced_row_echelon
+from dunkl_hermite.linalg import kernel_vectors, matrix_rank, reduced_row_echelon, solve_in_frame
 from dunkl_hermite.moments import weighted_moment
 from dunkl_hermite.poly import Polynomial, compose_linear
 
@@ -172,3 +172,58 @@ def test_rref_rank_and_kernel_match_sympy(rows):
     assert pivots == list(expected_pivots), rows
     assert matrix_rank(rows) == matrix.rank(), rows
     assert kernel_vectors(rows, ncols) == [canonical(v) for v in matrix.nullspace()], rows
+
+
+@st.composite
+def frames_and_targets(draw):
+    """Term maps of a frame, sometimes with a combination of two members appended (dependent, or a
+    zero member), and a target in their span, sometimes plus a random term map (usually outside
+    it, within or beyond the frame's support)."""
+    m = draw(st.integers(1, 3))
+    coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    term_maps = st.dictionaries(st.tuples(*[st.integers(0, 2)] * m), coefficient.filter(bool),
+                                min_size=1, max_size=4)
+
+    def combine(weights, maps):
+        out = {}
+        for w, terms in zip(weights, maps):
+            for e, c in terms.items():
+                out[e] = out.get(e, 0) + w * c
+        return {e: c for e, c in out.items() if c}
+
+    frame = draw(st.lists(term_maps, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        pair = draw(st.lists(st.sampled_from(frame), min_size=2, max_size=2))
+        frame.append(combine([draw(coefficient), draw(coefficient)], pair))
+    target = combine([draw(coefficient) for _ in frame], frame)
+    if draw(st.booleans()):
+        target = combine([1, 1], [target, draw(term_maps)])
+    return m, frame, target
+
+
+def sympy_frame_solve(frame, target):
+    """Coordinates of target from sympy's Gauss-Jordan solve of [frame | target] over the union of
+    their supports; an inconsistent system is "not in the span", free parameters "dependent"."""
+    support = sorted(set(target).union(*frame))
+    matrix = sp.Matrix([[rational(q.get(e, 0)) for q in frame] for e in support])
+    try:
+        solution, params = matrix.gauss_jordan_solve(sp.Matrix([rational(target.get(e, 0)) for e in support]))
+    except ValueError:
+        return "MathPrecondition: target polynomial is not in the span of the frame"
+    if params.shape[0]:
+        return "MathPrecondition: frame polynomials are linearly dependent"
+    return [to_fraction(x) for x in solution]
+
+
+@given(frames_and_targets())
+@example((2, [{(2, 0): 1}, {(2, 0): 2}], {(2, 0): 3}))  # dependent frame, target in its span
+@example((2, [{(2, 0): 1}, {(2, 0): 2}], {(2, 0): 1, (0, 2): 1}))  # dependent frame, target outside its support
+@example((2, [{(2, 0): 1, (1, 1): 1}], {(2, 0): 1}))  # inside the support, outside the span
+@settings(max_examples=200, deadline=None)
+def test_solve_in_frame_matches_sympy(case):
+    m, frame, target = case
+    try:
+        got = solve_in_frame([Polynomial(m, q) for q in frame], Polynomial(m, target))
+    except MathPrecondition as exc:
+        got = f"MathPrecondition: {exc}"
+    assert got == sympy_frame_solve(frame, target), case

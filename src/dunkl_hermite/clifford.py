@@ -5,12 +5,15 @@ is present, generators multiply with e_i e_j = -e_j e_i (i != j) and
 e_i^2 = -1.  A CliffordPolynomial is one positive integer denominator over a
 map from (blade mask, exponent) pairs to nonzero integer numerators, normalized
 as a Polynomial is; the Dunkl-Dirac operator, vector variable multiplication,
-and their combination D+ = -D + 2x are each one accumulation over it.
+and their combination D+ = -D + 2x are each one accumulation over it, with
+one image per term: D(x^e e_A) from a per-context memo, x x^e e_A computed
+on the fly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add
 from typing import Callable, Mapping, Union
 
@@ -164,43 +167,69 @@ def _flat(m: int, block: tuple[int, dict]) -> CliffordPolynomial:
     return out
 
 
-def _vector_parts(scale: int, m: int, block: Block, image: Callable[[int, Exponent], Block]) -> list:
-    """The parts of scale * sum_i e_i image(i, e) e_A over the terms (A, e) of a block in dimension m, one per
-    axis i: e_i e_A is sign(e_i e_A) e_(A xor 2^i), and the sign multiplies the numerators of image(i, e)."""
-    def part(i: int) -> tuple:
-        def signed(key):
-            sign, mask = blade_product(1 << i, key[0])
-            den, terms = image(i, key[1])
-            return den, [((mask, f), sign * v) for f, v in terms]
-        return scale, block, signed
-    return [part(i) for i in range(m)]
+def dirac_image(ctx: DunklContext, key: tuple[int, Exponent]) -> Block:
+    """D(x^e e_A) = sum_i e_i T_i(x^e) e_A for the key (A, e) as one block, memoized per context: e_i e_A is
+    sign(e_i e_A) e_(A xor 2^i), and the sign multiplies the numerators of T_i x^e, brought to one denominator."""
+    image = ctx._diracs.get(key)
+    if image is None:
+        mask, e = key
+        images = dunkl_images(ctx, e)
+        den = lcm(*(d for d, _ in images))
+        terms = []
+        for i, (d, nums) in enumerate(images):
+            sign, target = blade_product(1 << i, mask)
+            sign *= den // d
+            terms += [((target, f), sign * v) for f, v in nums]
+        image = ctx._diracs[key] = (den, tuple(terms))
+    return image
 
 
-def _dirac(ctx: DunklContext) -> Callable[[int, Exponent], Block]:
-    """(i, e) -> T_i(x^e), from the memo of T_i: D(x^e e_A) = sum_i e_i T_i(x^e) e_A."""
-    return lambda i, e: dunkl_images(ctx, e)[i]
+def _dirac_map(ctx: DunklContext) -> Callable[[tuple[int, Exponent]], Block]:
+    """key -> D of the key's term, read from the context's memo and filled on a miss."""
+    get = ctx._diracs.get
+    return lambda key: get(key) or dirac_image(ctx, key)
 
 
-def _x(i: int, e: Exponent) -> Block:
-    """The term of x_i x^e: x x^e e_A = sum_i e_i x_i x^e e_A."""
-    return 1, ((e[:i] + (e[i] + 1,) + e[i + 1:], 1),)
+def _vector_map(m: int) -> Callable[[tuple[int, Exponent]], Block]:
+    """(A, e) -> x x^e e_A = sum_i sign(e_i e_A) x_i x^e e_(A xor 2^i) in dimension m; kappa-free, so not memoized."""
+    axes = range(m)
+
+    def image(key: tuple[int, Exponent]) -> Block:
+        mask, e = key
+        return 1, [((target, e[:i] + (e[i] + 1,) + e[i + 1:]), sign)
+                   for i in axes for sign, target in (blade_product(1 << i, mask),)]
+    return image
 
 
 def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """D F = sum_i e_i (T_i F), Dunkl operators acting blade-wise."""
     _check(ctx, F)
-    return _flat(F.m, accumulate(_vector_parts(1, F.m, F._block, _dirac(ctx))))
+    return _flat(F.m, accumulate([(1, F._block, _dirac_map(ctx))]))
+
+
+def _dunkl_dirac_reference(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
+    """D F as the per-axis sum of the signed images T_i(x^e) e_i e_A, one part per axis; the memo of D is
+    tested against it."""
+    _check(ctx, F)
+
+    def signed(i: int) -> Callable[[tuple[int, Exponent]], Block]:
+        def image(key):
+            sign, mask = blade_product(1 << i, key[0])
+            den, terms = dunkl_images(ctx, key[1])[i]
+            return den, [((mask, f), sign * v) for f, v in terms]
+        return image
+    return _flat(F.m, accumulate([(1, F._block, signed(i)) for i in range(F.m)]))
 
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
-    return _flat(F.m, accumulate(_vector_parts(1, F.m, F._block, _x)))
+    return _flat(F.m, accumulate([(1, F._block, _vector_map(F.m))]))
 
 
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
-    return _flat(F.m, accumulate(_vector_parts(-1, F.m, F._block, _dirac(ctx)) + _vector_parts(2, F.m, F._block, _x)))
+    return _flat(F.m, accumulate([(-1, F._block, _dirac_map(ctx)), (2, F._block, _vector_map(F.m))]))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
@@ -219,8 +248,7 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
     keys = [(mask, e) for mask in range(1 << ctx.m) for e in monomial_basis(ctx.m, degree)]
-    columns = [accumulate(_vector_parts(1, ctx.m, (1, ((key, 1),)), _dirac(ctx))) for key in keys]
-    return [_flat(ctx.m, (1, vec)) for vec in kernel_basis([(den, nums.items()) for den, nums in columns], keys)]
+    return [_flat(ctx.m, (1, vec)) for vec in kernel_basis([dirac_image(ctx, key) for key in keys], keys)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

@@ -144,7 +144,7 @@ def fischer_project(ctx: DunklContext, i: int, degree: int, p: Polynomial) -> Po
         if denominator == 0:
             raise MathPrecondition(
                 f"projection denominator vanishes at (i={i}, l={l}, mu={mu})")
-        out = spherical_shift(ctx, out, degree - 2 * l) * (1 / Fraction(denominator))
+        out = spherical_shift(ctx, out, degree - 2 * l, 1 / Fraction(denominator))
     return out
 
 

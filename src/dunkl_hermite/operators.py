@@ -31,13 +31,14 @@ from .poly import (Block, Exponent, Polynomial, ScalarLike, accumulate, compose_
 class DunklContext:
     """A root system, its reflections, and a lazily filled memo of the Dunkl map.
 
-    The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial are computed
-    on first use and kept in the memo as integer numerators over one
-    denominator each; the memo lives and dies with the context, and apart from
-    it the context is immutable.
+    The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial, and the Dirac
+    image D(x^e e_A) of a Clifford term, are computed on first use and kept in
+    the memo as integer numerators over one denominator each; the memo lives
+    and dies with the context, and apart from it the context is immutable.
     """
 
-    __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "__weakref__")
+    __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "_diracs",
+                 "__weakref__")
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
@@ -48,6 +49,7 @@ class DunklContext:
         self._chains = None  # per active root, derived from _active on the memo's first fill
         self._images: dict[Exponent, tuple[Block, ...]] = {}
         self._laplacians: dict[Exponent, Block] = {}
+        self._diracs: dict[tuple[int, Exponent], Block] = {}  # filled by clifford.dirac_image
 
     @property
     def m(self) -> int:
@@ -165,10 +167,16 @@ def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> 
 
 
 def _weighted(weight: Callable[[int], ScalarLike]) -> Callable[[Exponent], Block]:
-    """x^e -> weight(|e|) x^e, the weight made exact (a float is refused)."""
+    """x^e -> weight(|e|) x^e, the weight made exact (a float is refused) once per degree."""
+    weights: dict[int, tuple[int, int]] = {}
+
     def image(e: Exponent) -> Block:
-        w = exact(weight(sum(e)))
-        return w.denominator, ((e, w.numerator),)
+        d = sum(e)
+        w = weights.get(d)
+        if w is None:
+            w = exact(weight(d))
+            w = weights[d] = (w.denominator, w.numerator)
+        return w[0], ((e, w[1]),)
     return image
 
 
@@ -216,13 +224,15 @@ def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:
     return degree_weighted(f, lambda d, half=ctx.mu / 2: d + half)
 
 
-def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike) -> Polynomial:
-    """(L + ell(mu - 2 + ell)) f, L = |x|^2 Delta - E(mu - 2 + E); degree d weighs (d - ell)(mu - 2 + d + ell)."""
+def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike, scale: ScalarLike = 1) -> Polynomial:
+    """scale (L + ell(mu - 2 + ell)) f, L = |x|^2 Delta - E(mu - 2 + E); degree d weighs (d - ell)(mu - 2 + d + ell).
+
+    Two accumulations: Delta f, then its |x|^2 shift less the degree weights of f, both times scale.  Shifting
+    Delta f rather than each term's image shifts every monomial of Delta f once, however many images share it."""
     ell = exact(ell)
     weight = _weighted(lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
     lf = dunkl_laplacian(ctx, f)
-    return linear_extension(f.m, [(1, lf._block, _shifts(range(f.m), 2)),
-                                  (-1, f._block, weight)])
+    return linear_extension(f.m, [(scale, lf._block, _shifts(range(f.m), 2)), (-scale, f._block, weight)])
 
 
 def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:

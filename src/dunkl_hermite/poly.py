@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb, gcd, lcm
 from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -354,51 +353,48 @@ def accumulate(parts: Iterable[tuple]) -> tuple[int, dict]:
 
     The numerators are summed over one running common denominator (FLINT's fmpq_poly layout), rescaled
     when a block's denominator does not divide it.  A rescale that would take the denominator past
-    _DEN_CAP bits instead turns the partial sums into Fractions, adds the rest of the blocks as
-    Fractions, and clears their denominators once at the end."""
-    def blocks() -> Iterator[tuple[int, int, Iterable]]:
-        """(numerator, denominator, terms) of every block scale * c * image(k) / den, in order."""
-        for scale, block, image in parts:
-            if type(scale) is not int:
-                scale = exact(scale)  # before the block is read, so a float is named whatever the block
-            den, terms = block
-            scale, den = scale.numerator, scale.denominator * den
-            if image is None:
-                yield scale, den, terms
-            else:
-                for key, c in terms:
-                    image_den, image_terms = image(key)
-                    yield scale * c, den * image_den, image_terms
-
+    _DEN_CAP bits instead turns the partial sums into Fractions in place, adds this block and every
+    later one as Fractions, and clears their denominators once at the end."""
     out: dict = {}
     get = out.get
-    den = 1
-    stream = blocks()
-    for n, d, terms in stream:
-        if d != den:
-            if den % d:
-                common = lcm(den, d)
-                if common.bit_length() > _DEN_CAP:
-                    break
-                rescale, den = common // den, common
-                for key in out:
-                    out[key] *= rescale
-            n *= den // d
-        for k, v in terms:
-            out[k] = get(k, 0) + n * v
-    else:
-        out = {key: v for key, v in out.items() if v}
-        g = gcd(den, *out.values())  # den itself when out is empty
-        return (den, out) if g == 1 else (den // g, {key: v // g for key, v in out.items()})
-    sums = {key: Fraction(v, den) for key, v in out.items()}
-    get = sums.get
-    for n, d, terms in chain(((n, d, terms),), stream):
-        for k, v in terms:
-            acc = get(k)  # acc + n v / d, normalized once
-            sums[k] = Fraction(n * v, d) if acc is None else Fraction(
-                acc.numerator * d + n * v * acc.denominator, acc.denominator * d)
-    den = lcm(*(v.denominator for v in sums.values()))  # a zero sum has denominator 1
-    return den, {key: v.numerator * (den // v.denominator) for key, v in sums.items() if v}
+    den = 1  # 0 once past the cap: no block denominator equals it, so every later block is added as Fractions
+    for scale, block, image in parts:
+        if type(scale) is not int:
+            scale = exact(scale)  # before the block is read, so a float is named whatever the block
+        part_den, terms = block
+        scale, part_den = scale.numerator, scale.denominator * part_den
+        if image is None:  # the block as the image of one key with coefficient 1
+            terms, image_den, image_terms = ((None, 1),), 1, terms
+        for key, c in terms:
+            if image is not None:
+                image_den, image_terms = image(key)
+            n, d = scale * c, part_den * image_den
+            if d != den:
+                if den and den % d:
+                    common = lcm(den, d)
+                    if common.bit_length() > _DEN_CAP:
+                        for k, v in out.items():
+                            out[k] = Fraction(v, den)
+                        den = 0
+                    else:
+                        rescale, den = common // den, common
+                        for k in out:
+                            out[k] *= rescale
+                if not den:
+                    for k, v in image_terms:
+                        acc = get(k)  # acc + n v / d, normalized once
+                        out[k] = Fraction(n * v, d) if acc is None else Fraction(
+                            acc.numerator * d + n * v * acc.denominator, acc.denominator * d)
+                    continue
+                n *= den // d
+            for k, v in image_terms:
+                out[k] = get(k, 0) + n * v
+    if not den:
+        den = lcm(*(v.denominator for v in out.values()))  # a zero sum has denominator 1
+        return den, {key: v.numerator * (den // v.denominator) for key, v in out.items() if v}
+    out = {key: v for key, v in out.items() if v}
+    g = gcd(den, *out.values())  # den itself when out is empty
+    return (den, out) if g == 1 else (den // g, {key: v // g for key, v in out.items()})
 
 
 def linear_extension(m: int, parts: Iterable[tuple]) -> Polynomial:

@@ -155,3 +155,22 @@ def test_the_fraction_finish_takes_over_integer_sums_and_their_cancellations():
     assert out == reference(parts)
     assert "x" not in out and out[7] == Fraction(-3, 4) + Fraction(3, 10) and out[(0, 1)] == 2
     assert out[None] == sum(Fraction(i + 1, p) for i, p in enumerate(PRIMES[1:12]))
+
+
+def test_the_cap_passed_inside_an_image_part_of_a_generator():
+    """parts given as a generator, and the common denominator passes the cap in the middle of one image part's
+    terms: the terms before the switch are summed as integers, the rest of that part and the later parts as
+    Fractions, and 'x' cancels across the switch."""
+    table = {i: [("x", Fraction(1, PRIMES[i])), (i % 3, Fraction(i + 1, PRIMES[i]))] for i in range(12)}
+    image = lambda key: table.get(key, ())
+    parts = [(1, [("x", Fraction(1, 6)), (0, Fraction(3, 4))], None),
+             (Fraction(2, 3), [(i, Fraction(1, 1 + i % 2)) for i in range(12)], image),
+             (Fraction(-2, 3), [(i, Fraction(1, 1 + i % 2)) for i in range(12)], lambda key: table.get(key, ())[:1]),
+             (1, [("x", Fraction(-1, 6))], None)]
+    bits = running_lcm_bits(parts)
+    switch = next(i for i, b in enumerate(bits) if b > _DEN_CAP)
+    assert 1 + 2 < switch < 1 + 12 - 2  # inside the first image part, with terms of it on both sides
+    out = fractions(accumulate(part for part in integer_parts(parts)))
+    assert out == reference(parts)
+    assert "x" not in out and out[0] == Fraction(3, 4) + sum(
+        Fraction(2, 3) * Fraction(1, 1 + i % 2) * Fraction(i + 1, PRIMES[i]) for i in range(0, 12, 3))

@@ -1,12 +1,14 @@
 """Clifford layer: blade products, Dirac operator, monogenics."""
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_hermite.clifford import (CliffordPolynomial, blade_product, d_plus,
-                                    d_plus_squared_scalar, dunkl_dirac, monogenic_basis,
+from dunkl_hermite.clifford import (CliffordPolynomial, _dunkl_dirac_reference, blade_product, d_plus,
+                                    d_plus_squared_scalar, dirac_image, dunkl_dirac, monogenic_basis,
                                     vector_multiply)
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator
@@ -213,3 +215,80 @@ def test_g2_monogenics_are_annihilated():
         assert basis == dirac_kernel(ctx, degree)
         for M in basis:
             assert not dunkl_dirac(ctx, M)
+
+
+# Nonzero kappas on z2^3, a2 (in R^3), b2, and G2 from JSON, whose reflections are not signed permutations:
+# the number of kappas and the root system they build.
+REFERENCE_GROUPS = {
+    "z2^3": (3, lambda k: builtin_root_system("z2", 3, k)),
+    "a2": (1, lambda k: builtin_root_system("a", 3, k)),
+    "b2": (2, lambda k: builtin_root_system("b", 2, k)),
+    "g2": (2, lambda k: root_system_from_json(g2_json(*k))),
+}
+POSITIVE_KAPPA = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+
+
+def reference_context(name, kappas):
+    count, build = REFERENCE_GROUPS[name]
+    return DunklContext(build(kappas[:count]))
+
+
+@st.composite
+def reference_cases(draw):
+    """A reference group with drawn nonzero kappas and an element of at most 3 blades and degree <= 3."""
+    name = draw(st.sampled_from(sorted(REFERENCE_GROUPS)))
+    ctx = reference_context(name, [draw(POSITIVE_KAPPA) for _ in range(REFERENCE_GROUPS[name][0])])
+    m = ctx.m
+    exponents = [e for d in range(4) for e in monomial_basis(m, d)]
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    blades = {mask: Polynomial(m, draw(st.dictionaries(st.sampled_from(exponents), coefficient, max_size=3)))
+              for mask in draw(st.lists(st.integers(0, (1 << m) - 1), max_size=3, unique=True))}
+    return name, ctx, CliffordPolynomial(m, blades)
+
+
+@given(reference_cases())
+@settings(max_examples=60, deadline=None)
+def test_memoized_dirac_equals_the_per_axis_reference(case):
+    """D, x and D+ each as one image per term, against the per-axis sum of signed T_i images; the second
+    application reads every image from the memo."""
+    name, ctx, F = case
+    reference = _dunkl_dirac_reference(ctx, F)
+    x = CliffordPolynomial.vector_variable(ctx.m)
+    for _ in range(2):
+        assert dunkl_dirac(ctx, F) == reference, name
+        assert vector_multiply(F) == x * F, name
+        assert d_plus(ctx, F) == 2 * (x * F) - reference, name
+
+
+def as_fractions(den, terms) -> dict:
+    return {key: Fraction(v, den) for key, v in terms}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_monogenic_columns_come_from_the_memo_and_equal_the_reference(name):
+    """Every column of the Dirac matrix is the memo's block for its key, equal to the reference D of the unit
+    term, and every basis element is annihilated by the reference."""
+    ctx = reference_context(name, [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)])
+    m = ctx.m
+    for degree in range(3):
+        basis = monogenic_basis(ctx, degree)
+        for mask in range(1 << m):
+            for e in monomial_basis(m, degree):
+                assert (mask, e) in ctx._diracs
+                reference = _dunkl_dirac_reference(ctx, CliffordPolynomial(m, {mask: Polynomial.monomial(m, e)}))
+                assert as_fractions(*dirac_image(ctx, (mask, e))) == as_fractions(*reference._block), (name, mask, e)
+        for M in basis:
+            assert not _dunkl_dirac_reference(ctx, M)
+
+
+def test_a_dropped_context_frees_its_dirac_memo():
+    """The Dirac memo lives in the context: once the context is dropped, nothing keeps it or the memo alive."""
+    ctx = reference_context("b2", [Fraction(1, 2), Fraction(1, 3)])
+    F = CliffordPolynomial(2, {0b01: Polynomial.monomial(2, (2, 1))})
+    d_plus(ctx, dunkl_dirac(ctx, F))
+    assert monogenic_basis(ctx, 2)
+    assert len(ctx._diracs) > 1
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkl_hermite.errors import DimensionMismatch, MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, custom_root_system, trivial_root_system
@@ -15,7 +17,7 @@ from dunkl_hermite.hermite import (HARMONIC_CACHE_SIZE, HermiteRecord, _harmonic
                                    mu_is_degenerate, proportionality_constant, rosler_hermite,
                                    weighted_eigenfunction_check)
 from dunkl_hermite.linalg import solve_in_frame
-from dunkl_hermite.operators import DunklContext, dunkl_laplacian
+from dunkl_hermite.operators import DunklContext, degree_weighted, dunkl_laplacian, multiply_by_norm_squared
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
 
@@ -91,6 +93,35 @@ def test_fischer_project_matches_decomposition():
     parts = dict(fischer_decompose(ctx, p))
     assert away == parts[1]
     assert fischer_project(ctx, 0, 2, p) == parts[0]
+
+
+def fischer_project_by_composition(ctx, i, degree, p):
+    """fischer_project's product of shifted spherical operators, each as |x|^2 times the Laplacian less the
+    degree weights, then times 1/denominator: three passes per factor."""
+    out = p
+    for l in range(degree // 2 + 1):
+        if l != i:
+            ell = degree - 2 * l
+            shifted = multiply_by_norm_squared(dunkl_laplacian(ctx, out)) - degree_weighted(
+                out, lambda d: (d - ell) * (ctx.mu - 2 + d + ell))
+            out = shifted * (1 / Fraction(2 * (i - l) * (2 * degree - 2 * i - 2 * l + ctx.mu - 2)))
+    return out
+
+
+PROJECTION_GROUPS = (("z2", 2, 2), ("b", 2, 2), ("a", 3, 1), ("d", 3, 1))
+
+
+@given(st.sampled_from(PROJECTION_GROUPS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_fischer_project_equals_its_composition(group, data):
+    family, m, orbits = group
+    kappas = [data.draw(st.fractions(min_value=0, max_value=3, max_denominator=4)) for _ in range(orbits)]
+    ctx = ctx_for(family, m, kappas)
+    degree = data.draw(st.integers(min_value=0, max_value=5))
+    p = Polynomial(m, data.draw(st.dictionaries(st.sampled_from(monomial_basis(m, degree)), st.fractions(
+        min_value=-4, max_value=4, max_denominator=6), max_size=4)))
+    for i in range(degree // 2 + 1):
+        assert fischer_project(ctx, i, degree, p) == fischer_project_by_composition(ctx, i, degree, p), (group, i, p)
 
 
 def test_fischer_project_refuses_a_non_homogeneous_input():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, trivial_root_system
 from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_dunkl,
-                                     conjugated_laplacian, d_plus_squared_form, dunkl_derivative,
+                                     conjugated_laplacian, d_plus_squared_form, degree_weighted, dunkl_derivative,
                                      dunkl_laplacian, euler_operator, heat_semigroup, hermite_shift,
                                      laplace_beltrami, multiply_by_norm_squared, radial_tower, sl2_e, sl2_f,
                                      sl2_h, spherical_shift)
@@ -165,6 +165,19 @@ def test_radial_and_euler_maps_equal_their_product_formulas(case, n, ell):
     assert (spherical_shift(ctx, f, ell)
             == norm2 * lf - (mu - 2) * ef - euler_by_products(ef) + ell * (mu - 2 + ell) * f), (name, f, ell)
     assert hermite_shift(ctx, f, n) == lf - 2 * ef + (2 * n) * f, (name, f, n)
+
+
+@given(context_and_polynomial(), st.integers(min_value=0, max_value=5),
+       st.sampled_from([1, -1, Fraction(2, 7), Fraction(-5, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_spherical_shift_equals_its_composition(case, ell, scale):
+    """The scaled shift against the composition it replaces: |x|^2 times the Laplacian, less the degree
+    weights, then times the scale as a pass of its own."""
+    name, ctx, f = case
+    weight = lambda d: (d - ell) * (ctx.mu - 2 + d + ell)
+    expected = (multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - degree_weighted(f, weight)) * scale
+    assert spherical_shift(ctx, f, ell, scale) == expected, (name, f, ell, scale)
+    assert spherical_shift(ctx, f, ell) * scale == expected, (name, f, ell)
 
 
 def test_conjugated_dunkl_adds_multiplication_term():

@@ -207,20 +207,6 @@ def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     return _flat(F.m, accumulate([(1, F._block, _dirac_map(ctx))]))
 
 
-def _dunkl_dirac_reference(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
-    """D F as the per-axis sum of the signed images T_i(x^e) e_i e_A, one part per axis; the memo of D is
-    tested against it."""
-    _check(ctx, F)
-
-    def signed(i: int) -> Callable[[tuple[int, Exponent]], Block]:
-        def image(key):
-            sign, mask = blade_product(1 << i, key[0])
-            den, terms = dunkl_images(ctx, key[1])[i]
-            return den, [((mask, f), sign * v) for f, v in terms]
-        return image
-    return _flat(F.m, accumulate([(1, F._block, signed(i)) for i in range(F.m)]))
-
-
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
     return _flat(F.m, accumulate([(1, F._block, _vector_map(F.m))]))

@@ -22,7 +22,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .linalg import FrameFactor, _eliminate, _sparse_rows, kernel_basis, solve_in_frame
+from .linalg import FrameFactor, _eliminate, _sparse_rows, kernel_basis
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
                         dunkl_laplacian, heat_semigroup, hermite_shift, laplacian_image, radial_tower,
                         spherical_shift)
@@ -83,16 +83,11 @@ def fischer_frame(ctx: DunklContext, degree: int) -> list[tuple[int, int, Polyno
             for j, h in enumerate(harmonic_basis(ctx, degree - 2 * i).elements)]
 
 
-# context -> {degree: (frame, its factor)}; weak keys, so an entry lives and dies with its context
-_FISCHER_FACTORS: "weakref.WeakKeyDictionary[DunklContext, dict]" = weakref.WeakKeyDictionary()
-
-
 def _fischer_factor(ctx: DunklContext, degree: int) -> tuple[list[tuple[int, int, Polynomial]], FrameFactor]:
-    per_degree = _FISCHER_FACTORS.setdefault(ctx, {})
-    entry = per_degree.get(degree)
+    entry = ctx._fischer.get(degree)
     if entry is None:
         frame = fischer_frame(ctx, degree)
-        entry = per_degree[degree] = (frame, FrameFactor([q for _, _, q in frame]))
+        entry = ctx._fischer[degree] = (frame, FrameFactor([q for _, _, q in frame]))
     return entry
 
 
@@ -111,9 +106,8 @@ def fischer_decompose(ctx: DunklContext, p: Polynomial) -> list[tuple[int, Polyn
     if not p:
         return []
     frame, factor = _fischer_factor(ctx, p.homogeneous_degree())
-    coords = factor.solve(p)
     parts: dict[int, list] = {}
-    for (i, _, q), c in zip(frame, coords):
+    for (i, _, q), c in zip(frame, factor.solve(p)):
         if c:
             parts.setdefault(i, []).append((c, q._block, None))
     layers = [(i, linear_extension(ctx.m, parts[i])) for i in sorted(parts)]
@@ -197,18 +191,32 @@ def _validated_harmonic(ctx: DunklContext, harmonic: Polynomial) -> int:
     return harmonic.homogeneous_degree()
 
 
+def _radial_sum(tower: Sequence[Polynomial], coords: Sequence[Fraction]) -> Polynomial:
+    """sum_i coords[i] |x|^{2i} h over the tower [h, |x|^2 h, ...]."""
+    return linear_extension(tower[0].m, [(c, layer._block, None) for c, layer in zip(coords, tower)])
+
+
+def _radial_coordinates(tower: Sequence[Polynomial], target: Polynomial) -> list[Fraction]:
+    """Coordinates of target in the tower of a nonzero homogeneous h: layer i has its own degree, so coordinate
+    i is a ratio at the layer's leading monomial, and one exact reconstruction checks membership."""
+    coords = [target.coefficient(e) / c for e, c in map(Polynomial.leading_term, tower)]
+    if _radial_sum(tower, coords) != target:
+        raise MathPrecondition("target polynomial is not in the span of the frame")
+    return coords
+
+
 def _iterated_record(ctx: DunklContext, t: int, harmonic: Polynomial,
                      step: Callable[[Polynomial], Polynomial]) -> HermiteRecord:
     """The record of step applied t times to a Dunkl-harmonic factor, with its radial
-    coordinates solved in the frame |x|^{2i} * harmonic, i = 0..t."""
+    coordinates read in the tower |x|^{2i} * harmonic, i = 0..t."""
     if t < 0:
         raise MathPrecondition(f"index t must be >= 0, got {t}")
     ell = _validated_harmonic(ctx, harmonic)
     out = harmonic
     for _ in range(t):
         out = step(out)
-    return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
-                         radial_coeffs=tuple(solve_in_frame(radial_tower(harmonic, t), out)), polynomial=out)
+    return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic, polynomial=out,
+                         radial_coeffs=tuple(_radial_coordinates(radial_tower(harmonic, t), out)))
 
 
 def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
@@ -255,10 +263,8 @@ def ch_laguerre(ctx: DunklContext, t: int, ell: int, harmonic: Polynomial) -> He
         raise MathPrecondition(f"harmonic has degree {actual}, expected ell = {ell}")
     scale = 4 ** t * factorial(t)
     radial = tuple(scale * c for c in laguerre_poly(t, ctx.mu / 2 + ell - 1))
-    out = linear_extension(ctx.m, [(c, layer._block, None)
-                                   for c, layer in zip(radial, radial_tower(harmonic, t))])
     return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
-                         radial_coeffs=radial, polynomial=out)
+                         radial_coeffs=radial, polynomial=_radial_sum(radial_tower(harmonic, t), radial))
 
 
 @dataclass(frozen=True)
@@ -280,9 +286,7 @@ def coefficient_recursions_check(previous: HermiteRecord, current: HermiteRecord
     ell, mu, t = current.ell, current.mu, current.t
 
     def coeff(record: HermiteRecord, i: int) -> Fraction:
-        if 0 <= i < len(record.radial_coeffs):
-            return record.radial_coeffs[i]
-        return Fraction(0)
+        return record.radial_coeffs[i] if 0 <= i < len(record.radial_coeffs) else Fraction(0)
 
     step = []
     for i in range(t + 1):
@@ -343,21 +347,16 @@ def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:
     _require_mu(ctx, "eigenspace comparison")
     heat_family = [rosler_hermite(ctx, Polynomial.monomial(ctx.m, e))
                    for e in monomial_basis(ctx.m, degree)]
-    hermite_family = []
+    hermite_family = [ch_recursion(ctx, t, h).polynomial for t in range(degree // 2 + 1)
+                      for h in harmonic_basis(ctx, degree - 2 * t).elements]
     failures = []
-    cases = 0
-    for t in range(degree // 2 + 1):
-        ell = degree - 2 * t
-        for h in harmonic_basis(ctx, ell).elements:
-            hermite_family.append(ch_recursion(ctx, t, h).polynomial)
     for label, family in (("heat", heat_family), ("hermite", hermite_family)):
         for q in family:
-            cases += 1
             residual = hermite_shift(ctx, q, degree)
             if residual:
                 failures.append({"family": label, "input": q.to_json(), "residual": residual.to_json()})
     expected = dim_homogeneous(ctx.m, degree)
-    return EigenspaceReport(degree=degree, cases=cases, failures=tuple(failures),
+    return EigenspaceReport(degree=degree, cases=len(heat_family) + len(hermite_family), failures=tuple(failures),
                             heat_family_rank=_span_rank(heat_family),
                             hermite_family_rank=_span_rank(hermite_family),
                             combined_rank=_span_rank(heat_family + hermite_family), expected_rank=expected)

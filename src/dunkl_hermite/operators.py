@@ -31,14 +31,14 @@ from .poly import (Block, Exponent, Polynomial, ScalarLike, accumulate, compose_
 class DunklContext:
     """A root system, its reflections, and a lazily filled memo of the Dunkl map.
 
-    The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial, and the Dirac
-    image D(x^e e_A) of a Clifford term, are computed on first use and kept in
-    the memo as integer numerators over one denominator each; the memo lives
-    and dies with the context, and apart from it the context is immutable.
+    The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial, the Dirac image
+    D(x^e e_A) of a Clifford term, and the Fischer frame of a degree with its factor
+    are computed on first use and kept in the memo, the images as integer numerators
+    over one denominator each; the memo lives and dies with the context.
     """
 
     __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "_diracs",
-                 "__weakref__")
+                 "_fischer", "__weakref__")
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
@@ -50,6 +50,7 @@ class DunklContext:
         self._images: dict[Exponent, tuple[Block, ...]] = {}
         self._laplacians: dict[Exponent, Block] = {}
         self._diracs: dict[tuple[int, Exponent], Block] = {}  # filled by clifford.dirac_image
+        self._fischer: dict[int, tuple] = {}  # degree -> (frame, its factor), filled by hermite._fischer_factor
 
     @property
     def m(self) -> int:
@@ -148,22 +149,6 @@ def dunkl_derivative(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
 def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """Sum over axes of the squared Dunkl operator."""
     return linear_extension(f.m, [(1, _check(ctx, f), lambda e: laplacian_image(ctx, e))])
-
-
-def _dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
-    """T_axis f reflected and divided as a whole polynomial, through compose_linear for every
-    root; the memoized map is tested against it."""
-    _check(ctx, f, axis)
-    out = f.derivative(axis)
-    if not f:
-        return out
-    for alpha, kappa, refl in ctx._active:
-        if not alpha[axis]:
-            continue
-        difference = f - compose_linear(f, refl)
-        if difference:
-            out = out + (kappa * alpha[axis]) * divide_by_linear_form(difference, alpha)
-    return out
 
 
 def _weighted(weight: Callable[[int], ScalarLike]) -> Callable[[Exponent], Block]:

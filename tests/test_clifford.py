@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_hermite.clifford import (CliffordPolynomial, _dunkl_dirac_reference, blade_product, d_plus,
+from dunkl_hermite.clifford import (CliffordPolynomial, blade_product, d_plus,
                                     d_plus_squared_scalar, dirac_image, dunkl_dirac, monogenic_basis,
                                     vector_multiply)
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator
 from dunkl_hermite.poly import Polynomial, dim_homogeneous, monomial_basis
+from reference_operators import dunkl_dirac_reference
 from test_dunkl_map import g2_json
 from test_kernel_bases import dirac_kernel
 
@@ -252,7 +253,7 @@ def test_memoized_dirac_equals_the_per_axis_reference(case):
     """D, x and D+ each as one image per term, against the per-axis sum of signed T_i images; the second
     application reads every image from the memo."""
     name, ctx, F = case
-    reference = _dunkl_dirac_reference(ctx, F)
+    reference = dunkl_dirac_reference(ctx, F)
     x = CliffordPolynomial.vector_variable(ctx.m)
     for _ in range(2):
         assert dunkl_dirac(ctx, F) == reference, name
@@ -275,10 +276,10 @@ def test_monogenic_columns_come_from_the_memo_and_equal_the_reference(name):
         for mask in range(1 << m):
             for e in monomial_basis(m, degree):
                 assert (mask, e) in ctx._diracs
-                reference = _dunkl_dirac_reference(ctx, CliffordPolynomial(m, {mask: Polynomial.monomial(m, e)}))
+                reference = dunkl_dirac_reference(ctx, CliffordPolynomial(m, {mask: Polynomial.monomial(m, e)}))
                 assert as_fractions(*dirac_image(ctx, (mask, e))) == as_fractions(*reference._block), (name, mask, e)
         for M in basis:
-            assert not _dunkl_dirac_reference(ctx, M)
+            assert not dunkl_dirac_reference(ctx, M)
 
 
 def test_a_dropped_context_frees_its_dirac_memo():

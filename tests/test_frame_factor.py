@@ -153,14 +153,33 @@ def test_fischer_decompose_twice_equals_the_one_shot_solve(name, data):
 
 
 def test_a_context_dropped_after_fischer_decompose_is_released():
+    """The factor of each degree is kept on its context, built once per (context, degree), and freed with it."""
+    factored = []
+
+    class Counted(hermite.FrameFactor):  # a factor that can be weakly referenced, counted on construction
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, frame):
+            factored.append(len(frame))
+            super().__init__(frame)
+
     ctx = DunklContext(builtin_root_system("b", 3, [Fraction(1, 2), Fraction(2, 3)]))
+    other = DunklContext(ctx.root_system)
     p = Polynomial(3, {e: 1 for e in monomial_basis(3, 4)})
-    assert fischer_decompose(ctx, p)
-    assert ctx in hermite._FISCHER_FACTORS
-    ref = weakref.ref(ctx)
-    del ctx
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermite, "FrameFactor", Counted)
+        for c in (ctx, ctx, other):
+            assert fischer_decompose(c, p) == one_shot_decompose(ctx, p)
+        assert fischer_decompose(ctx, 2 * Polynomial.variable(3, 0) ** 2)
+    dimension = len(fischer_frame(ctx, 4))
+    assert factored == [dimension, dimension, len(fischer_frame(ctx, 2))]  # ctx, other, then ctx at degree 2
+    assert sorted(ctx._fischer) == [2, 4] and list(other._fischer) == [4]
+    frame, factor = ctx._fischer[4]
+    assert isinstance(factor, Counted) and factor.size == len(frame) == dimension
+    refs = [weakref.ref(c) for c in (ctx, factor)]
+    del ctx, other, frame, factor
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def reordered(p, random):

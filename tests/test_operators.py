@@ -14,6 +14,8 @@ from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_
                                      sl2_h, spherical_shift)
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
+from test_dunkl_map import SYSTEMS
+
 
 def ctx_z2(m, kappas):
     return DunklContext(builtin_root_system("z2", m, kappas))
@@ -193,6 +195,35 @@ def test_conjugated_laplacian_on_constants():
     # (T_i - 2x_i)^2 applied to 1 gives 4|x|^2 - 2mu
     expected = 4 * Polynomial.norm_squared(2) - Polynomial.constant(2, 2 * ctx.mu)
     assert conjugated_laplacian(ctx, Fraction(-1), one) == expected
+
+
+@st.composite
+def mixed_degree(draw, m):
+    """A polynomial with nonzero parts in two different degrees of 0-4."""
+    low, high = sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True)))
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    return sum((Polynomial(m, draw(st.dictionaries(st.sampled_from(monomial_basis(m, d)), coefficient,
+                                                    min_size=1, max_size=4))) for d in (low, high)),
+               Polynomial.zero(m))
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "z2^2", "G2"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_conjugated_laplacian_is_the_sl2_closed_form(name, data):
+    """sum_i (T_i + 2a x_i)^2 = Delta + 2a(2E + mu) + 4a^2 |x|^2 by sum_i (T_i x_i + x_i T_i) = 2E + mu, so at
+    a = -1 its negative is the recursion step: the relation hermite-eq's Rodrigues check depends on.  The
+    package computes the left side as squared conjugated Dunkl operators, never from this form."""
+    m, nk, build = SYSTEMS[name]
+    kappas = data.draw(st.lists(st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5),
+                                min_size=nk, max_size=nk))
+    ctx = DunklContext(build(kappas))
+    p = data.draw(mixed_degree(m))
+    a = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    closed = (dunkl_laplacian(ctx, p) + (2 * a) * (2 * euler_operator(p) + ctx.mu * p)
+              + (4 * a * a) * multiply_by_norm_squared(p))
+    assert conjugated_laplacian(ctx, a, p) == closed, (name, kappas, a, p)
+    assert -conjugated_laplacian(ctx, Fraction(-1), p) == d_plus_squared_form(ctx, p), (name, kappas, p)
 
 
 def test_heat_semigroup_on_norm_squared():

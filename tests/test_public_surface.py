@@ -1,5 +1,9 @@
-"""The package's public surface: __all__ is pinned name by name."""
+"""The package's public surface: __all__ is pinned name by name, and test-only code stays in the tests."""
+import ast
+
 import dunkl_hermite
+
+from test_exactness import SOURCES
 
 PUBLIC = [
     "BUILTIN_FAMILIES", "CliffordPolynomial", "DimensionMismatch", "DunklContext", "DunklError",
@@ -27,3 +31,10 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(dunkl_hermite.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(dunkl_hermite, name) is not None, name
+
+
+def test_no_reference_operator_lives_in_the_package():
+    """Slow reference forms that only the tests compare against live in tests/reference_operators.py."""
+    found = [f"{path.name}: {node.name}" for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_reference")]
+    assert found == []

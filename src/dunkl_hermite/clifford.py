@@ -3,24 +3,26 @@
 Basis blades of Cl(0, m) are bitmasks: bit i set means the generator e_{i+1}
 is present, generators multiply with e_i e_j = -e_j e_i (i != j) and
 e_i^2 = -1.  A CliffordPolynomial is one positive integer denominator over a
-map from (blade mask, exponent) pairs to nonzero integer numerators, normalized
-as a Polynomial is; the Dunkl-Dirac operator, vector variable multiplication,
-and their combination D+ = -D + 2x are each one accumulation over it, with
-one image per term: D(x^e e_A) from a per-context memo, x x^e e_A computed
-on the fly.
+map from Clifford keys to nonzero integer numerators, normalized as a
+Polynomial is.  The Clifford key of x^e e_A is the monomial key of x^e shifted
+up by m bits, with the blade mask A in the low m bits, so multiplying by x_i
+adds the key of x_i shifted by m, and every degree cap of poly holds.  The
+Dunkl-Dirac operator, vector variable multiplication, and their combination
+D+ = -D + 2x are each one accumulation over it, with one image per term:
+D(x^e e_A) from a per-context memo, x x^e e_A computed on the fly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
 from typing import Callable, Mapping, Union
 
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import kernel_basis
 from .operators import DunklContext, d_plus_squared_form, dunkl_images
-from .poly import Block, Exponent, Polynomial, accumulate, json_int, linear_extension, monomial_basis
+from .poly import (Block, Polynomial, _check_degree, _degree_shift, _units, accumulate, json_int, linear_extension,
+                   monomial_keys)
 
 ScalarLike = Union[int, Fraction]
 
@@ -34,7 +36,7 @@ def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:
 
 
 class CliffordPolynomial:
-    """Polynomial-coefficient element of Cl(0, m): {(blade mask, exponent): nonzero integer} over one denominator."""
+    """Polynomial-coefficient element of Cl(0, m): {Clifford key: nonzero integer} over one denominator."""
 
     __slots__ = ("m", "_den", "_nums")
 
@@ -49,7 +51,7 @@ class CliffordPolynomial:
                 raise DimensionMismatch(f"blade mask {mask} out of range for dimension {m}")
             if poly.m != m:
                 raise DimensionMismatch(f"dimension mismatch: {poly.m} vs {m}")
-            parts.append((1, (poly._den, [((mask, e), n) for e, n in poly._nums.items()]), None))
+            parts.append((1, (poly._den, [(key << m | mask, n) for key, n in poly._nums.items()]), None))
         self.m, (self._den, self._nums) = m, accumulate(parts)
 
     # -- constructors ------------------------------------------------------
@@ -76,9 +78,10 @@ class CliffordPolynomial:
     @property
     def blades(self) -> dict[int, Polynomial]:
         """{mask: polynomial} over the nonzero blades in mask order, built on each call."""
-        blades: dict[int, list[tuple[Exponent, int]]] = {}
-        for (mask, e), n in self._nums.items():
-            blades.setdefault(mask, []).append((e, n))
+        blades: dict[int, list[tuple[int, int]]] = {}
+        m, low = self.m, (1 << self.m) - 1
+        for key, n in self._nums.items():
+            blades.setdefault(key & low, []).append((key >> m, n))
         return {mask: linear_extension(self.m, [(1, (self._den, blades[mask]), None)]) for mask in sorted(blades)}
 
     def blade(self, mask: int) -> Polynomial:
@@ -98,7 +101,7 @@ class CliffordPolynomial:
         return self.m == other.m and self._den == other._den and self._nums == other._nums
 
     def max_degree(self) -> Union[int, None]:
-        return max((sum(e) for _, e in self._nums), default=None)
+        return max(self._nums) >> self.m >> _degree_shift(self.m) if self._nums else None
 
     # -- algebra -----------------------------------------------------------
 
@@ -129,10 +132,15 @@ class CliffordPolynomial:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
         self._require_same_dim(other)
-        den, factor = other._block
-        return _flat(self.m, accumulate([(1, self._block, lambda key: (den, [
-            ((mask, tuple(map(add, key[1], e))), sign * c)
-            for (b, e), c in factor for sign, mask in (blade_product(key[0], b),)]))]))
+        if self and other:
+            _check_degree(self.max_degree() + other.max_degree())
+        low = (1 << self.m) - 1
+        den, factor = other._den, [(b & low, b - (b & low), c) for b, c in other._nums.items()]
+
+        def image(key: int) -> Block:  # x^e e_A x^f e_B = sign(e_A e_B) x^(e + f) e_(A xor B)
+            a = key & low
+            return den, [(key - a + f + mask, sign * c) for b, f, c in factor for sign, mask in (blade_product(a, b),)]
+        return _flat(self.m, accumulate([(1, self._block, image)]))
 
     __rmul__ = __mul__
 
@@ -161,43 +169,48 @@ class CliffordPolynomial:
 
 
 def _flat(m: int, block: tuple[int, dict]) -> CliffordPolynomial:
-    """Internal constructor skipping validation: block is a normalized (den, {(mask, exponent): int}) in dimension m."""
+    """Internal constructor skipping validation: block is a normalized (den, {Clifford key: int}) in dimension m."""
     out = object.__new__(CliffordPolynomial)
     out.m, (out._den, out._nums) = m, block
     return out
 
 
-def dirac_image(ctx: DunklContext, key: tuple[int, Exponent]) -> Block:
-    """D(x^e e_A) = sum_i e_i T_i(x^e) e_A for the key (A, e) as one block, memoized per context: e_i e_A is
-    sign(e_i e_A) e_(A xor 2^i), and the sign multiplies the numerators of T_i x^e, brought to one denominator."""
+def dirac_image(ctx: DunklContext, key: int) -> Block:
+    """D(x^e e_A) = sum_i e_i T_i(x^e) e_A for the Clifford key of x^e e_A as one block, memoized per context:
+    e_i e_A is sign(e_i e_A) e_(A xor 2^i), and the sign multiplies the numerators of T_i x^e, brought to one
+    denominator."""
     image = ctx._diracs.get(key)
     if image is None:
-        mask, e = key
-        images = dunkl_images(ctx, e)
+        m = ctx.m
+        mask = key & (1 << m) - 1
+        images = dunkl_images(ctx, key >> m)
         den = lcm(*(d for d, _ in images))
         terms = []
         for i, (d, nums) in enumerate(images):
             sign, target = blade_product(1 << i, mask)
             sign *= den // d
-            terms += [((target, f), sign * v) for f, v in nums]
+            terms += [(f << m | target, sign * v) for f, v in nums]
         image = ctx._diracs[key] = (den, tuple(terms))
     return image
 
 
-def _dirac_map(ctx: DunklContext) -> Callable[[tuple[int, Exponent]], Block]:
+def _dirac_map(ctx: DunklContext) -> Callable[[int], Block]:
     """key -> D of the key's term, read from the context's memo and filled on a miss."""
     get = ctx._diracs.get
     return lambda key: get(key) or dirac_image(ctx, key)
 
 
-def _vector_map(m: int) -> Callable[[tuple[int, Exponent]], Block]:
-    """(A, e) -> x x^e e_A = sum_i sign(e_i e_A) x_i x^e e_(A xor 2^i) in dimension m; kappa-free, so not memoized."""
-    axes = range(m)
+def _vector_map(F: CliffordPolynomial) -> Callable[[int], Block]:
+    """The key of x^e e_A -> x x^e e_A = sum_i sign(e_i e_A) x_i x^e e_(A xor 2^i), for the terms of F: the key of x_i
+    shifted by m is added and the mask replaced; kappa-free, so not memoized.  Refuses a degree past the cap first."""
+    m = F.m
+    _check_degree((F.max_degree() or 0) + 1)
+    units, low = [unit << m for unit in _units(m)], (1 << m) - 1
 
-    def image(key: tuple[int, Exponent]) -> Block:
-        mask, e = key
-        return 1, [((target, e[:i] + (e[i] + 1,) + e[i + 1:]), sign)
-                   for i in axes for sign, target in (blade_product(1 << i, mask),)]
+    def image(key: int) -> Block:
+        mask = key & low
+        return 1, [(key - mask + unit + target, sign)
+                   for i, unit in enumerate(units) for sign, target in (blade_product(1 << i, mask),)]
     return image
 
 
@@ -209,13 +222,13 @@ def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
-    return _flat(F.m, accumulate([(1, F._block, _vector_map(F.m))]))
+    return _flat(F.m, accumulate([(1, F._block, _vector_map(F))]))
 
 
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
-    return _flat(F.m, accumulate([(-1, F._block, _dirac_map(ctx)), (2, F._block, _vector_map(F.m))]))
+    return _flat(F.m, accumulate([(-1, F._block, _dirac_map(ctx)), (2, F._block, _vector_map(F))]))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
@@ -233,7 +246,7 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     """
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
-    keys = [(mask, e) for mask in range(1 << ctx.m) for e in monomial_basis(ctx.m, degree)]
+    keys = [key << ctx.m | mask for mask in range(1 << ctx.m) for key in monomial_keys(ctx.m, degree)]
     return [_flat(ctx.m, (1, vec)) for vec in kernel_basis([dirac_image(ctx, key) for key in keys], keys)]
 
 

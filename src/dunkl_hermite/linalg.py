@@ -1,9 +1,9 @@
 """Exact linear algebra for graded operator matrices, on integer rows.
 
 A matrix reaches this module as one block per column: (den, terms), the column being the integer
-numerators terms, (row key, numerator) pairs, over the positive denominator den; a row key is an
-exponent or a (blade mask, exponent) pair.  Only this module lays it out: each row, keyed by its
-own key in order of first appearance, is a sparse {column: int} map of the numerators, and one
+numerators terms, (row key, numerator) pairs, over the positive denominator den; a row key is a
+monomial key or a Clifford key (see poly and clifford).  Only this module lays it out: each row,
+keyed by its own key in order of first appearance, is a sparse {column: int} map of the numerators, and one
 fraction-free Gauss-Jordan loop over those rows serves every RREF, rank, kernel and frame solve.
 A kernel or a frame solve of the numerator matrix is scaled back by the column denominators; the
 public dense functions clear each row's denominators at the boundary.  Columns of an operator
@@ -19,7 +19,7 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .poly import Block, Polynomial, dim_homogeneous, exact, monomial_basis
+from .poly import Block, Polynomial, dim_homogeneous, exact, monomial_basis, monomial_keys
 
 Row = tuple[Fraction, ...]
 IntegerRows = dict[Hashable, dict[int, int]]  # row key -> {column: nonzero entry}
@@ -93,8 +93,8 @@ def materialize_on_degree(op: Callable[[Polynomial], Polynomial], m: int, degree
                     f"operator is not degree-homogeneous: image of x^{list(e)} has degree {d}, expected {inferred}")
         images.append(image)
     cod = -1 if inferred is None else inferred  # below 0 the codomain basis, and the matrix, are empty
-    return OperatorMatrix(m, degree, cod, tuple(tuple(image.coefficient(f) for image in images)
-                                                for f in monomial_basis(m, cod)))
+    return OperatorMatrix(m, degree, cod, tuple(tuple(Fraction(image._nums.get(key, 0), image._den)
+                                                      for image in images) for key in monomial_keys(m, cod)))
 
 
 def _eliminate(rows: IntegerRows, ncols: int) -> list[tuple[Hashable, int]]:

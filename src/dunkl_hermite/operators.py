@@ -24,8 +24,8 @@ from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import (Block, Exponent, Polynomial, ScalarLike, accumulate, compose_linear, divide_by_linear_form,
-                   exact, linear_extension)
+from .poly import (Block, Polynomial, ScalarLike, _check_degree, _degree_shift, _exponents, _units, accumulate,
+                   compose_linear, divide_by_linear_form, exact, linear_extension)
 
 
 class DunklContext:
@@ -34,7 +34,8 @@ class DunklContext:
     The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial, the Dirac image
     D(x^e e_A) of a Clifford term, and the Fischer frame of a degree with its factor
     are computed on first use and kept in the memo, the images as integer numerators
-    over one denominator each; the memo lives and dies with the context.
+    over one denominator each, keyed by the monomial key of x^e (the Clifford key of
+    x^e e_A); the memo lives and dies with the context.
     """
 
     __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "_diracs",
@@ -47,9 +48,9 @@ class DunklContext:
         self._active: tuple[tuple[Vector, Fraction, Matrix], ...] = tuple(
             root for root in zip(root_system.positive_roots, root_system.multiplicities, self.reflections) if root[1])
         self._chains = None  # per active root, derived from _active on the memo's first fill
-        self._images: dict[Exponent, tuple[Block, ...]] = {}
-        self._laplacians: dict[Exponent, Block] = {}
-        self._diracs: dict[tuple[int, Exponent], Block] = {}  # filled by clifford.dirac_image
+        self._images: dict[int, tuple[Block, ...]] = {}
+        self._laplacians: dict[int, Block] = {}
+        self._diracs: dict[int, Block] = {}  # filled by clifford.dirac_image
         self._fischer: dict[int, tuple] = {}  # degree -> (frame, its factor), filled by hermite._fischer_factor
 
     @property
@@ -82,97 +83,124 @@ def _reflection(alpha: Vector) -> Matrix:
 def _chain_setup(m: int, alpha: Vector, refl: Matrix) -> tuple:
     """(s, the rows of the integer matrix s R, C, t) with C_j / t = d_alpha x_j, divided by compose_linear
     and divide_by_linear_form: a substitution that is not alpha's reflection raises here (and is not
-    cached), and once every x_j - R x_j divides, every x^e - x^e o R does, by the Leibniz rule."""
+    cached), and once every x_j - R x_j divides, every x^e - x^e o R does, by the Leibniz rule.  Row j
+    holds (the key of x_k, (s R)_jk) for the nonzero entries."""
     s = lcm(*(a.denominator for row in refl for a in row))
     firsts = [divide_by_linear_form(x - compose_linear(x, refl), alpha).coefficient((0,) * m)
               for x in (Polynomial.variable(m, j) for j in range(m))]
     t = lcm(*(c.denominator for c in firsts))
-    rows = tuple(tuple((k, int(a * s)) for k, a in enumerate(row) if a) for row in refl)
+    units = _units(m)
+    rows = tuple(tuple((units[k], int(a * s)) for k, a in enumerate(row) if a) for row in refl)
     return s, rows, tuple(int(c * t) for c in firsts), t
 
 
-def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...]) -> dict[Exponent, int]:
-    """t s^(K-1) d_alpha x^e for e = sum of eps_j over the K steps j: Q <- s x_j Q + C_j G, G <- (s R)_j G,
-    so that G stays s^k (x^(e_k) o r_alpha)."""
-    g, q = {(0,) * len(rows): 1}, {}
+def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...], units: tuple[int, ...]) -> dict:
+    """t s^(K-1) d_alpha x^e for e = sum of eps_j over the K steps j, by the Leibniz rule: the sum over the steps k
+    of s^(K-1-k) C_(j_k) G_k x^(e - e_(k+1)), where e_k is the sum of the first k steps and G <- (s R)_j G keeps
+    G_k = s^k (x^(e_k) o r_alpha).  units[j] is the key of x_j: the factor x^(e - e_(k+1)) adds its key."""
+    g, q = {0: 1}, {}
+    offset, scale = sum(units[j] for j in steps), s ** (len(steps) - 1)
     for k, j in enumerate(steps):
         if k:  # G takes the previous step's row here, so the last step builds no G it never reads
-            g, product = {}, g
+            g, product, row = {}, g, rows[steps[k - 1]]
+            get = g.get
             for f, v in product.items():
-                for i, a in rows[steps[k - 1]]:
-                    fi = f[:i] + (f[i] + 1,) + f[i + 1:]
-                    g[fi] = g.get(fi, 0) + a * v
-        q = {f[:j] + (f[j] + 1,) + f[j + 1:]: s * v for f, v in q.items()}
-        if firsts[j]:
+                for unit, a in row:
+                    f_unit = f + unit
+                    g[f_unit] = get(f_unit, 0) + a * v
+            scale //= s
+        offset -= units[j]
+        c = firsts[j] * scale
+        if c:
+            get = q.get
             for f, v in g.items():
-                q[f] = q.get(f, 0) + firsts[j] * v
+                f_offset = f + offset
+                q[f_offset] = get(f_offset, 0) + c * v
     return q
 
 
-def dunkl_images(ctx: DunklContext, e: Exponent) -> tuple[Block, ...]:
-    """T_1 x^e, ..., T_m x^e as blocks (den, ((exponent, int), ...)), memoized: one Leibniz chain per root
-    in integers, and per axis one accumulation of the derivative and every root's weighted quotient."""
-    images = ctx._images.get(e)
+def dunkl_images(ctx: DunklContext, key: int) -> tuple[Block, ...]:
+    """T_1 x^e, ..., T_m x^e for the key of x^e as blocks (den, ((key, int), ...)), memoized: one Leibniz chain
+    per root in integers, and per axis one accumulation of the derivative and every root's weighted quotient."""
+    images = ctx._images.get(key)
     if images is None:
+        m = ctx.m
         if ctx._chains is None:
-            ctx._chains = tuple((tuple(kappa * a for a in alpha), *_chain_setup(ctx.m, alpha, refl))
+            ctx._chains = tuple((tuple(kappa * a for a in alpha), *_chain_setup(m, alpha, refl))
                                 for alpha, kappa, refl in ctx._active)
+        units, e = _units(m), _exponents(m, (key,))[0]
         steps = [j for j, n in enumerate(e) for _ in range(n)]
         quotients = [(weights, q, t * s ** (len(steps) - 1)) for weights, s, rows, firsts, t in ctx._chains
-                     for q in (_leibniz_chain(steps, s, rows, firsts),) if q]
+                     for q in (_leibniz_chain(steps, s, rows, firsts, units),) if q]
         images = []
         for i, n in enumerate(e):
-            parts = [(n, (1, ((e[:i] + (n - 1,) + e[i + 1:], 1),)), None)] if n else []
+            parts = [(n, (1, ((key - units[i], 1),)), None)] if n else []
             parts += [(weights[i], (den, q.items()), None) for weights, q, den in quotients if weights[i]]
             den, nums = accumulate(parts)
             # kept as term tuples, not Polynomials: the memo is most of what a context holds
             images.append((den, tuple(nums.items())))
-        images = ctx._images[e] = tuple(images)
+        images = ctx._images[key] = tuple(images)
     return images
 
 
-def laplacian_image(ctx: DunklContext, e: Exponent) -> Block:
-    """Delta x^e = sum_i T_i (T_i x^e) as a block, memoized; both steps read the memo of T_i."""
-    image = ctx._laplacians.get(e)
+def laplacian_image(ctx: DunklContext, key: int) -> Block:
+    """Delta x^e = sum_i T_i (T_i x^e) for the key of x^e as a block, memoized; both steps read the memo of T_i."""
+    image = ctx._laplacians.get(key)
     if image is None:
-        den, nums = accumulate((1, first, lambda f, i=i: dunkl_images(ctx, f)[i])
-                               for i, first in enumerate(dunkl_images(ctx, e)))
-        image = ctx._laplacians[e] = (den, tuple(nums.items()))
+        den, nums = accumulate((1, first, _dunkl_map(ctx, i)) for i, first in enumerate(dunkl_images(ctx, key)))
+        image = ctx._laplacians[key] = (den, tuple(nums.items()))
     return image
+
+
+def _dunkl_map(ctx: DunklContext, axis: int) -> Callable[[int], Block]:
+    """key -> T_axis of the key's monomial, read from the context's memo and filled on a miss."""
+    get = ctx._images.get
+    return lambda key: (get(key) or dunkl_images(ctx, key))[axis]
+
+
+def _laplacian_map(ctx: DunklContext) -> Callable[[int], Block]:
+    """key -> Delta of the key's monomial, read from the context's memo and filled on a miss."""
+    get = ctx._laplacians.get
+    return lambda key: get(key) or laplacian_image(ctx, key)
 
 
 def dunkl_derivative(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
     """Apply the Dunkl operator along one axis (0-based)."""
-    return linear_extension(f.m, [(1, _check(ctx, f, axis), lambda e: dunkl_images(ctx, e)[axis])])
+    return linear_extension(f.m, [(1, _check(ctx, f, axis), _dunkl_map(ctx, axis))])
 
 
 def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """Sum over axes of the squared Dunkl operator."""
-    return linear_extension(f.m, [(1, _check(ctx, f), lambda e: laplacian_image(ctx, e))])
+    return linear_extension(f.m, [(1, _check(ctx, f), _laplacian_map(ctx))])
 
 
-def _weighted(weight: Callable[[int], ScalarLike]) -> Callable[[Exponent], Block]:
-    """x^e -> weight(|e|) x^e, the weight made exact (a float is refused) once per degree."""
+def _weighted(m: int, weight: Callable[[int], ScalarLike]) -> Callable[[int], Block]:
+    """x^e -> weight(|e|) x^e in m variables, the weight made exact (a float is refused) once per degree."""
     weights: dict[int, tuple[int, int]] = {}
+    shift = _degree_shift(m)
 
-    def image(e: Exponent) -> Block:
-        d = sum(e)
+    def image(key: int) -> Block:
+        d = key >> shift
         w = weights.get(d)
         if w is None:
             w = exact(weight(d))
             w = weights[d] = (w.denominator, w.numerator)
-        return w[0], ((e, w[1]),)
+        return w[0], ((key, w[1]),)
     return image
 
 
-def _shifts(axes: Iterable[int], by: int) -> Callable[[Exponent], Block]:
-    """x^e -> the sum over the axes i of x_i^by x^e: exponent shifts; |x|^2 for all axes and by = 2."""
-    return lambda e: (1, tuple((e[:i] + (e[i] + by,) + e[i + 1:], 1) for i in axes))
+def _shifts(f: Polynomial, axes: Iterable[int], by: int) -> Callable[[int], Block]:
+    """x^e -> the sum over the axes i of x_i^by x^e, for the terms of f: one key addition per axis; |x|^2 for all
+    axes and by = 2.  Refuses a degree past the cap first."""
+    _check_degree((f.total_degree() or 0) + by)
+    units = _units(f.m)
+    offsets = [by * units[i] for i in axes]
+    return lambda key: (1, [(key + offset, 1) for offset in offsets])
 
 
 def degree_weighted(f: Polynomial, weight: Callable[[int], ScalarLike]) -> Polynomial:
     """x^e maps to weight(|e|) * x^e: any function of the Euler operator, as a diagonal map."""
-    return linear_extension(f.m, [(1, f._block, _weighted(weight))])
+    return linear_extension(f.m, [(1, f._block, _weighted(f.m, weight))])
 
 
 def radial_tower(f: Polynomial, n: int) -> list[Polynomial]:
@@ -190,7 +218,7 @@ def euler_operator(f: Polynomial) -> Polynomial:
 
 def multiply_by_norm_squared(f: Polynomial) -> Polynomial:
     """|x|^2 f: x^e maps to the sum over i of x^(e + 2 eps_i), an exponent shift per axis."""
-    return linear_extension(f.m, [(1, f._block, _shifts(range(f.m), 2))])
+    return linear_extension(f.m, [(1, f._block, _shifts(f, range(f.m), 2))])
 
 
 def sl2_e(f: Polynomial) -> Polynomial:
@@ -215,17 +243,17 @@ def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike, scale: Sc
     Two accumulations: Delta f, then its |x|^2 shift less the degree weights of f, both times scale.  Shifting
     Delta f rather than each term's image shifts every monomial of Delta f once, however many images share it."""
     ell = exact(ell)
-    weight = _weighted(lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
+    weight = _weighted(f.m, lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
     lf = dunkl_laplacian(ctx, f)
-    return linear_extension(f.m, [(scale, lf._block, _shifts(range(f.m), 2)), (-scale, f._block, weight)])
+    return linear_extension(f.m, [(scale, lf._block, _shifts(lf, range(f.m), 2)), (-scale, f._block, weight)])
 
 
 def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:
     """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n."""
     n = exact(n)
     block = _check(ctx, f)
-    return linear_extension(f.m, [(1, block, lambda e: laplacian_image(ctx, e)),
-                                  (-1, block, _weighted(lambda d: 2 * (d - n)))])
+    return linear_extension(f.m, [(1, block, _laplacian_map(ctx)),
+                                  (-1, block, _weighted(f.m, lambda d: 2 * (d - n)))])
 
 
 def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
@@ -236,15 +264,16 @@ def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2."""
     block = _check(ctx, f)
-    return linear_extension(f.m, [(1, block, _weighted(lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
-                                  (-1, block, lambda e: laplacian_image(ctx, e)), (-4, block, _shifts(range(f.m), 2))])
+    return linear_extension(f.m, [(1, block, _weighted(f.m, lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
+                                  (-1, block, _laplacian_map(ctx)),
+                                  (-4, block, _shifts(f, range(f.m), 2))])
 
 
 def _conjugated(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> list:
     """The parts of T_i f + 2 * rate * x_i f."""
     block = _check(ctx, f, axis)
-    return [(1, block, lambda e: dunkl_images(ctx, e)[axis]),
-            (2 * exact(rate), block, _shifts((axis,), 1))]
+    return [(1, block, _dunkl_map(ctx, axis)),
+            (2 * exact(rate), block, _shifts(f, (axis,), 1))]
 
 
 def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> Polynomial:
@@ -253,9 +282,30 @@ def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial
 
 
 def conjugated_laplacian(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Polynomial:
-    """Dunkl Laplacian conjugated by exp(rate * |x|^2): sum of squared conjugated operators."""
-    return linear_extension(f.m, [part for i in range(ctx.m)
-                                  for part in _conjugated(ctx, rate, i, conjugated_dunkl(ctx, rate, i, f))])
+    """Dunkl Laplacian conjugated by exp(rate * |x|^2): sum of squared conjugated operators T_i + 2 rate x_i.
+
+    Two accumulations: the m first applications as one sum over keys that carry their axis in the low bits,
+    then the sum of the second applications, each along the axis its key carries."""
+    block, m = _check(ctx, f), ctx.m
+    _check_degree((f.total_degree() or 0) + 2)
+    weight, units = 2 * exact(rate), _units(m)
+    low = m.bit_length()  # the bits of the axis tag
+    axis_of, get = (1 << low) - 1, ctx._images.get
+
+    def images(key: int) -> tuple[Block, ...]:
+        return get(key) or dunkl_images(ctx, key)
+
+    def tagged_dunkl(i: int) -> Callable[[int], Block]:
+        def image(key: int) -> Block:
+            den, terms = images(key)[i]
+            return den, [(k << low | i, v) for k, v in terms]
+        return image
+    den, nums = accumulate([part for i, unit in enumerate(units) for part in (
+        (1, block, tagged_dunkl(i)),
+        (weight, block, lambda key, step=unit << low | i: (1, (((key << low) + step, 1),))))])
+    firsts = den, nums.items()
+    return linear_extension(m, [(1, firsts, lambda key: images(key >> low)[key & axis_of]),
+                                (weight, firsts, lambda key: (1, (((key >> low) + units[key & axis_of], 1),)))])
 
 
 def heat_semigroup(ctx: DunklContext, f: Polynomial, rate: Fraction = Fraction(-1, 4)) -> Polynomial:

@@ -1,20 +1,29 @@
 """Exact sparse multivariate polynomials over arbitrary-precision rationals.
 
 A polynomial in m variables is one positive integer denominator over a map from
-exponent tuples (length m, nonnegative ints) to nonzero integer numerators
-(FLINT's fmpq_poly layout).  It is normalized at construction: the denominator
-and the numerators have gcd 1, and the zero polynomial has no terms and
-denominator 1, so two polynomials are equal exactly when these fields are.  The
-one term order used everywhere (printing, JSON, matrix columns, division) is
-degree-lexicographic with the largest monomial first: compare total degree,
-then the exponent tuples lexicographically.
+monomial keys to nonzero integer numerators (FLINT's fmpq_poly layout).  It is
+normalized at construction: the denominator and the numerators have gcd 1, and
+the zero polynomial has no terms and denominator 1, so two polynomials are equal
+exactly when these fields are.  The one term order used everywhere (printing,
+JSON, matrix columns, division) is degree-lexicographic with the largest
+monomial first: compare total degree, then the exponent tuples lexicographically.
+
+A monomial key packs the exponent tuple into one int (FLINT's fmpz_mpoly packed
+exponent vectors; Monagan and Pearce, ISSAC 2009): one field of _BITS bits per
+variable, x_m lowest, x_1 above it, and the total degree on top.  So integer
+order is deg-lex order, x^a x^b has the key a + b, and multiplying by x_i adds
+the key of x_i.  A field cannot overflow: every exponent is at most the total
+degree, and no monomial of total degree past MAX_DEGREE is ever built; the
+constructor and every operation that raises the degree refuse one with a
+ValueError before building its key.  _BITS is the bit length of MAX_DEGREE.
+Exponent tuples are the interface: the constructor, terms, coefficient,
+sorted_terms, leading_term, JSON, printing and monomial_basis read or give them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InexactDivision
@@ -23,6 +32,46 @@ Exponent = tuple[int, ...]
 ScalarLike = Union[int, Fraction]
 # (denominator, (key, integer numerator) terms): a part's terms, an image, and the summed polynomial
 Block = tuple[int, Iterable[tuple[Hashable, int]]]
+
+# The library's degree cap: no monomial of a larger total degree is built.
+MAX_DEGREE = (1 << 16) - 1
+_BITS = MAX_DEGREE.bit_length()  # the width of each field of a monomial key
+_FIELD = (1 << _BITS) - 1
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a total degree past the cap, before any key of that degree is built."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} is past the degree cap {MAX_DEGREE}")
+
+
+def _degree_shift(m: int) -> int:
+    """The bit offset of the degree field in a key of m variables: key >> _degree_shift(m) is the total degree."""
+    return _BITS * m
+
+
+@lru_cache(maxsize=None)
+def _units(m: int) -> tuple[int, ...]:
+    """The key of x_i for each axis i of m: 1 in the degree field and 1 in the field of x_i."""
+    return tuple(1 << _BITS * m | 1 << _BITS * (m - 1 - i) for i in range(m))
+
+
+def _keys(exponents: Sequence[Exponent]) -> list[int]:
+    """The key of each exponent tuple: nonnegative ints of a total degree within the cap, which is checked."""
+    degrees = list(map(sum, exponents))
+    _check_degree(max(degrees, default=0))
+    keys = []
+    for key, e in zip(degrees, exponents):
+        for x in e:
+            key = key << _BITS | x
+        keys.append(key)
+    return keys
+
+
+def _exponents(m: int, keys: Iterable[int]) -> list[Exponent]:
+    """The exponent tuple of each key in m variables."""
+    shifts = range(_BITS * (m - 1), -1, -_BITS)
+    return [tuple(key >> s & _FIELD for s in shifts) for key in keys]
 
 
 def deglex_key(exponents: Exponent) -> tuple[int, Exponent]:
@@ -86,6 +135,12 @@ def monomial_basis(m: int, degree: int) -> tuple[Exponent, ...]:
     return tuple(gen(m, degree))
 
 
+@lru_cache(maxsize=None)
+def monomial_keys(m: int, degree: int) -> tuple[int, ...]:
+    """The keys of monomial_basis(m, degree), in its order."""
+    return tuple(_keys(monomial_basis(m, degree)))
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial: integer numerators over one denominator."""
 
@@ -108,8 +163,10 @@ class Polynomial:
                 coeff = exact(coeff)
             clean.append((exponents, coeff.numerator, coeff.denominator))
         den = lcm(*(d for _, _, d in clean))
+        keys = _keys([e for e, _, _ in clean])
         self.m = m
-        self._den, self._nums = accumulate([(1, (den, [(e, n * (den // d)) for e, n, d in clean]), None)])
+        self._den, self._nums = accumulate([(1, (den, [(key, n * (den // d)) for key, (_, n, d) in zip(keys, clean)]),
+                                             None)])
         self._terms = None
 
     # -- constructors ------------------------------------------------------
@@ -147,11 +204,11 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        """Term map of Fractions, built on first use and cached; callers must not mutate it."""
+        """Term map of Fractions keyed by exponent tuples, built on first use and cached; callers must not mutate it."""
         terms = self._terms
         if terms is None:
-            den = self._den
-            terms = self._terms = {e: Fraction(n, den) for e, n in self._nums.items()}
+            den, nums = self._den, self._nums
+            terms = self._terms = {e: Fraction(n, den) for e, n in zip(_exponents(self.m, nums), nums.values())}
         return terms
 
     @property
@@ -160,38 +217,44 @@ class Polynomial:
         return self._den, self._nums.items()
 
     def coefficient(self, exponents: Exponent) -> Fraction:
-        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
+        e = tuple(exponents)
+        if len(e) != self.m or sum(e) > MAX_DEGREE:  # no such monomial here
+            return Fraction(0)
+        return Fraction(self._nums.get(_keys([e])[0], 0), self._den)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order, deg-lex largest first."""
-        return sorted(self.terms.items(), key=lambda item: deglex_key(item[0]), reverse=True)
+        keys = sorted(self._nums, reverse=True)
+        den, nums = self._den, self._nums
+        return [(e, Fraction(nums[key], den)) for e, key in zip(_exponents(self.m, keys), keys)]
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         if not self._nums:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._nums, key=deglex_key)
-        return e, Fraction(self._nums[e], self._den)
+        key = max(self._nums)
+        return _exponents(self.m, [key])[0], Fraction(self._nums[key], self._den)
 
     def total_degree(self) -> Union[int, None]:
         """Maximal total degree, or None for the zero polynomial."""
         if not self._nums:
             return None
-        return max(sum(e) for e in self._nums)
+        return max(self._nums) >> _BITS * self.m
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._nums}
+        degrees = {key >> _BITS * self.m for key in self._nums}
         return len(degrees) <= 1
 
     def homogeneous_degree(self) -> int:
-        degrees = {sum(e) for e in self._nums}
+        degrees = {key >> _BITS * self.m for key in self._nums}
         if len(degrees) != 1:
             raise ValueError(f"polynomial is not homogeneous of a single degree (degrees {sorted(degrees)})")
         return degrees.pop()
 
     def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        buckets: dict[int, list[tuple[Exponent, int]]] = {}
-        for e, n in self._nums.items():
-            buckets.setdefault(sum(e), []).append((e, n))
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        shift = _BITS * self.m
+        for key, n in self._nums.items():
+            buckets.setdefault(key >> shift, []).append((key, n))
         return {d: linear_extension(self.m, [(1, (self._den, t), None)]) for d, t in sorted(buckets.items())}
 
     # -- ring operations ---------------------------------------------------
@@ -226,9 +289,10 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
+            if self and other:
+                _check_degree(self.total_degree() + other.total_degree())
             den, factor = other._block
-            return linear_extension(self.m, [(1, self._block, lambda e: (den, [
-                (tuple(map(add, e, f)), c) for f, c in factor]))])
+            return linear_extension(self.m, [(1, self._block, lambda e: (den, [(e + f, c) for f, c in factor]))])
         if isinstance(other, (int, Fraction)):
             return linear_extension(self.m, [(other, self._block, None)])
         return NotImplemented
@@ -238,6 +302,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if self:
+            _check_degree(n * self.total_degree())
         out = Polynomial.constant(self.m, 1)
         base = self
         while n:
@@ -252,14 +318,16 @@ class Polynomial:
     def derivative(self, axis: int) -> "Polynomial":
         """Partial derivative along one axis: x^e maps to e_axis x^(e - eps_axis)."""
         _check_axis(self.m, axis)
+        unit, shift = _units(self.m)[axis], _BITS * (self.m - 1 - axis)
         return linear_extension(self.m, [(1, self._block, lambda e: (1, (
-            ((e[:axis] + (e[axis] - 1,) + e[axis + 1:], e[axis]),) if e[axis] else ())))])
+            ((e - unit, e >> shift & _FIELD),) if e >> shift & _FIELD else ())))])
 
     def times_variable(self, axis: int) -> "Polynomial":
-        """Multiplication by x_axis (exponent shift, no generic product)."""
+        """Multiplication by x_axis: the key of x_axis added to every key."""
         _check_axis(self.m, axis)
-        return linear_extension(self.m, [(1, self._block, lambda e: (1, (
-            (e[:axis] + (e[axis] + 1,) + e[axis + 1:], 1),)))])
+        _check_degree((self.total_degree() or 0) + 1)
+        unit = _units(self.m)[axis]
+        return linear_extension(self.m, [(1, self._block, lambda e: (1, ((e + unit, 1),)))])
 
     # -- serialization / rendering -----------------------------------------
 
@@ -310,7 +378,7 @@ def _check_axis(m: int, axis: int) -> None:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {m}")
 
 
-def _raw(m: int, block: tuple[int, dict[Exponent, int]]) -> Polynomial:
+def _raw(m: int, block: tuple[int, dict[int, int]]) -> Polynomial:
     """Internal constructor skipping validation; block is (den, nums) normalized, as accumulate returns it."""
     p = object.__new__(Polynomial)
     p.m, (p._den, p._nums), p._terms = m, block, None
@@ -320,18 +388,22 @@ def _raw(m: int, block: tuple[int, dict[Exponent, int]]) -> Polynomial:
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Polynomial:
     """Substitute x_j -> sum_k matrix[j][k] * x_k, i.e. compute p(A x) exactly.
 
-    x^e expands as the product over j of the linear form of row j to the power e[j]; the
-    expansions of the terms are summed as one linear extension."""
+    x^e expands as the product of the linear forms of the rows j with e[j] > 0, each to the power e[j];
+    the expansions of the terms are summed as one linear extension."""
     m = p.m
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise DimensionMismatch(f"dimension mismatch: matrix is not {m}x{m}")
-    forms = [Polynomial(m, {tuple(int(i == k) for i in range(m)): a for k, a in enumerate(row)}) for row in matrix]
+    forms = [linear_extension(m, [(a, (1, ((unit, 1),)), None) for unit, a in zip(_units(m), row)]) for row in matrix]
+    shifts = range(_BITS * (m - 1), -1, -_BITS)
 
-    def expand(e: Exponent) -> Block:
-        out = Polynomial.constant(m, 1)
-        for form, n in zip(forms, e):
-            out = out * form ** n
-        return out._block
+    def expand(key: int) -> Block:
+        out = None
+        for form, s in zip(forms, shifts):
+            n = key >> s & _FIELD
+            if n:
+                power = form if n == 1 else form ** n
+                out = power if out is None else out * power
+        return (1, ((0, 1),)) if out is None else out._block
 
     return linear_extension(m, [(1, p._block, expand)])
 
@@ -347,7 +419,7 @@ _DEN_CAP = 64
 def accumulate(parts: Iterable[tuple]) -> tuple[int, dict]:
     """sum of scale * image(k) * c / den over the terms (k, c) of every part (scale, (den, terms), image),
     as (denominator, {key: integer numerator}) in lowest terms without zeros; the zero sum has
-    denominator 1.  Keys are any hashable: an exponent, a (blade mask, exponent) pair.  A part's
+    denominator 1.  Keys are any hashable: a monomial key, a Clifford key.  A part's
     terms are integer numerators over one positive denominator, and so is an image: it maps a key to
     a block (den, ((key, int), ...)).  None is the identity.  A float scale is refused.
 
@@ -398,7 +470,7 @@ def accumulate(parts: Iterable[tuple]) -> tuple[int, dict]:
 
 
 def linear_extension(m: int, parts: Iterable[tuple]) -> Polynomial:
-    """accumulate(parts) over exponents, as a polynomial in m variables."""
+    """accumulate(parts) over monomial keys, as a polynomial in m variables."""
     return _raw(m, accumulate(parts))
 
 
@@ -416,24 +488,26 @@ def divide_by_linear_form(p: Polynomial, alpha: Sequence[ScalarLike]) -> Polynom
     if not any(alpha):
         raise ValueError("cannot divide by the zero form")
     lead = next(j for j, a in enumerate(alpha) if a)
-    remaining = dict(p.terms)
-    quotient: dict[Exponent, Fraction] = {}
+    units = _units(m)
+    form = [(units[k], a) for k, a in enumerate(alpha) if a]
+    shift = _BITS * (m - 1 - lead)
+    remaining = {key: Fraction(n, p._den) for key, n in p._nums.items()}
+    quotient: dict[int, Fraction] = {}
     while remaining:
-        e = max(remaining, key=deglex_key)
-        if e[lead] == 0:
+        key = max(remaining)  # the deg-lex largest monomial
+        if not key >> shift & _FIELD:
             raise InexactDivision(
                 f"division of ({p}) by linear form {[str(a) for a in alpha]} leaves remainder term "
-                f"{rational_str(remaining[e])}*x^{list(e)}")
-        c = remaining[e] / alpha[lead]
-        qe = e[:lead] + (e[lead] - 1,) + e[lead + 1:]
-        quotient[qe] = quotient.get(qe, _ZERO) + c
-        for k, a in enumerate(alpha):
-            if not a:
-                continue
-            te = qe[:k] + (qe[k] + 1,) + qe[k + 1:]
-            acc = remaining.get(te, _ZERO) - c * a
+                f"{rational_str(remaining[key])}*x^{list(_exponents(m, [key])[0])}")
+        c = remaining[key] / alpha[lead]
+        q = key - units[lead]
+        quotient[q] = quotient.get(q, _ZERO) + c
+        for unit, a in form:
+            acc = remaining.get(q + unit, _ZERO) - c * a
             if acc:
-                remaining[te] = acc
+                remaining[q + unit] = acc
             else:
-                remaining.pop(te, None)
-    return Polynomial(m, quotient)
+                remaining.pop(q + unit, None)
+    den = lcm(*(c.denominator for c in quotient.values()))
+    return linear_extension(m, [(1, (den, [(q, c.numerator * (den // c.denominator))
+                                           for q, c in quotient.items()]), None)])

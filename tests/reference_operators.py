@@ -1,15 +1,23 @@
-"""Whole-polynomial reference forms of the memoized Dunkl and Dirac maps, for exact comparison.
+"""Reference forms of the package's operators, for exact comparison.
 
-T_i f is reflected and divided as a whole polynomial through compose_linear for every root, and
-D F is the per-axis sum of the signed images T_i(x^e) e_i e_A, one part per axis.  The package
-computes both through per-context memos; the tests compare the two exactly.
+Whole-polynomial forms of the memoized maps: T_i f is reflected and divided as a whole polynomial through
+compose_linear for every root, D F is the per-axis sum of e_i T_i F, and the conjugated Laplacian is built
+from m intermediate polynomials.  The package computes them through per-context memos and fused passes.
+
+Exponent-tuple forms of the key arithmetic: the package keys a monomial by one packed int (see poly), and
+the functions below are the same maps on exponent tuples and (blade mask, exponent) pairs, read and
+written through the public terms; the tests compare the two exactly.
 """
-from typing import Callable
+from fractions import Fraction
+from math import lcm
+from operator import add
+from typing import Callable, Iterable
 
-from dunkl_hermite.clifford import CliffordPolynomial, _flat, blade_product
+from dunkl_hermite.clifford import CliffordPolynomial, blade_product
 from dunkl_hermite.clifford import _check as _check_clifford
-from dunkl_hermite.operators import DunklContext, _check, dunkl_images
-from dunkl_hermite.poly import Block, Exponent, Polynomial, accumulate, compose_linear, divide_by_linear_form
+from dunkl_hermite.operators import DunklContext, _check, _conjugated, conjugated_dunkl, dunkl_derivative
+from dunkl_hermite.poly import (Block, Exponent, Polynomial, accumulate, compose_linear, divide_by_linear_form,
+                                linear_extension)
 
 
 def dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
@@ -28,13 +36,109 @@ def dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> P
 
 
 def dunkl_dirac_reference(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
-    """D F as the per-axis sum of the signed images T_i(x^e) e_i e_A, one part per axis."""
+    """D F as the per-axis sum of e_i (T_i F), T_i acting blade-wise, through the public operations."""
     _check_clifford(ctx, F)
+    out = CliffordPolynomial.zero(F.m)
+    for i in range(F.m):
+        out = out + CliffordPolynomial.unit_blade(F.m, 1 << i) * F.apply_scalar_operator(
+            lambda p, i=i: dunkl_derivative(ctx, i, p))
+    return out
 
-    def signed(i: int) -> Callable[[tuple[int, Exponent]], Block]:
-        def image(key):
-            sign, mask = blade_product(1 << i, key[0])
-            den, terms = dunkl_images(ctx, key[1])[i]
-            return den, [((mask, f), sign * v) for f, v in terms]
-        return image
-    return _flat(F.m, accumulate([(1, F._block, signed(i)) for i in range(F.m)]))
+
+def conjugated_laplacian_reference(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Polynomial:
+    """sum_i (T_i + 2 rate x_i)^2 f, through the m intermediate polynomials (T_i + 2 rate x_i) f."""
+    return linear_extension(f.m, [part for i in range(ctx.m)
+                                  for part in _conjugated(ctx, rate, i, conjugated_dunkl(ctx, rate, i, f))])
+
+
+# -- exponent-tuple forms ----------------------------------------------------
+
+def tuple_block(p: Polynomial) -> Block:
+    """The block of p keyed by exponent tuples, read through its public terms."""
+    return p._den, [(e, int(c * p._den)) for e, c in p.terms.items()]
+
+
+def clifford_tuple_block(F: CliffordPolynomial) -> Block:
+    """The block of F keyed by (blade mask, exponent) pairs, read through its public blades."""
+    return F._den, [((mask, e), int(c * F._den)) for mask, p in F.blades.items() for e, c in p.terms.items()]
+
+
+def clifford_terms(F: CliffordPolynomial) -> dict:
+    """F as {(mask, exponent): Fraction}, read through its blades."""
+    return {(mask, e): c for mask, p in F.blades.items() for e, c in p.terms.items()}
+
+
+def fractions_of(block: tuple[int, Iterable]) -> dict:
+    """{key: Fraction} of a block (den, integer terms)."""
+    den, terms = block
+    return {key: Fraction(v, den) for key, v in (terms.items() if isinstance(terms, dict) else terms)}
+
+
+def product_reference(p: Polynomial, q: Polynomial) -> dict:
+    den, factor = tuple_block(q)
+    return fractions_of(accumulate([(1, tuple_block(p), lambda e: (den, [
+        (tuple(map(add, e, f)), c) for f, c in factor]))]))
+
+
+def derivative_reference(p: Polynomial, axis: int) -> dict:
+    return fractions_of(accumulate([(1, tuple_block(p), lambda e: (1, (
+        ((e[:axis] + (e[axis] - 1,) + e[axis + 1:], e[axis]),) if e[axis] else ())))]))
+
+
+def times_variable_reference(p: Polynomial, axis: int) -> dict:
+    return fractions_of(accumulate([(1, tuple_block(p), lambda e: (1, (
+        (e[:axis] + (e[axis] + 1,) + e[axis + 1:], 1),)))]))
+
+
+def shifts_reference(axes: Iterable[int], by: int) -> Callable[[Exponent], Block]:
+    """x^e -> the sum over the axes i of x_i^by x^e."""
+    return lambda e: (1, tuple((e[:i] + (e[i] + by,) + e[i + 1:], 1) for i in axes))
+
+
+def leibniz_chain_reference(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...]) -> dict[Exponent, int]:
+    """t s^(K-1) d_alpha x^e with rows[j] = ((k, (s R)_jk), ...) by axis index k."""
+    g, q = {(0,) * len(rows): 1}, {}
+    for k, j in enumerate(steps):
+        if k:
+            g, product = {}, g
+            for f, v in product.items():
+                for i, a in rows[steps[k - 1]]:
+                    fi = f[:i] + (f[i] + 1,) + f[i + 1:]
+                    g[fi] = g.get(fi, 0) + a * v
+        q = {f[:j] + (f[j] + 1,) + f[j + 1:]: s * v for f, v in q.items()}
+        if firsts[j]:
+            for f, v in g.items():
+                q[f] = q.get(f, 0) + firsts[j] * v
+    return q
+
+
+def dirac_image_reference(ctx: DunklContext, key: tuple[int, Exponent]) -> Block:
+    """D(x^e e_A) for the key (A, e) as one block over the common denominator of the T_i x^e."""
+    mask, e = key
+    x = Polynomial.monomial(ctx.m, e)
+    images = [tuple_block(dunkl_derivative(ctx, i, x)) for i in range(ctx.m)]
+    den = lcm(*(d for d, _ in images))
+    terms = []
+    for i, (d, nums) in enumerate(images):
+        sign, target = blade_product(1 << i, mask)
+        sign *= den // d
+        terms += [((target, f), sign * v) for f, v in nums]
+    return den, tuple(terms)
+
+
+def vector_map_reference(m: int) -> Callable[[tuple[int, Exponent]], Block]:
+    """(A, e) -> x x^e e_A = sum_i sign(e_i e_A) x_i x^e e_(A xor 2^i)."""
+    axes = range(m)
+
+    def image(key: tuple[int, Exponent]) -> Block:
+        mask, e = key
+        return 1, [((target, e[:i] + (e[i] + 1,) + e[i + 1:]), sign)
+                   for i in axes for sign, target in (blade_product(1 << i, mask),)]
+    return image
+
+
+def clifford_product_reference(F: CliffordPolynomial, G: CliffordPolynomial) -> dict:
+    den, factor = clifford_tuple_block(G)
+    return fractions_of(accumulate([(1, clifford_tuple_block(F), lambda key: (den, [
+        ((mask, tuple(map(add, key[1], e))), sign * c)
+        for (b, e), c in factor for sign, mask in (blade_product(key[0], b),)]))]))

@@ -12,7 +12,7 @@ from dunkl_hermite.clifford import (CliffordPolynomial, blade_product, d_plus,
                                     vector_multiply)
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator
-from dunkl_hermite.poly import Polynomial, dim_homogeneous, monomial_basis
+from dunkl_hermite.poly import Polynomial, dim_homogeneous, monomial_basis, monomial_keys
 from reference_operators import dunkl_dirac_reference
 from test_dunkl_map import g2_json
 from test_kernel_bases import dirac_kernel
@@ -274,10 +274,11 @@ def test_monogenic_columns_come_from_the_memo_and_equal_the_reference(name):
     for degree in range(3):
         basis = monogenic_basis(ctx, degree)
         for mask in range(1 << m):
-            for e in monomial_basis(m, degree):
-                assert (mask, e) in ctx._diracs
+            for e, key in zip(monomial_basis(m, degree), monomial_keys(m, degree)):
+                assert key << m | mask in ctx._diracs  # the Clifford key of x^e e_A
                 reference = dunkl_dirac_reference(ctx, CliffordPolynomial(m, {mask: Polynomial.monomial(m, e)}))
-                assert as_fractions(*dirac_image(ctx, (mask, e))) == as_fractions(*reference._block), (name, mask, e)
+                assert as_fractions(*dirac_image(ctx, key << m | mask)) == as_fractions(*reference._block), (
+                    name, mask, e)
         for M in basis:
             assert not dunkl_dirac_reference(ctx, M)
 

@@ -1,0 +1,63 @@
+"""The library degree cap: every operation that builds a monomial key of a larger degree accepts a result of
+degree MAX_DEGREE and refuses one of MAX_DEGREE + 1 with a ValueError naming both, before it builds a key.
+Only monomials, in a context without roots, so that no case starts real work."""
+from fractions import Fraction
+
+import pytest
+
+from dunkl_hermite.clifford import CliffordPolynomial, d_plus, vector_multiply
+from dunkl_hermite.groups import trivial_root_system
+from dunkl_hermite.operators import DunklContext, conjugated_dunkl, conjugated_laplacian, multiply_by_norm_squared
+from dunkl_hermite.poly import MAX_DEGREE, Polynomial
+
+
+def x(n: int, m: int = 1) -> Polynomial:
+    """x_1^n in m variables."""
+    return Polynomial.monomial(m, (n,) + (0,) * (m - 1))
+
+
+def clifford(n: int) -> CliffordPolynomial:
+    return CliffordPolynomial(1, {1: x(n)})
+
+
+def ctx() -> DunklContext:
+    return DunklContext(trivial_root_system(1))
+
+
+RATE = Fraction(-1, 2)
+# name -> (the operation on the degree of its input, the rise it makes)
+OPERATIONS = {
+    "constructor": (x, 0),
+    "product": (lambda n: x(n) * x(1), 1),
+    "power": (lambda n: x(1) ** n, 0),
+    "times_variable": (lambda n: x(n).times_variable(0), 1),
+    "multiply_by_norm_squared": (lambda n: multiply_by_norm_squared(x(n)), 2),
+    "conjugated_dunkl": (lambda n: conjugated_dunkl(ctx(), RATE, 0, x(n)), 1),
+    "conjugated_laplacian": (lambda n: conjugated_laplacian(ctx(), RATE, x(n)), 2),
+    "vector_multiply": (lambda n: vector_multiply(clifford(n)), 1),
+    "d_plus": (lambda n: d_plus(ctx(), clifford(n)), 1),
+    "clifford_product": (lambda n: clifford(n) * clifford(1), 1),
+}
+
+
+def degree(out) -> int:
+    return out.total_degree() if isinstance(out, Polynomial) else out.max_degree()
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_an_operation_reaches_the_cap_and_refuses_one_past_it(name):
+    operation, rise = OPERATIONS[name]
+    assert degree(operation(MAX_DEGREE - rise)) == MAX_DEGREE
+    with pytest.raises(ValueError, match=rf"degree {MAX_DEGREE + 1} is past the degree cap {MAX_DEGREE}"):
+        operation(MAX_DEGREE + 1 - rise)
+
+
+def test_the_cap_holds_in_every_field():
+    p = Polynomial(3, {(MAX_DEGREE, 0, 0): 1, (0, MAX_DEGREE, 0): 2, (0, 0, MAX_DEGREE): 3, (0, 0, 0): 4})
+    assert p.terms == {(MAX_DEGREE, 0, 0): 1, (0, MAX_DEGREE, 0): 2, (0, 0, MAX_DEGREE): 3, (0, 0, 0): 4}
+    assert [e for e, _ in p.sorted_terms()] == [(MAX_DEGREE, 0, 0), (0, MAX_DEGREE, 0), (0, 0, MAX_DEGREE), (0, 0, 0)]
+    assert p.coefficient((0, MAX_DEGREE, 0)) == 2 and p.coefficient((MAX_DEGREE + 1, 0, 0)) == 0
+    with pytest.raises(ValueError, match=rf"degree {MAX_DEGREE + 1} is past"):
+        Polynomial(3, {(1, MAX_DEGREE - 1, 1): 1})
+    with pytest.raises(ValueError, match=rf"degree {2 * MAX_DEGREE} is past"):
+        x(MAX_DEGREE, 2) * Polynomial.monomial(2, (0, MAX_DEGREE))

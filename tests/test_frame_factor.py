@@ -13,7 +13,7 @@ from dunkl_hermite.groups import builtin_root_system, root_system_from_json, tri
 from dunkl_hermite.hermite import fischer_decompose, fischer_frame
 from dunkl_hermite.linalg import _eliminate, _sparse_rows, reduced_row_echelon, solve_in_frame
 from dunkl_hermite.operators import DunklContext
-from dunkl_hermite.poly import Polynomial, deglex_key, monomial_basis
+from dunkl_hermite.poly import Polynomial, _exponents, deglex_key, monomial_basis
 
 from test_dunkl_map import f4_json, g2_json
 
@@ -201,7 +201,10 @@ def test_the_row_order_picks_the_pivot_rows_but_not_the_coordinates():
     frame = [Polynomial(2, {(2, 0): 1, (0, 2): 1}), Polynomial(2, {(2, 0): 1, (0, 2): -1})]
     flipped = [Polynomial(2, list(q.terms.items())[::-1]) for q in frame]
     target = Polynomial(2, {(2, 0): 3, (0, 2): 1})
-    # FrameFactor eliminates the frame's numerator rows: the first row in order of appearance pivots
-    assert _eliminate(_sparse_rows([q._nums.items() for q in frame]), 2) == [((2, 0), 0), ((0, 2), 1)]
-    assert _eliminate(_sparse_rows([q._nums.items() for q in flipped]), 2) == [((0, 2), 0), ((2, 0), 1)]
+    # FrameFactor eliminates the frame's numerator rows, keyed by the monomial keys: the first row in order of
+    # appearance pivots
+    for polys, order in [(frame, [(2, 0), (0, 2)]), (flipped, [(0, 2), (2, 0)])]:
+        steps = _eliminate(_sparse_rows([q._nums.items() for q in polys]), 2)
+        assert [(e, c) for e, (_, c) in zip(_exponents(2, [key for key, _ in steps]), steps)] == [
+            (order[0], 0), (order[1], 1)]
     assert solve_in_frame(frame, target) == solve_in_frame(flipped, target) == [2, 1]

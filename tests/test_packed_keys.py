@@ -1,0 +1,143 @@
+"""Packed monomial keys: the layout and its order, and every map that moves a key against its exponent-tuple
+form in tests/reference_operators.py, exactly."""
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dunkl_hermite.clifford import CliffordPolynomial, dirac_image, vector_multiply
+from dunkl_hermite.groups import builtin_root_system, root_system_from_json
+from dunkl_hermite.operators import DunklContext, _leibniz_chain, _shifts, conjugated_laplacian, dunkl_images
+from dunkl_hermite.poly import (_BITS, MAX_DEGREE, Polynomial, _exponents, _keys, _units, accumulate, deglex_key,
+                                linear_extension, monomial_basis, monomial_keys)
+
+from reference_operators import (clifford_product_reference, clifford_terms, clifford_tuple_block,
+                                 conjugated_laplacian_reference, derivative_reference, dirac_image_reference,
+                                 fractions_of, leibniz_chain_reference, product_reference, shifts_reference,
+                                 times_variable_reference, tuple_block, vector_map_reference)
+from test_dunkl_map import f4_json, g2_json
+
+coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+kappa = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+
+# name -> (number of kappas, builder from the kappas); m <= 5 throughout
+SYSTEMS = {
+    "z2^3": (3, lambda k: builtin_root_system("z2", 3, k)),
+    "a3": (1, lambda k: builtin_root_system("a", 3, k)),
+    "b3": (2, lambda k: builtin_root_system("b", 3, k)),
+    "G2": (2, lambda k: root_system_from_json(g2_json(*k))),
+    "F4": (2, lambda k: root_system_from_json(f4_json(*k))),
+}
+
+
+def exponents(m, max_degree=4):
+    return st.lists(st.integers(0, m - 1), max_size=max_degree).map(lambda axes: tuple(axes.count(i) for i in range(m)))
+
+
+def polynomials(m, max_degree=4, max_terms=5):
+    return st.dictionaries(exponents(m, max_degree), coefficient, max_size=max_terms).map(lambda t: Polynomial(m, t))
+
+
+@st.composite
+def contexts(draw):
+    name = draw(st.sampled_from(sorted(SYSTEMS)))
+    count, build = SYSTEMS[name]
+    return name, DunklContext(build([draw(kappa) for _ in range(count)]))
+
+
+@st.composite
+def cliffords(draw, m, max_degree=3):
+    blades = {mask: draw(polynomials(m, max_degree, 3))
+              for mask in draw(st.lists(st.integers(0, (1 << m) - 1), max_size=3, unique=True))}
+    return CliffordPolynomial(m, blades)
+
+
+# -- the layout ----------------------------------------------------------------
+
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(exponents(m, 8), exponents(m, 8))))
+@settings(max_examples=300, deadline=None)
+def test_key_order_is_deglex_order_and_keys_add(pair):
+    a, b = pair
+    ka, kb = _keys([a, b])
+    assert (ka < kb) == (deglex_key(a) < deglex_key(b))
+    assert (ka == kb) == (a == b)
+    assert ka + kb == _keys([tuple(x + y for x, y in zip(a, b))])[0]
+    m = len(a)
+    assert ka == sum(a) << _BITS * m | sum(x << _BITS * (m - 1 - i) for i, x in enumerate(a))
+    assert _exponents(m, [ka, kb]) == [a, b]
+
+
+def test_the_fields_hold_the_cap():
+    corners = [(MAX_DEGREE, 0, 0), (0, MAX_DEGREE, 0), (0, 0, MAX_DEGREE), (1, MAX_DEGREE - 2, 1), (0, 0, 0)]
+    keys = _keys(corners)
+    assert _exponents(3, keys) == corners
+    assert sorted(keys, reverse=True) == _keys(sorted(corners, key=deglex_key, reverse=True))
+    for m in range(1, 6):
+        for d in range(4):
+            keys = monomial_keys(m, d)
+            assert keys == tuple(_keys(monomial_basis(m, d)))
+            assert list(keys) == sorted(keys, reverse=True)  # deg-lex largest first, as monomial_basis
+
+
+# -- ring operations -------------------------------------------------------------
+
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(polynomials(m), polynomials(m), st.integers(0, m - 1))))
+@settings(max_examples=200, deadline=None)
+def test_ring_maps_equal_their_tuple_forms(case):
+    p, q, axis = case
+    assert (p * q).terms == product_reference(p, q)
+    assert p.derivative(axis).terms == derivative_reference(p, axis)
+    assert p.times_variable(axis).terms == times_variable_reference(p, axis)
+    for axes, by in [(range(p.m), 2), ((axis,), 1)]:
+        assert linear_extension(p.m, [(1, p._block, _shifts(p, axes, by))]).terms == fractions_of(accumulate([
+            (1, tuple_block(p), shifts_reference(axes, by))]))
+
+
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(cliffords(m), cliffords(m))))
+@settings(max_examples=150, deadline=None)
+def test_clifford_maps_equal_their_tuple_forms(case):
+    F, G = case
+    assert clifford_terms(F * G) == clifford_product_reference(F, G)
+    assert clifford_terms(vector_multiply(F)) == fractions_of(accumulate([
+        (1, clifford_tuple_block(F), vector_map_reference(F.m))]))
+
+
+# -- the memo --------------------------------------------------------------------
+
+@given(contexts(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_leibniz_chains_equal_their_tuple_form(case, data):
+    name, ctx = case
+    m = ctx.m
+    e = data.draw(exponents(m, 4).filter(any))
+    key = _keys([e])[0]
+    dunkl_images(ctx, key)  # sets up the chains
+    units = _units(m)
+    steps = [j for j, n in enumerate(e) for _ in range(n)]
+    for _, s, rows, firsts, _ in ctx._chains:
+        by_axis = tuple(tuple((units.index(unit), a) for unit, a in row) for row in rows)
+        packed = _leibniz_chain(steps, s, rows, firsts, units)
+        assert dict(zip(_exponents(m, packed), packed.values())) == leibniz_chain_reference(
+            steps, s, by_axis, firsts), (name, e)
+
+
+@given(contexts(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dirac_images_equal_their_tuple_form(case, data):
+    name, ctx = case
+    m = ctx.m
+    mask, e = data.draw(st.integers(0, (1 << m) - 1)), data.draw(exponents(m, 3))
+    den, terms = dirac_image(ctx, _keys([e])[0] << m | mask)
+    low = (1 << m) - 1
+    packed = {(k & low, f): Fraction(v, den) for (k, v), f in zip(terms, _exponents(m, [k >> m for k, _ in terms]))}
+    assert packed == fractions_of(dirac_image_reference(ctx, (mask, e))), (name, mask, e)
+
+
+@given(contexts(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_conjugated_laplacian_equals_the_intermediate_polynomials(case, data):
+    """Two accumulations, the axis in the low bits of the first one's keys, against m intermediate polynomials."""
+    name, ctx = case
+    f = data.draw(polynomials(ctx.m, 4, 4))
+    rate = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    assert conjugated_laplacian(ctx, rate, f) == conjugated_laplacian_reference(ctx, rate, f), name

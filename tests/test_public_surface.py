@@ -1,5 +1,6 @@
 """The package's public surface: __all__ is pinned name by name, and test-only code stays in the tests."""
 import ast
+import re
 
 import dunkl_hermite
 
@@ -37,4 +38,21 @@ def test_no_reference_operator_lives_in_the_package():
     """Slow reference forms that only the tests compare against live in tests/reference_operators.py."""
     found = [f"{path.name}: {node.name}" for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_reference")]
+    assert found == []
+
+
+# Exponent tuples are read and written only at the boundary: the constructor, terms, coefficient, JSON and
+# printing.  Everywhere else a monomial is its packed key, and a key moves by integer addition.
+TUPLE_BOUNDARY = {"__init__", "terms", "coefficient", "to_json", "from_json", "__str__", "monomial_basis"}
+TUPLE_KEY_BUILDS = [re.compile(r"\[\s*:\s*\w+\s*\]\s*\+\s*\("), re.compile(r"tuple\(\s*map\(\s*add\b")]
+
+
+def test_no_key_is_built_as_a_tuple_outside_the_boundary():
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        boundary = {line for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)
+                    and node.name in TUPLE_BOUNDARY for line in range(node.lineno, node.end_lineno + 1)}
+        found += [f"{path.name}:{number}: {line.strip()}" for number, line in enumerate(text.splitlines(), 1)
+                  if number not in boundary and any(pattern.search(line) for pattern in TUPLE_KEY_BUILDS)]
     assert found == []

@@ -3,7 +3,7 @@
 Basis blades of Cl(0, m) are bitmasks: bit i set means the generator e_{i+1}
 is present, generators multiply with e_i e_j = -e_j e_i (i != j) and
 e_i^2 = -1.  A CliffordPolynomial is one positive integer denominator over a
-map from Clifford keys to nonzero integer numerators, normalized as a
+map from Clifford keys to nonzero integer numerators, a poly._Element as a
 Polynomial is.  The Clifford key of x^e e_A is the monomial key of x^e shifted
 up by m bits, with the blade mask A in the low m bits, so multiplying by x_i
 adds the key of x_i shifted by m, and every degree cap of poly holds.  The
@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Union
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import kernel_basis
 from .operators import DunklContext, d_plus_squared_form, dunkl_images
-from .poly import (Block, Polynomial, _check_degree, _degree_shift, _units, accumulate, json_int, linear_extension,
-                   monomial_keys)
+from .poly import (Block, Polynomial, _check_degree, _degree_shift, _dimension, _Element, _units, accumulate, json_int,
+                   linear_extension, monomial_keys)
 
 ScalarLike = Union[int, Fraction]
 
@@ -35,15 +35,13 @@ def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:
     return -1 if (swaps + (mask_a & mask_b).bit_count()) & 1 else 1, mask_a ^ mask_b
 
 
-class CliffordPolynomial:
+class CliffordPolynomial(_Element):
     """Polynomial-coefficient element of Cl(0, m): {Clifford key: nonzero integer} over one denominator."""
 
-    __slots__ = ("m", "_den", "_nums")
+    __slots__ = ()
 
     def __init__(self, m: int, blades: Mapping[int, Polynomial] = ()):
-        m = json_int(m, "m")
-        if m < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {m}")
+        m = _dimension(m)
         parts = []
         for mask, poly in (blades.items() if isinstance(blades, Mapping) else blades):
             mask = json_int(mask, "mask")
@@ -87,46 +85,14 @@ class CliffordPolynomial:
     def blade(self, mask: int) -> Polynomial:
         return self.blades.get(mask, Polynomial.zero(self.m))
 
-    @property
-    def _block(self) -> Block:
-        """(den, the integer terms), as a part of accumulate reads them."""
-        return self._den, self._nums.items()
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CliffordPolynomial):
-            return NotImplemented
-        return self.m == other.m and self._den == other._den and self._nums == other._nums
-
     def max_degree(self) -> Union[int, None]:
         return max(self._nums) >> self.m >> _degree_shift(self.m) if self._nums else None
 
     # -- algebra -----------------------------------------------------------
 
-    def _require_same_dim(self, other: "CliffordPolynomial") -> None:
-        if self.m != other.m:
-            raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
-
-    def _plus(self, other: "CliffordPolynomial", scale: int) -> "CliffordPolynomial":
-        if not isinstance(other, CliffordPolynomial):
-            return NotImplemented
-        self._require_same_dim(other)
-        return _flat(self.m, accumulate([(1, self._block, None), (scale, other._block, None)]))
-
-    def __add__(self, other: "CliffordPolynomial") -> "CliffordPolynomial":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "CliffordPolynomial") -> "CliffordPolynomial":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "CliffordPolynomial":
-        return _flat(self.m, accumulate([(-1, self._block, None)]))
-
     def __mul__(self, other: Union["CliffordPolynomial", Polynomial, ScalarLike]) -> "CliffordPolynomial":
         if isinstance(other, (int, Fraction)):
-            return _flat(self.m, accumulate([(other, self._block, None)]))
+            return self._scaled(other)
         if isinstance(other, Polynomial):  # scalar polynomials commute with every blade
             other = CliffordPolynomial.from_polynomial(other)
         if not isinstance(other, CliffordPolynomial):
@@ -140,7 +106,7 @@ class CliffordPolynomial:
         def image(key: int) -> Block:  # x^e e_A x^f e_B = sign(e_A e_B) x^(e + f) e_(A xor B)
             a = key & low
             return den, [(key - a + f + mask, sign * c) for b, f, c in factor for sign, mask in (blade_product(a, b),)]
-        return _flat(self.m, accumulate([(1, self._block, image)]))
+        return CliffordPolynomial._new(self.m, accumulate([(1, self._block, image)]))
 
     __rmul__ = __mul__
 
@@ -166,13 +132,6 @@ class CliffordPolynomial:
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial(m={self.m}, {self!s})"
-
-
-def _flat(m: int, block: tuple[int, dict]) -> CliffordPolynomial:
-    """Internal constructor skipping validation: block is a normalized (den, {Clifford key: int}) in dimension m."""
-    out = object.__new__(CliffordPolynomial)
-    out.m, (out._den, out._nums) = m, block
-    return out
 
 
 def dirac_image(ctx: DunklContext, key: int) -> Block:
@@ -217,18 +176,18 @@ def _vector_map(F: CliffordPolynomial) -> Callable[[int], Block]:
 def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """D F = sum_i e_i (T_i F), Dunkl operators acting blade-wise."""
     _check(ctx, F)
-    return _flat(F.m, accumulate([(1, F._block, _dirac_map(ctx))]))
+    return CliffordPolynomial._new(F.m, accumulate([(1, F._block, _dirac_map(ctx))]))
 
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x."""
-    return _flat(F.m, accumulate([(1, F._block, _vector_map(F))]))
+    return CliffordPolynomial._new(F.m, accumulate([(1, F._block, _vector_map(F))]))
 
 
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
-    return _flat(F.m, accumulate([(-1, F._block, _dirac_map(ctx)), (2, F._block, _vector_map(F))]))
+    return CliffordPolynomial._new(F.m, accumulate([(-1, F._block, _dirac_map(ctx)), (2, F._block, _vector_map(F))]))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
@@ -247,7 +206,7 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
     keys = [key << ctx.m | mask for mask in range(1 << ctx.m) for key in monomial_keys(ctx.m, degree)]
-    return [_flat(ctx.m, (1, vec)) for vec in kernel_basis([dirac_image(ctx, key) for key in keys], keys)]
+    return [CliffordPolynomial._new(ctx.m, (1, v)) for v in kernel_basis([dirac_image(ctx, key) for key in keys], keys)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

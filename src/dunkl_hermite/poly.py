@@ -13,9 +13,9 @@ exponent vectors; Monagan and Pearce, ISSAC 2009): one field of _BITS bits per
 variable, x_m lowest, x_1 above it, and the total degree on top.  So integer
 order is deg-lex order, x^a x^b has the key a + b, and multiplying by x_i adds
 the key of x_i.  A field cannot overflow: every exponent is at most the total
-degree, and no monomial of total degree past MAX_DEGREE is ever built; the
-constructor and every operation that raises the degree refuse one with a
-ValueError before building its key.  _BITS is the bit length of MAX_DEGREE.
+degree, and no element holds a monomial of total degree past MAX_DEGREE: the
+constructor refuses one (ValueError) before summing its terms, every operation
+that raises the degree before building its key.  _BITS is MAX_DEGREE's bit length.
 Exponent tuples are the interface: the constructor, terms, coefficient,
 sorted_terms, leading_term, JSON, printing and monomial_basis read or give them.
 """
@@ -74,11 +74,6 @@ def _exponents(m: int, keys: Iterable[int]) -> list[Exponent]:
     return [tuple(key >> s & _FIELD for s in shifts) for key in keys]
 
 
-def deglex_key(exponents: Exponent) -> tuple[int, Exponent]:
-    """Sort key realizing the deg-lex order (ascending; reverse for canonical)."""
-    return (sum(exponents), exponents)
-
-
 def rational_str(value: Fraction) -> str:
     """Render a rational as "num/den", denominator always explicit."""
     value = exact(value)
@@ -111,6 +106,14 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def _dimension(m) -> int:
+    """m if it is a JSON integer of at least 1, the dimension check of both element constructors."""
+    m = json_int(m, "m")
+    if m < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {m}")
+    return m
+
+
 def dim_homogeneous(m: int, degree: int) -> int:
     """Dimension of the space of homogeneous polynomials of the given degree."""
     if degree < 0:
@@ -141,33 +144,86 @@ def monomial_keys(m: int, degree: int) -> tuple[int, ...]:
     return tuple(_keys(monomial_basis(m, degree)))
 
 
-class Polynomial:
+class _Element:
+    """The integer layout of Polynomial and CliffordPolynomial and the ring operations that read no key: m, one
+    positive denominator and {key: nonzero int}, normalized as accumulate returns them.  What a key means, and
+    so the constructor, the products and the views, belongs to the subclass."""
+
+    __slots__ = ("m", "_den", "_nums")
+
+    @classmethod
+    def _new(cls, m: int, block: tuple[int, dict]):
+        """Internal constructor skipping validation; block is (den, nums) normalized, as accumulate returns it."""
+        out = object.__new__(cls)
+        out.m, (out._den, out._nums) = m, block
+        return out
+
+    @property
+    def _block(self) -> Block:
+        """(den, the integer terms), as a part of accumulate reads them."""
+        return self._den, self._nums.items()
+
+    def _require_same_dim(self, other: "_Element") -> None:
+        if self.m != other.m:
+            raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):  # a Polynomial never equals a CliffordPolynomial
+            return NotImplemented
+        return self.m == other.m and self._den == other._den and self._nums == other._nums
+
+    def _plus(self, other: "_Element", scale: int):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_dim(other)
+        return self._new(self.m, accumulate([(1, self._block, None), (scale, other._block, None)]))
+
+    def __add__(self, other: "_Element"):
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "_Element"):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def _scaled(self, c: ScalarLike):
+        """c times the element, for an int or Fraction c."""
+        return self._new(self.m, accumulate([(c, self._block, None)]))
+
+
+class Polynomial(_Element):
     """Immutable-by-convention sparse polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("m", "_den", "_nums", "_terms")
+    __slots__ = ()
 
     def __init__(self, m: int, terms: Union[Mapping[Exponent, ScalarLike], Iterable[tuple[Exponent, ScalarLike]]] = ()):
-        m = json_int(m, "m")
-        if m < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {m}")
+        m = _dimension(m)
+        shift = _degree_shift(m)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: list[tuple[Exponent, int, int]] = []
+        clean, top = [], 0  # (key, numerator, denominator) per term, and the largest total degree
         for exponents, coeff in items:
             exponents = tuple(exponents)
             if len(exponents) != m:
                 raise DimensionMismatch(
                     f"dimension mismatch: exponent tuple of length {len(exponents)} vs dimension {m}")
-            if any(type(e) is not int or e < 0 for e in exponents):
-                raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
+            key = 0
+            for e in exponents:
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
+                key = key << _BITS | e
             if type(coeff) is not int:
                 coeff = exact(coeff)
-            clean.append((exponents, coeff.numerator, coeff.denominator))
+            degree = sum(exponents)
+            top = max(top, degree)
+            clean.append((degree << shift | key, coeff.numerator, coeff.denominator))
+        _check_degree(top)  # after every term is validated, and before any key is summed
         den = lcm(*(d for _, _, d in clean))
-        keys = _keys([e for e, _, _ in clean])
         self.m = m
-        self._den, self._nums = accumulate([(1, (den, [(key, n * (den // d)) for key, (_, n, d) in zip(keys, clean)]),
-                                             None)])
-        self._terms = None
+        self._den, self._nums = accumulate([(1, (den, [(key, n * (den // d)) for key, n, d in clean]), None)])
 
     # -- constructors ------------------------------------------------------
 
@@ -203,18 +259,10 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        """Term map of Fractions keyed by exponent tuples, built on first use and cached; callers must not mutate it."""
-        terms = self._terms
-        if terms is None:
-            den, nums = self._den, self._nums
-            terms = self._terms = {e: Fraction(n, den) for e, n in zip(_exponents(self.m, nums), nums.values())}
-        return terms
-
-    @property
-    def _block(self) -> Block:
-        """(den, the integer terms), as a part of accumulate reads them."""
-        return self._den, self._nums.items()
+    def terms(self) -> dict[Exponent, Fraction]:
+        """Term map of Fractions keyed by exponent tuples, built on each call."""
+        den, nums = self._den, self._nums
+        return {e: Fraction(n, den) for e, n in zip(_exponents(self.m, nums), nums.values())}
 
     def coefficient(self, exponents: Exponent) -> Fraction:
         e = tuple(exponents)
@@ -259,33 +307,6 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _require_same_dim(self, other: "Polynomial") -> None:
-        if self.m != other.m:
-            raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.m == other.m and self._den == other._den and self._nums == other._nums
-
-    def _plus(self, other: "Polynomial", scale: int) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_dim(other)
-        return linear_extension(self.m, [(1, self._block, None), (scale, other._block, None)])
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "Polynomial":
-        return linear_extension(self.m, [(-1, self._block, None)])
-
     def __mul__(self, other: Union["Polynomial", ScalarLike]) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
@@ -294,7 +315,7 @@ class Polynomial:
             den, factor = other._block
             return linear_extension(self.m, [(1, self._block, lambda e: (den, [(e + f, c) for f, c in factor]))])
         if isinstance(other, (int, Fraction)):
-            return linear_extension(self.m, [(other, self._block, None)])
+            return self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -376,13 +397,6 @@ _ZERO = Fraction(0)
 def _check_axis(m: int, axis: int) -> None:
     if not 0 <= axis < m:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {m}")
-
-
-def _raw(m: int, block: tuple[int, dict[int, int]]) -> Polynomial:
-    """Internal constructor skipping validation; block is (den, nums) normalized, as accumulate returns it."""
-    p = object.__new__(Polynomial)
-    p.m, (p._den, p._nums), p._terms = m, block, None
-    return p
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence[ScalarLike]]) -> Polynomial:
@@ -471,7 +485,7 @@ def accumulate(parts: Iterable[tuple]) -> tuple[int, dict]:
 
 def linear_extension(m: int, parts: Iterable[tuple]) -> Polynomial:
     """accumulate(parts) over monomial keys, as a polynomial in m variables."""
-    return _raw(m, accumulate(parts))
+    return Polynomial._new(m, accumulate(parts))
 
 
 def divide_by_linear_form(p: Polynomial, alpha: Sequence[ScalarLike]) -> Polynomial:

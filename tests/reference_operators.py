@@ -53,6 +53,11 @@ def conjugated_laplacian_reference(ctx: DunklContext, rate: Fraction, f: Polynom
 
 # -- exponent-tuple forms ----------------------------------------------------
 
+def deglex_key(exponents: Exponent) -> tuple[int, Exponent]:
+    """Sort key realizing the deg-lex order on exponent tuples (ascending; reverse for canonical)."""
+    return (sum(exponents), exponents)
+
+
 def tuple_block(p: Polynomial) -> Block:
     """The block of p keyed by exponent tuples, read through its public terms."""
     return p._den, [(e, int(c * p._den)) for e, c in p.terms.items()]

@@ -4,6 +4,7 @@ a Fraction dict reference written here, sharing no code with the package."""
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,3 +117,28 @@ def test_clifford_layout_and_ring_operations(case, scalar):
     assert clifford_terms(F * G) == dict_sum(
         ((A ^ B, tuple(x + y for x, y in zip(e, f))), blade_sign(A, B) * c * d) for (A, e), c in a for (B, f), d in b)
     assert clifford_terms(F - F) == {} and (F - F)._den == 1
+
+
+@st.composite
+def mixed_pairs(draw):
+    m = draw(st.integers(1, 3))
+    a = draw(term_lists(exponents(m)))
+    b = draw(term_lists(st.tuples(st.integers(0, (1 << m) - 1), exponents(m))))
+    return m, a, b
+
+
+@given(mixed_pairs())
+@settings(max_examples=100, deadline=None)
+def test_polynomial_and_clifford_elements_keep_their_types(case):
+    """The ring core both element types share refuses an operand of the other type in == + and -, while a
+    polynomial times a Clifford element is its scalar blade times it, from either side."""
+    m, a, b = case
+    p, G = Polynomial(m, a), clifford(m, b)
+    F = CliffordPolynomial.from_polynomial(p)
+    assert (p == F) is False and (F == p) is False
+    for left, right in ((p, F), (F, p)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    assert p * G == G * p == F * G

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from dunkl_hermite.clifford import CliffordPolynomial, dirac_image, vector_multiply
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json
 from dunkl_hermite.operators import DunklContext, _leibniz_chain, _shifts, conjugated_laplacian, dunkl_images
-from dunkl_hermite.poly import (_BITS, MAX_DEGREE, Polynomial, _exponents, _keys, _units, accumulate, deglex_key,
+from dunkl_hermite.poly import (_BITS, MAX_DEGREE, Polynomial, _exponents, _keys, _units, accumulate,
                                 linear_extension, monomial_basis, monomial_keys)
 
 from reference_operators import (clifford_product_reference, clifford_terms, clifford_tuple_block,
-                                 conjugated_laplacian_reference, derivative_reference, dirac_image_reference,
-                                 fractions_of, leibniz_chain_reference, product_reference, shifts_reference,
-                                 times_variable_reference, tuple_block, vector_map_reference)
+                                 conjugated_laplacian_reference, deglex_key, derivative_reference,
+                                 dirac_image_reference, fractions_of, leibniz_chain_reference, product_reference,
+                                 shifts_reference, times_variable_reference, tuple_block, vector_map_reference)
 from test_dunkl_map import f4_json, g2_json
 
 coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)

@@ -56,3 +56,16 @@ def test_no_key_is_built_as_a_tuple_outside_the_boundary():
         found += [f"{path.name}:{number}: {line.strip()}" for number, line in enumerate(text.splitlines(), 1)
                   if number not in boundary and any(pattern.search(line) for pattern in TUPLE_KEY_BUILDS)]
     assert found == []
+
+
+def test_one_raw_constructor():
+    """Elements are built without validation in one place, poly._Element._new: object.__new__ appears nowhere
+    else in the package, so a second raw constructor cannot come back beside it."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        found += [(path.name, [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno])
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert found == [("poly.py", ["_new"])]

@@ -16,7 +16,7 @@ from .groups import (BUILTIN_FAMILIES, RootSystem, builtin_root_system,
                      root_system_from_json)
 from .hermite import ch_laguerre, ch_recursion, ch_rodrigues, fischer_decompose, harmonic_basis
 from .operators import DunklContext
-from .poly import Polynomial, parse_rational, rational_str
+from .poly import MAX_DEGREE, Polynomial, parse_rational, rational_str
 from .suites import PROFILES, SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -113,6 +113,9 @@ _CONSTRUCTIONS = {
 
 def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
     ctx = DunklContext(_resolve_group(args))
+    degree = args.ell + 2 * max(args.t, 0)  # the record's degree; refused before any basis is built
+    if degree > MAX_DEGREE:
+        raise MathPrecondition(f"degree ell + 2t = {degree} is past the degree cap {MAX_DEGREE}")
     basis = harmonic_basis(ctx, args.ell).elements
     if not 0 <= args.h_index < len(basis):
         raise InputDataError(
@@ -153,6 +156,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if args.max_deg is not None:
         if args.max_deg < 0:
             raise UsageError("--max-deg must be nonnegative")
+        if args.max_deg > MAX_DEGREE:
+            raise UsageError(f"--max-deg {args.max_deg} is past the degree cap {MAX_DEGREE}")
         profile = dataclasses.replace(
             profile, max_deg=args.max_deg,
             clifford_deg=min(profile.clifford_deg, args.max_deg))

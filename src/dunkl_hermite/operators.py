@@ -9,10 +9,16 @@ where r_alpha is the reflection in the hyperplane orthogonal to alpha.  The
 difference f - f o r_alpha vanishes on that hyperplane, so the division is
 exact; a remainder aborts loudly.  By the twisted Leibniz rule d_alpha(f g) =
 d_alpha(f) (g o r_alpha) + f d_alpha(g), a monomial's quotient follows from
-the coordinates' in integers.  The operators are linear, so each context
-computes the images of a monomial once and applies them to any polynomial
-term by term.  Everything downstream (Laplacian, Euler operator, sl2 action,
-Gaussian conjugation, heat semigroup) is assembled from these exact pieces.
+the coordinates' in integers.  kappa is constant on each orbit O of R+ under
+the reflections, so T_i = d/dx_i + sum over the orbits of kappa_O S_(O,i) with
+S_(O,i) f = sum over alpha in O of alpha_i (f - f o r_alpha) / <alpha, x>, which
+does not depend on kappa.  The images S_(O,i) x^e are kept once per process,
+per orbit (_orbit_memo), and shared by every context whose root system has
+that orbit, whatever its kappa; the images T_i x^e, Delta x^e and D(x^e e_A)
+depend on kappa and are kept per context.  The operators are linear, so they
+apply these images to any polynomial term by term.  Everything downstream
+(Laplacian, Euler operator, sl2 action, Gaussian conjugation, heat semigroup)
+is assembled from these exact pieces.
 """
 from __future__ import annotations
 
@@ -35,19 +41,19 @@ class DunklContext:
     D(x^e e_A) of a Clifford term, and the Fischer frame of a degree with its factor
     are computed on first use and kept in the memo, the images as integer numerators
     over one denominator each, keyed by the monomial key of x^e (the Clifford key of
-    x^e e_A); the memo lives and dies with the context.
+    x^e e_A); the memo lives and dies with the context.  kappa is constant on each
+    orbit O of roots, so T_i x^e = d_i x^e + sum over the orbits of kappa_O S_(O,i) x^e;
+    the kappa-free pieces S_(O,i) x^e live in a per-process cache of orbits (see
+    _orbit_memo), shared by every context with the same roots whatever its kappa.
     """
 
-    __slots__ = ("root_system", "reflections", "_active", "_chains", "_images", "_laplacians", "_diracs",
-                 "_fischer", "__weakref__")
+    __slots__ = ("root_system", "reflections", "_orbits", "_images", "_laplacians", "_diracs", "_fischer",
+                 "__weakref__")
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
         self.reflections: tuple[Matrix, ...] = tuple(map(_reflection, root_system.positive_roots))
-        # roots with kappa = 0 contribute nothing and are skipped up front
-        self._active: tuple[tuple[Vector, Fraction, Matrix], ...] = tuple(
-            root for root in zip(root_system.positive_roots, root_system.multiplicities, self.reflections) if root[1])
-        self._chains = None  # per active root, derived from _active on the memo's first fill
+        self._orbits = None  # (kappa, orbit memo) per orbit with kappa != 0, resolved on the memo's first fill
         self._images: dict[int, tuple[Block, ...]] = {}
         self._laplacians: dict[int, Block] = {}
         self._diracs: dict[int, Block] = {}  # filled by clifford.dirac_image
@@ -69,7 +75,7 @@ class DunklContext:
         return f"DunklContext(m={self.m}, roots={len(self.root_system.positive_roots)}, mu={self.mu})"
 
 
-# The per-root caches below hold kappa-free geometry shared by every context of the process.  Their
+# The per-process caches below hold kappa-free geometry shared by every context of the process.  Their
 # keys come from custom root systems too, which can vary without limit, hence the bound.
 _ROOT_CACHE_SIZE = 1024
 
@@ -79,12 +85,11 @@ def _reflection(alpha: Vector) -> Matrix:
     return reflection_matrix(alpha)
 
 
-@lru_cache(maxsize=_ROOT_CACHE_SIZE)
 def _chain_setup(m: int, alpha: Vector, refl: Matrix) -> tuple:
     """(s, the rows of the integer matrix s R, C, t) with C_j / t = d_alpha x_j, divided by compose_linear
-    and divide_by_linear_form: a substitution that is not alpha's reflection raises here (and is not
-    cached), and once every x_j - R x_j divides, every x^e - x^e o R does, by the Leibniz rule.  Row j
-    holds (the key of x_k, (s R)_jk) for the nonzero entries."""
+    and divide_by_linear_form: a substitution that is not alpha's reflection raises here, and once every
+    x_j - R x_j divides, every x^e - x^e o R does, by the Leibniz rule.  Row j holds (the key of x_k,
+    (s R)_jk) for the nonzero entries."""
     s = lcm(*(a.denominator for row in refl for a in row))
     firsts = [divide_by_linear_form(x - compose_linear(x, refl), alpha).coefficient((0,) * m)
               for x in (Polynomial.variable(m, j) for j in range(m))]
@@ -92,6 +97,23 @@ def _chain_setup(m: int, alpha: Vector, refl: Matrix) -> tuple:
     units = _units(m)
     rows = tuple(tuple((units[k], int(a * s)) for k, a in enumerate(row) if a) for row in refl)
     return s, rows, tuple(int(c * t) for c in firsts), t
+
+
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _orbit_memo(m: int, roots: tuple[Vector, ...]) -> tuple:
+    """The kappa-free part of the Dunkl map on one orbit of roots: (axes, chains, memo).  axes holds, per axis i
+    where some root of the orbit is nonzero, (i, ((r, alpha_i), ...)) over the roots r with alpha_i != 0 (an
+    integer alpha_i as an int); chains holds _chain_setup per root; memo maps a monomial key to the nonzero
+    blocks S_i x^e = sum over the orbit's roots of alpha_i d_alpha x^e as ((i, block), ...), filled by
+    _orbit_blocks.  A set-up that raises caches nothing."""
+    chains = tuple(_chain_setup(m, alpha, _reflection(alpha)) for alpha in roots)
+    axes = []
+    for i in range(m):
+        weights = tuple((r, int(alpha[i]) if alpha[i].denominator == 1 else alpha[i])
+                        for r, alpha in enumerate(roots) if alpha[i])
+        if weights:  # an axis where every root of the orbit is 0 has no S_i
+            axes.append((i, weights))
+    return tuple(axes), chains, {}
 
 
 def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...], units: tuple[int, ...]) -> dict:
@@ -119,24 +141,52 @@ def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...
     return q
 
 
+def _orbit_blocks(orbit: tuple, key: int, steps: list[int], units: tuple[int, ...]) -> tuple:
+    """The nonzero S_i x^e of the orbit as ((i, block), ...), memoized in the orbit: one Leibniz chain per root,
+    then per axis one accumulation of the roots' quotients weighted by alpha_i."""
+    axes, chains, memo = orbit
+    blocks = memo.get(key)
+    if blocks is None:
+        lift = len(steps) - 1
+        quotients = [(t * s ** lift, q.items()) if q else None for s, rows, firsts, t in chains
+                     for q in (_leibniz_chain(steps, s, rows, firsts, units),)]
+        blocks = []
+        for i, weights in axes:
+            parts = [(w, quotients[r], None) for r, w in weights if quotients[r]]
+            if len(parts) == 1 and parts[0][0] == 1:  # one root with alpha_i = 1, as in z2 and B's short orbit
+                blocks.append((i, parts[0][1]))
+            elif parts:
+                den, nums = accumulate(parts)
+                if nums:
+                    blocks.append((i, (den, tuple(nums.items()))))
+        blocks = memo[key] = tuple(blocks)
+    return blocks
+
+
+def _active_orbits(root_system: RootSystem) -> tuple:
+    """(kappa, the orbit's memo) per orbit with kappa != 0: kappa is orbit-constant, and a zero one adds nothing."""
+    roots, kappas, m = root_system.positive_roots, root_system.multiplicities, root_system.m
+    return tuple((kappas[orbit[0]], _orbit_memo(m, tuple(roots[i] for i in orbit)))
+                 for orbit in root_system.orbits if kappas[orbit[0]])
+
+
 def dunkl_images(ctx: DunklContext, key: int) -> tuple[Block, ...]:
-    """T_1 x^e, ..., T_m x^e for the key of x^e as blocks (den, ((key, int), ...)), memoized: one Leibniz chain
-    per root in integers, and per axis one accumulation of the derivative and every root's weighted quotient."""
+    """T_1 x^e, ..., T_m x^e for the key of x^e as blocks (den, ((key, int), ...)), memoized: per axis one
+    accumulation of the derivative and the kappa-weighted blocks S_(O,i) x^e of the active orbits."""
     images = ctx._images.get(key)
     if images is None:
         m = ctx.m
-        if ctx._chains is None:
-            ctx._chains = tuple((tuple(kappa * a for a in alpha), *_chain_setup(m, alpha, refl))
-                                for alpha, kappa, refl in ctx._active)
+        if ctx._orbits is None:
+            ctx._orbits = _active_orbits(ctx.root_system)
         units, e = _units(m), _exponents(m, (key,))[0]
         steps = [j for j, n in enumerate(e) for _ in range(n)]
-        quotients = [(weights, q, t * s ** (len(steps) - 1)) for weights, s, rows, firsts, t in ctx._chains
-                     for q in (_leibniz_chain(steps, s, rows, firsts, units),) if q]
+        parts = [[(n, (1, ((key - units[i], 1),)), None)] if n else [] for i, n in enumerate(e)]
+        for kappa, orbit in ctx._orbits:
+            for i, block in _orbit_blocks(orbit, key, steps, units):
+                parts[i].append((kappa, block, None))
         images = []
-        for i, n in enumerate(e):
-            parts = [(n, (1, ((key - units[i], 1),)), None)] if n else []
-            parts += [(weights[i], (den, q.items()), None) for weights, q, den in quotients if weights[i]]
-            den, nums = accumulate(parts)
+        for axis_parts in parts:
+            den, nums = accumulate(axis_parts)
             # kept as term tuples, not Polynomials: the memo is most of what a context holds
             images.append((den, tuple(nums.items())))
         images = ctx._images[key] = tuple(images)

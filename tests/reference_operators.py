@@ -26,8 +26,9 @@ def dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> P
     out = f.derivative(axis)
     if not f:
         return out
-    for alpha, kappa, refl in ctx._active:
-        if not alpha[axis]:
+    system = ctx.root_system
+    for alpha, kappa, refl in zip(system.positive_roots, system.multiplicities, ctx.reflections):
+        if not kappa or not alpha[axis]:
             continue
         difference = f - compose_linear(f, refl)
         if difference:

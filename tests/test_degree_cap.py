@@ -1,9 +1,13 @@
 """The library degree cap: every operation that builds a monomial key of a larger degree accepts a result of
 degree MAX_DEGREE and refuses one of MAX_DEGREE + 1 with a ValueError naming both, before it builds a key.
-Only monomials, in a context without roots, so that no case starts real work."""
+Only monomials, in a context without roots, so that no case starts real work.  The CLI refuses a request past
+the cap before its work starts: the work is patched to raise, so a request at the cap reaches it and one past
+the cap does not."""
 from fractions import Fraction
 
 import pytest
+
+from dunkl_hermite import cli
 
 from dunkl_hermite.clifford import CliffordPolynomial, d_plus, vector_multiply
 from dunkl_hermite.groups import trivial_root_system
@@ -61,3 +65,40 @@ def test_the_cap_holds_in_every_field():
         Polynomial(3, {(1, MAX_DEGREE - 1, 1): 1})
     with pytest.raises(ValueError, match=rf"degree {2 * MAX_DEGREE} is past"):
         x(MAX_DEGREE, 2) * Polynomial.monomial(2, (0, MAX_DEGREE))
+
+
+class WorkStarted(Exception):
+    """Raised by the patched work of a CLI request."""
+
+
+def _start(*args, **kwargs):
+    raise WorkStarted
+
+
+@pytest.mark.parametrize("t, ell", [(0, MAX_DEGREE + 1), (1, MAX_DEGREE - 1), (-1, MAX_DEGREE + 1),
+                                    (MAX_DEGREE // 2 + 1, 0)])
+def test_a_hermite_request_past_the_cap_exits_3_before_any_basis(capsys, monkeypatch, t, ell):
+    monkeypatch.setattr(cli, "harmonic_basis", _start)
+    argv = ["hermite", "--group", "b", "--m", "2", "--kappa", "1,1", "--t", str(t), "--ell", str(ell)]
+    assert cli.main(argv) == cli.EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    degree = ell + 2 * max(t, 0)
+    assert out == "" and err == (f"dunkl-hermite: error: degree ell + 2t = {degree} is past the degree cap "
+                                 f"{MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize("t, ell", [(0, MAX_DEGREE), (1, MAX_DEGREE - 2), (MAX_DEGREE // 2, 1)])
+def test_a_hermite_request_at_the_cap_reaches_the_work(monkeypatch, t, ell):
+    monkeypatch.setattr(cli, "harmonic_basis", _start)
+    with pytest.raises(WorkStarted):
+        cli.main(["hermite", "--group", "b", "--m", "2", "--kappa", "1,1", "--t", str(t), "--ell", str(ell)])
+
+
+def test_verify_max_deg_past_the_cap_exits_1_before_any_suite(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _start)
+    assert cli.main(["verify", "--profile", "ci", "--max-deg", str(MAX_DEGREE + 1)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"dunkl-hermite: error: --max-deg {MAX_DEGREE + 1} is past the degree cap "
+                                 f"{MAX_DEGREE}\n")
+    with pytest.raises(WorkStarted):
+        cli.main(["verify", "--profile", "ci", "--max-deg", str(MAX_DEGREE)])

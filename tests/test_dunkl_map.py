@@ -4,16 +4,18 @@ import gc
 import itertools
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_hermite import operators
 from dunkl_hermite.errors import InexactDivision
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.hermite import harmonic_basis
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian
-from dunkl_hermite.poly import Polynomial
+from dunkl_hermite.poly import Polynomial, _units
 
 from reference_operators import dunkl_derivative_reference
 
@@ -90,23 +92,49 @@ def is_signed_permutation(matrix) -> bool:
             and len({row[0][0] for row in support}) == len(support))
 
 
+def set_up_matrices(ctx):
+    """Per root, in root order, the substitution that the orbit memo's chain set-up holds: (s R) / s."""
+    system, units = ctx.root_system, _units(ctx.m)
+    matrices = {}
+    for orbit in system.orbits:
+        _, chains, _ = operators._orbit_memo(ctx.m, tuple(system.positive_roots[i] for i in orbit))
+        for i, (s, rows, *_) in zip(orbit, chains):
+            matrices[i] = tuple(tuple(Fraction(dict(row).get(unit, 0), s) for unit in units) for row in rows)
+    return [matrices[i] for i in range(len(matrices))]
+
+
 def test_generic_reflections_are_classified():
     """G2: the three short reflections swap coordinates; F4: the 8 half-integer ones are generic."""
     for data, expected in ((g2_json(1, 1), [True] * 3 + [False] * 3),
                            (f4_json(1, 1), [True] * 16 + [False] * 8)):
         ctx = DunklContext(root_system_from_json(data))
         assert [is_signed_permutation(refl) for refl in ctx.reflections] == expected
-        assert [is_signed_permutation(refl) for *_, refl in ctx._active] == expected
+        assert set_up_matrices(ctx) == list(ctx.reflections)
 
 
-def test_inexact_division_still_raises():
-    """A substitution that is not the root's reflection leaves a remainder."""
+E1 = (Fraction(1), Fraction(0))
+SWAP = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+
+
+def inject_substitution(monkeypatch, alpha, matrix):
+    """Hand matrix to the orbit set-up as alpha's reflection, through operators._reflection, with a private empty
+    orbit cache in place of the process's until the test ends: every orbit is set up afresh, and no entry built
+    from the substitution outlives the test.  A context built afterwards holds matrix in its reflections too,
+    so the reference reads it as well."""
+    true = operators._reflection
+    monkeypatch.setattr(operators, "_reflection", lambda root: matrix if root == alpha else true(root))
+    private = lru_cache(operators._ROOT_CACHE_SIZE)(operators._orbit_memo.__wrapped__)
+    monkeypatch.setattr(operators, "_orbit_memo", private)
+
+
+def test_inexact_division_still_raises(monkeypatch):
+    """A substitution that is not the root's reflection leaves a remainder, and the refused orbit caches
+    nothing."""
+    inject_substitution(monkeypatch, E1, SWAP)
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
-    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-    alpha = (Fraction(1), Fraction(0))
-    ctx._active = ((alpha, Fraction(1), swap),)
     with pytest.raises(InexactDivision):
         dunkl_derivative(ctx, 0, Polynomial.variable(2, 0))
+    assert operators._orbit_memo.cache_info().currsize == 0
 
 
 # -- independent oracle: sympy only, no package code -----------------------------

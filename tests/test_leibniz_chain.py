@@ -1,5 +1,5 @@
-"""The memo's Leibniz chain: d_alpha x^e from d_alpha x_j in integers, against the whole-polynomial
-reference, and the per-root set-up that is its only division."""
+"""The orbit memo's Leibniz chain: d_alpha x^e from d_alpha x_j in integers, against the whole-polynomial
+reference, and the per-root set-up that is its only division, run once per orbit and process."""
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,12 @@ from dunkl_hermite.operators import DunklContext, dunkl_derivative
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
 from reference_operators import dunkl_derivative_reference
-from test_dunkl_map import f4_json, g2_json
+from test_dunkl_map import E1, SWAP, f4_json, g2_json, inject_substitution
+
+
+def _chains(ctx):
+    """The chain set-ups (s, rows, C, t) of the context's active roots, orbit by orbit."""
+    return [chain for _, (_, chains, _) in ctx._orbits for chain in chains]
 
 
 def _mismatches(ctx, degrees):
@@ -29,7 +34,7 @@ def test_rescaled_rational_b2_matches_the_reference():
                                 [((Fraction(1, 3), 0), Fraction(5, 4)), ((half, half), Fraction(-7, 9))])
     ctx = DunklContext(system)
     assert _mismatches(ctx, range(8)) == (72, 0)
-    assert [t for *_, t in ctx._chains] == [1, 1, 5, 5]
+    assert [t for *_, t in _chains(ctx)] == [1, 1, 5, 5]
 
 
 @pytest.mark.parametrize("data, scale", [(g2_json(Fraction(2, 3), Fraction(-5, 4)), 3),
@@ -38,32 +43,34 @@ def test_generic_reflections_match_the_reference_at_degree_five(data, scale):
     """G2 and F4: the generic reflections have denominators s = 3 and 2."""
     ctx = DunklContext(root_system_from_json(data))
     assert _mismatches(ctx, [5])[1] == 0
-    assert {s for _, s, *_ in ctx._chains} == {1, scale}
+    assert {s for s, *_ in _chains(ctx)} == {1, scale}
 
 
-def test_swap_substitution_raises_at_degree_two():
+def test_swap_substitution_raises_at_degree_two(monkeypatch):
     """x_0 - x_1 is not divisible by x_0, so the set-up refuses the swap for x_0^2 as for x_0."""
+    inject_substitution(monkeypatch, E1, SWAP)
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
-    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-    ctx._active = (((Fraction(1), Fraction(0)), Fraction(1), swap),)
     with pytest.raises(InexactDivision):
         dunkl_derivative(ctx, 0, Polynomial.monomial(2, (2, 0)))
 
 
-def test_swap_substitution_raises_after_the_true_reflection_was_cached():
-    """The set-up is keyed on the substitution too: e_1's true reflection, set up and cached first,
-    does not stand in for the swap, and a refused set-up is refused again on every call."""
+def test_swap_substitution_raises_after_the_true_reflection_was_cached(monkeypatch):
+    """e_1's true orbit entry, cached first, does not stand in for an injected swap, a refused set-up is refused
+    again on every call and caches nothing, and the true entry is the one the next context reads."""
     x0_squared = Polynomial.monomial(2, (2, 0))
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     dunkl_derivative(ctx, 0, x0_squared)
-    alpha = ctx._active[0][0]
-    assert operators._chain_setup(2, alpha, ctx._active[0][2]) == ctx._chains[0][1:]
-    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    true_entries = [orbit for _, orbit in ctx._orbits]
+    inject_substitution(monkeypatch, E1, SWAP)
     for _ in range(2):
         ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
-        ctx._active = ((alpha, Fraction(1), swap),)
         with pytest.raises(InexactDivision):
             dunkl_derivative(ctx, 0, x0_squared)
+        assert ctx._orbits is None and operators._orbit_memo.cache_info().currsize == 0
+    monkeypatch.undo()
+    ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
+    assert _mismatches(ctx, range(5)) == (30, 0)
+    assert all(new is old for (_, new), old in zip(ctx._orbits, true_entries))
 
 
 @pytest.mark.parametrize("degree", [1, 4])
@@ -73,11 +80,11 @@ def test_a_cold_context_divides_m_times_per_active_root(monkeypatch, degree):
     calls = []
     divide = operators.divide_by_linear_form
     monkeypatch.setattr(operators, "divide_by_linear_form", lambda p, alpha: calls.append(1) or divide(p, alpha))
-    operators._chain_setup.cache_clear()
+    operators._orbit_memo.cache_clear()
     for kappas in [(1, Fraction(1, 2)), (Fraction(-2, 3), 5)]:
         ctx = DunklContext(root_system_from_json(g2_json(*kappas)))
         for d in range(degree, degree + 2):
             for e in monomial_basis(3, d):
                 dunkl_derivative(ctx, 0, Polynomial.monomial(3, e))
-        assert len(calls) == 3 * len(ctx._active) == 18  # the second context adds none
+        assert len(calls) == 3 * len(_chains(ctx)) == 18  # the second context adds none
     assert _mismatches(ctx, [degree])[1] == 0

@@ -12,13 +12,18 @@ d_alpha(f) (g o r_alpha) + f d_alpha(g), a monomial's quotient follows from
 the coordinates' in integers.  kappa is constant on each orbit O of R+ under
 the reflections, so T_i = d/dx_i + sum over the orbits of kappa_O S_(O,i) with
 S_(O,i) f = sum over alpha in O of alpha_i (f - f o r_alpha) / <alpha, x>, which
-does not depend on kappa.  The images S_(O,i) x^e are kept once per process,
-per orbit (_orbit_memo), and shared by every context whose root system has
-that orbit, whatever its kappa; the images T_i x^e, Delta x^e and D(x^e e_A)
-depend on kappa and are kept per context.  The operators are linear, so they
-apply these images to any polynomial term by term.  Everything downstream
-(Laplacian, Euler operator, sl2 action, Gaussian conjugation, heat semigroup)
-is assembled from these exact pieces.
+does not depend on kappa.  So the Dunkl Laplacian sum_i T_i^2 is affine in
+kappa: Delta_kappa = Delta + sum over the orbits of kappa_O L_O with
+L_O = sum_i (d_i S_(O,i) + S_(O,i) d_i), since the kappa-quadratic part
+sum_i S_(O,i) S_(O',i), summed over the pairs of orbits, vanishes (Dunkl,
+Trans. AMS 311, 1989; Roesler, LNM 1817, 2003).  The images S_(O,i) x^e and
+L_O x^e are kept once per process, per orbit (_orbit_memo), and shared by every
+context whose root system has that orbit, whatever its kappa; the images
+T_i x^e, Delta_kappa x^e and D(x^e e_A) depend on kappa and are kept per
+context.  The operators are linear, so they apply these images to any
+polynomial term by term.  Everything downstream (Laplacian, Euler operator,
+sl2 action, Gaussian conjugation, heat semigroup) is assembled from these
+exact pieces.
 """
 from __future__ import annotations
 
@@ -26,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, reflection_matrix
-from .poly import (Block, Polynomial, ScalarLike, _check_degree, _degree_shift, _exponents, _units, accumulate,
-                   compose_linear, divide_by_linear_form, exact, linear_extension)
+from .poly import (Block, Polynomial, ScalarLike, _check_degree, _degree_shift, _derivative_map, _exponents, _units,
+                   accumulate, compose_linear, divide_by_linear_form, exact, linear_extension)
 
 
 class DunklContext:
@@ -42,9 +47,11 @@ class DunklContext:
     are computed on first use and kept in the memo, the images as integer numerators
     over one denominator each, keyed by the monomial key of x^e (the Clifford key of
     x^e e_A); the memo lives and dies with the context.  kappa is constant on each
-    orbit O of roots, so T_i x^e = d_i x^e + sum over the orbits of kappa_O S_(O,i) x^e;
-    the kappa-free pieces S_(O,i) x^e live in a per-process cache of orbits (see
-    _orbit_memo), shared by every context with the same roots whatever its kappa.
+    orbit O of roots, so T_i x^e = d_i x^e + sum over the orbits of kappa_O S_(O,i) x^e,
+    and Delta x^e = the classical Laplacian of x^e + sum over the orbits of kappa_O L_O x^e,
+    read from no T_i; the kappa-free pieces S_(O,i) x^e and L_O x^e live in a per-process
+    cache of orbits (see _orbit_memo), shared by every context with the same roots whatever
+    its kappa.
     """
 
     __slots__ = ("root_system", "reflections", "_orbits", "_images", "_laplacians", "_diracs", "_fischer",
@@ -99,13 +106,23 @@ def _chain_setup(m: int, alpha: Vector, refl: Matrix) -> tuple:
     return s, rows, tuple(int(c * t) for c in firsts), t
 
 
+class _OrbitEntry(NamedTuple):
+    """The kappa-free part of the Dunkl map on one orbit O of roots, kept once per process (see _orbit_memo).
+
+    axes holds, per axis i where some root of the orbit is nonzero, (i, ((r, alpha_i), ...)) over the roots r
+    with alpha_i != 0 (an integer alpha_i as an int); chains holds _chain_setup per root; blocks maps a monomial
+    key to the nonzero S_(O,i) x^e = sum over the orbit's roots of alpha_i d_alpha x^e as ((i, block), ...),
+    filled by _orbit_blocks; laplacians maps a key to L_O x^e = sum_i (d_i S_(O,i) + S_(O,i) d_i) x^e as one
+    block, filled by _orbit_laplacian."""
+    axes: tuple
+    chains: tuple
+    blocks: dict
+    laplacians: dict
+
+
 @lru_cache(maxsize=_ROOT_CACHE_SIZE)
-def _orbit_memo(m: int, roots: tuple[Vector, ...]) -> tuple:
-    """The kappa-free part of the Dunkl map on one orbit of roots: (axes, chains, memo).  axes holds, per axis i
-    where some root of the orbit is nonzero, (i, ((r, alpha_i), ...)) over the roots r with alpha_i != 0 (an
-    integer alpha_i as an int); chains holds _chain_setup per root; memo maps a monomial key to the nonzero
-    blocks S_i x^e = sum over the orbit's roots of alpha_i d_alpha x^e as ((i, block), ...), filled by
-    _orbit_blocks.  A set-up that raises caches nothing."""
+def _orbit_memo(m: int, roots: tuple[Vector, ...]) -> _OrbitEntry:
+    """The orbit entry of the roots, its maps empty until read.  A set-up that raises caches nothing."""
     chains = tuple(_chain_setup(m, alpha, _reflection(alpha)) for alpha in roots)
     axes = []
     for i in range(m):
@@ -113,7 +130,7 @@ def _orbit_memo(m: int, roots: tuple[Vector, ...]) -> tuple:
                         for r, alpha in enumerate(roots) if alpha[i])
         if weights:  # an axis where every root of the orbit is 0 has no S_i
             axes.append((i, weights))
-    return tuple(axes), chains, {}
+    return _OrbitEntry(tuple(axes), chains, {}, {})
 
 
 def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...], units: tuple[int, ...]) -> dict:
@@ -141,17 +158,16 @@ def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...
     return q
 
 
-def _orbit_blocks(orbit: tuple, key: int, steps: list[int], units: tuple[int, ...]) -> tuple:
+def _orbit_blocks(orbit: _OrbitEntry, key: int, steps: list[int], units: tuple[int, ...]) -> tuple:
     """The nonzero S_i x^e of the orbit as ((i, block), ...), memoized in the orbit: one Leibniz chain per root,
     then per axis one accumulation of the roots' quotients weighted by alpha_i."""
-    axes, chains, memo = orbit
-    blocks = memo.get(key)
+    blocks = orbit.blocks.get(key)
     if blocks is None:
         lift = len(steps) - 1
-        quotients = [(t * s ** lift, q.items()) if q else None for s, rows, firsts, t in chains
+        quotients = [(t * s ** lift, q.items()) if q else None for s, rows, firsts, t in orbit.chains
                      for q in (_leibniz_chain(steps, s, rows, firsts, units),)]
         blocks = []
-        for i, weights in axes:
+        for i, weights in orbit.axes:
             parts = [(w, quotients[r], None) for r, w in weights if quotients[r]]
             if len(parts) == 1 and parts[0][0] == 1:  # one root with alpha_i = 1, as in z2 and B's short orbit
                 blocks.append((i, parts[0][1]))
@@ -159,8 +175,25 @@ def _orbit_blocks(orbit: tuple, key: int, steps: list[int], units: tuple[int, ..
                 den, nums = accumulate(parts)
                 if nums:
                     blocks.append((i, (den, tuple(nums.items()))))
-        blocks = memo[key] = tuple(blocks)
+        blocks = orbit.blocks[key] = tuple(blocks)
     return blocks
+
+
+def _orbit_laplacian(orbit: _OrbitEntry, key: int, e: tuple[int, ...], units: tuple[int, ...]) -> Block:
+    """L_O x^e = sum_i d_i (S_(O,i) x^e) + e_i S_(O,i) x^(e - eps_i), kept in the orbit: one accumulation of the
+    derivative of each block S_(O,i) x^e and of the orbit's blocks one degree down, which it memoizes too."""
+    m = len(e)
+    steps = [j for j, n in enumerate(e) for _ in range(n)]
+    parts = [(1, block, _derivative_map(m, i)) for i, block in _orbit_blocks(orbit, key, steps, units)]
+    for i, _ in orbit.axes:  # S_(O,i) is 0 on the other axes
+        n = e[i]
+        if n:
+            down = steps.copy()
+            down.remove(i)
+            parts += [(n, block, None) for j, block in _orbit_blocks(orbit, key - units[i], down, units) if j == i]
+    den, nums = accumulate(parts)
+    image = orbit.laplacians[key] = (den, tuple(nums.items()))
+    return image
 
 
 def _active_orbits(root_system: RootSystem) -> tuple:
@@ -170,18 +203,23 @@ def _active_orbits(root_system: RootSystem) -> tuple:
                  for orbit in root_system.orbits if kappas[orbit[0]])
 
 
+def _context_orbits(ctx: DunklContext) -> tuple:
+    """The context's active orbits, resolved on its memo's first fill."""
+    if ctx._orbits is None:
+        ctx._orbits = _active_orbits(ctx.root_system)
+    return ctx._orbits
+
+
 def dunkl_images(ctx: DunklContext, key: int) -> tuple[Block, ...]:
     """T_1 x^e, ..., T_m x^e for the key of x^e as blocks (den, ((key, int), ...)), memoized: per axis one
     accumulation of the derivative and the kappa-weighted blocks S_(O,i) x^e of the active orbits."""
     images = ctx._images.get(key)
     if images is None:
         m = ctx.m
-        if ctx._orbits is None:
-            ctx._orbits = _active_orbits(ctx.root_system)
         units, e = _units(m), _exponents(m, (key,))[0]
         steps = [j for j, n in enumerate(e) for _ in range(n)]
         parts = [[(n, (1, ((key - units[i], 1),)), None)] if n else [] for i, n in enumerate(e)]
-        for kappa, orbit in ctx._orbits:
+        for kappa, orbit in _context_orbits(ctx):
             for i, block in _orbit_blocks(orbit, key, steps, units):
                 parts[i].append((kappa, block, None))
         images = []
@@ -194,10 +232,15 @@ def dunkl_images(ctx: DunklContext, key: int) -> tuple[Block, ...]:
 
 
 def laplacian_image(ctx: DunklContext, key: int) -> Block:
-    """Delta x^e = sum_i T_i (T_i x^e) for the key of x^e as a block, memoized; both steps read the memo of T_i."""
+    """Delta_kappa x^e for the key of x^e as a block, memoized: one accumulation of the classical Delta x^e and
+    kappa_O L_O x^e over the active orbits, L_O x^e read from the orbit entry and filled there on a miss."""
     image = ctx._laplacians.get(key)
     if image is None:
-        den, nums = accumulate((1, first, _dunkl_map(ctx, i)) for i, first in enumerate(dunkl_images(ctx, key)))
+        units, e = _units(ctx.m), _exponents(ctx.m, (key,))[0]
+        parts = [(1, (1, [(key - 2 * units[i], n * (n - 1)) for i, n in enumerate(e) if n > 1]), None)]
+        parts += [(kappa, orbit.laplacians.get(key) or _orbit_laplacian(orbit, key, e, units), None)
+                  for kappa, orbit in _context_orbits(ctx)]
+        den, nums = accumulate(parts)
         image = ctx._laplacians[key] = (den, tuple(nums.items()))
     return image
 
@@ -333,6 +376,9 @@ def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial
 
 def conjugated_laplacian(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Polynomial:
     """Dunkl Laplacian conjugated by exp(rate * |x|^2): sum of squared conjugated operators T_i + 2 rate x_i.
+
+    A sum of squares on purpose, not the affine form of dunkl_laplacian: hermite's Rodrigues side reads this and
+    its recursion side the affine Laplacian, so their agreement compares the two ways of computing it.
 
     Two accumulations: the m first applications as one sum over keys that carry their axis in the low bits,
     then the sum of the second applications, each along the axis its key carries."""

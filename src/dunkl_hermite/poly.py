@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InexactDivision
 
@@ -54,6 +54,13 @@ def _degree_shift(m: int) -> int:
 def _units(m: int) -> tuple[int, ...]:
     """The key of x_i for each axis i of m: 1 in the degree field and 1 in the field of x_i."""
     return tuple(1 << _BITS * m | 1 << _BITS * (m - 1 - i) for i in range(m))
+
+
+@lru_cache(maxsize=None)
+def _derivative_map(m: int, axis: int) -> Callable[[int], Block]:
+    """key -> the block of d/dx_axis x^e = e_axis x^(e - eps_axis), e_axis read from its field of the key."""
+    unit, shift = _units(m)[axis], _BITS * (m - 1 - axis)
+    return lambda key: (1, ((key - unit, n),) if (n := key >> shift & _FIELD) else ())
 
 
 def _keys(exponents: Sequence[Exponent]) -> list[int]:
@@ -339,9 +346,7 @@ class Polynomial(_Element):
     def derivative(self, axis: int) -> "Polynomial":
         """Partial derivative along one axis: x^e maps to e_axis x^(e - eps_axis)."""
         _check_axis(self.m, axis)
-        unit, shift = _units(self.m)[axis], _BITS * (self.m - 1 - axis)
-        return linear_extension(self.m, [(1, self._block, lambda e: (1, (
-            ((e - unit, e >> shift & _FIELD),) if e >> shift & _FIELD else ())))])
+        return linear_extension(self.m, [(1, self._block, _derivative_map(self.m, axis))])
 
     def times_variable(self, axis: int) -> "Polynomial":
         """Multiplication by x_axis: the key of x_axis added to every key."""

@@ -1,8 +1,9 @@
 """Reference forms of the package's operators, for exact comparison.
 
 Whole-polynomial forms of the memoized maps: T_i f is reflected and divided as a whole polynomial through
-compose_linear for every root, D F is the per-axis sum of e_i T_i F, and the conjugated Laplacian is built
-from m intermediate polynomials.  The package computes them through per-context memos and fused passes.
+compose_linear for every root, the Dunkl Laplacian is sum_i T_i T_i, D F is the per-axis sum of e_i T_i F,
+and the conjugated Laplacian is built from m intermediate polynomials.  The package computes them through
+per-context memos, fused passes and, for the Laplacian, the kappa-free pieces L_O of its orbits.
 
 Exponent-tuple forms of the key arithmetic: the package keys a monomial by one packed int (see poly), and
 the functions below are the same maps on exponent tuples and (blade mask, exponent) pairs, read and
@@ -15,7 +16,8 @@ from typing import Callable, Iterable
 
 from dunkl_hermite.clifford import CliffordPolynomial, blade_product
 from dunkl_hermite.clifford import _check as _check_clifford
-from dunkl_hermite.operators import DunklContext, _check, _conjugated, conjugated_dunkl, dunkl_derivative
+from dunkl_hermite.operators import (DunklContext, _check, _conjugated, _dunkl_map, conjugated_dunkl, dunkl_derivative,
+                                    dunkl_images)
 from dunkl_hermite.poly import (Block, Exponent, Polynomial, accumulate, compose_linear, divide_by_linear_form,
                                 linear_extension)
 
@@ -34,6 +36,14 @@ def dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> P
         if difference:
             out = out + (kappa * alpha[axis]) * divide_by_linear_form(difference, alpha)
     return out
+
+
+def dunkl_laplacian_reference(ctx: DunklContext, f: Polynomial) -> Polynomial:
+    """sum_i T_i (T_i f), both steps read from the context's memo of the Dunkl map, one monomial of f at a time."""
+    def image(key: int) -> Block:
+        den, nums = accumulate((1, first, _dunkl_map(ctx, i)) for i, first in enumerate(dunkl_images(ctx, key)))
+        return den, nums.items()
+    return linear_extension(f.m, [(1, _check(ctx, f), image)])
 
 
 def dunkl_dirac_reference(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:

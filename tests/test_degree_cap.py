@@ -2,12 +2,12 @@
 degree MAX_DEGREE and refuses one of MAX_DEGREE + 1 with a ValueError naming both, before it builds a key.
 Only monomials, in a context without roots, so that no case starts real work.  The CLI refuses a request past
 the cap before its work starts: the work is patched to raise, so a request at the cap reaches it and one past
-the cap does not."""
+the cap does not.  So does a builtin family whose roots are too many to validate."""
 from fractions import Fraction
 
 import pytest
 
-from dunkl_hermite import cli
+from dunkl_hermite import cli, groups
 
 from dunkl_hermite.clifford import CliffordPolynomial, d_plus, vector_multiply
 from dunkl_hermite.groups import trivial_root_system
@@ -102,3 +102,34 @@ def test_verify_max_deg_past_the_cap_exits_1_before_any_suite(capsys, monkeypatc
                                  f"{MAX_DEGREE}\n")
     with pytest.raises(WorkStarted):
         cli.main(["verify", "--profile", "ci", "--max-deg", str(MAX_DEGREE)])
+
+
+
+# family -> the number of its positive roots in m coordinates, and the largest m of the family whose n roots
+# take at most groups.BUILTIN_REFLECTION_CAP coordinate reflections, n^2 m, to validate
+ROOTS = {"z2": lambda m: m, "a": lambda m: m * (m - 1) // 2, "b": lambda m: m * m, "d": lambda m: m * (m - 1)}
+LARGEST = {"z2": 40, "a": 12, "b": 9, "d": 9}
+
+
+def group_info(family: str, m: int) -> int:
+    kappas = ",".join(["1"] * {"z2": m, "b": 2}.get(family, 1))
+    return cli.main(["group-info", "--group", family, "--m", str(m), "--kappa", kappas])
+
+
+@pytest.mark.parametrize("family, m", [(f, m + 1) for f, m in sorted(LARGEST.items())] + [("b", 16), ("d", 1000)])
+def test_a_builtin_family_past_the_reflection_cap_exits_2_before_its_geometry(capsys, monkeypatch, family, m):
+    monkeypatch.setattr(groups, "_builtin_geometry", _start)
+    assert group_info(family, m) == cli.EXIT_INVALID_INPUT
+    out, err = capsys.readouterr()
+    n = ROOTS[family](m)
+    assert out == "" and err == (f"dunkl-hermite: error: family {family!r} with m={m} has {n} positive roots: "
+                                 f"validating them takes {n * n * m} coordinate reflections, past the cap 65536\n")
+
+
+@pytest.mark.parametrize("family", sorted(LARGEST))
+def test_the_largest_builtin_family_under_the_cap_reaches_its_geometry(monkeypatch, family):
+    m = LARGEST[family]
+    assert ROOTS[family](m) ** 2 * m <= groups.BUILTIN_REFLECTION_CAP == 65536 < ROOTS[family](m + 1) ** 2 * (m + 1)
+    monkeypatch.setattr(groups, "_builtin_geometry", _start)
+    with pytest.raises(WorkStarted):
+        group_info(family, m)

@@ -97,7 +97,7 @@ def set_up_matrices(ctx):
     system, units = ctx.root_system, _units(ctx.m)
     matrices = {}
     for orbit in system.orbits:
-        _, chains, _ = operators._orbit_memo(ctx.m, tuple(system.positive_roots[i] for i in orbit))
+        chains = operators._orbit_memo(ctx.m, tuple(system.positive_roots[i] for i in orbit)).chains
         for i, (s, rows, *_) in zip(orbit, chains):
             matrices[i] = tuple(tuple(Fraction(dict(row).get(unit, 0), s) for unit in units) for row in rows)
     return [matrices[i] for i in range(len(matrices))]

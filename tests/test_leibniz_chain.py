@@ -7,6 +7,7 @@ import pytest
 from dunkl_hermite import operators
 from dunkl_hermite.errors import InexactDivision
 from dunkl_hermite.groups import builtin_root_system, custom_root_system, root_system_from_json
+from dunkl_hermite.hermite import harmonic_basis
 from dunkl_hermite.operators import DunklContext, dunkl_derivative
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
@@ -16,7 +17,7 @@ from test_dunkl_map import E1, SWAP, f4_json, g2_json, inject_substitution
 
 def _chains(ctx):
     """The chain set-ups (s, rows, C, t) of the context's active roots, orbit by orbit."""
-    return [chain for _, (_, chains, _) in ctx._orbits for chain in chains]
+    return [chain for _, orbit in ctx._orbits for chain in orbit.chains]
 
 
 def _mismatches(ctx, degrees):
@@ -88,3 +89,17 @@ def test_a_cold_context_divides_m_times_per_active_root(monkeypatch, degree):
                 dunkl_derivative(ctx, 0, Polynomial.monomial(3, e))
         assert len(calls) == 3 * len(_chains(ctx)) == 18  # the second context adds none
     assert _mismatches(ctx, [degree])[1] == 0
+
+
+def test_a_cold_harmonic_basis_divides_m_times_per_active_root(monkeypatch):
+    """Harmonic bases reach the orbit entries through the Laplacian alone, which reads no T_i: a cold context
+    still divides m times per active root, and a second context with other multiplicities divides no more."""
+    calls = []
+    divide = operators.divide_by_linear_form
+    monkeypatch.setattr(operators, "divide_by_linear_form", lambda p, alpha: calls.append(1) or divide(p, alpha))
+    operators._orbit_memo.cache_clear()
+    for kappas in [(1, Fraction(1, 2)), (Fraction(-2, 3), 5)]:
+        ctx = DunklContext(root_system_from_json(g2_json(*kappas)))
+        assert [len(harmonic_basis(ctx, d).elements) for d in range(5)] == [1, 3, 5, 7, 9]
+        assert not ctx._images
+        assert len(calls) == 3 * len(_chains(ctx)) == 18  # the second context adds none

@@ -1,7 +1,9 @@
 """The per-process orbit memo: the kappa-free pieces S_(O,i) x^e = sum over the roots alpha of an orbit O of
-alpha_i d_alpha x^e, shared by every context whose root system has that orbit, whatever its kappa.  Contexts
-with independent multiplicities, filled one after another or interleaved, against the whole-polynomial
-reference; the entries a process keeps; and no entry left behind by an injected substitution."""
+alpha_i d_alpha x^e and L_O x^e = sum_i (d_i S_(O,i) + S_(O,i) d_i) x^e, shared by every context whose root
+system has that orbit, whatever its kappa.  Contexts with independent multiplicities, filled one after another
+or interleaved, against the whole-polynomial reference and the sum of squared Dunkl operators; the identity
+that makes the Laplacian affine in kappa; the entries a process keeps; and no entry left behind by an injected
+substitution."""
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from dunkl_hermite.groups import builtin_root_system, custom_root_system, root_s
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
-from reference_operators import dunkl_derivative_reference
+from reference_operators import dunkl_derivative_reference, dunkl_laplacian_reference
 from test_dunkl_map import E1, SWAP, f4_json, g2_json, inject_substitution
 
 HALF = Fraction(5, 7)
@@ -84,11 +86,53 @@ def test_contexts_sharing_orbits_equal_the_reference(case):
         assert images(fresh[c], xs[j]) == found, (name, systems[c], monomials[j])
 
 
+@given(shared_geometry())
+@settings(max_examples=60, deadline=None)
+def test_laplacians_from_the_orbits_equal_the_sum_of_squared_dunkl_operators(case):
+    """Delta_kappa x^e from the classical Delta x^e and kappa_O L_O x^e, filled before any T_i, equals sum_i T_i T_i
+    x^e exactly, and so does a fresh context's after the orbit entries are dropped."""
+    name, systems, monomials, interleaved = case
+    contexts = [DunklContext(system) for system in systems]
+    xs = [Polynomial.monomial(systems[0].m, e) for e in monomials]
+    pairs = [(c, j) for j in range(len(xs)) for c in range(len(contexts))]
+    filled = {(c, j): dunkl_laplacian(contexts[c], xs[j]) for c, j in (pairs if interleaved else sorted(pairs))}
+    assert not any(ctx._images for ctx in contexts)  # the Laplacian reads no T_i
+    for (c, j), found in filled.items():
+        assert found == dunkl_laplacian_reference(contexts[c], xs[j]), (name, systems[c], monomials[j])
+    operators._orbit_memo.cache_clear()
+    fresh = [DunklContext(system) for system in systems]
+    for (c, j), found in (reversed(filled.items()) if interleaved else filled.items()):
+        assert dunkl_laplacian(fresh[c], xs[j]) == found, (name, systems[c], monomials[j])
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_the_kappa_quadratic_part_of_the_laplacian_vanishes(name):
+    """sum_i S_(O,i) S_(O,i) x^e = 0, and sum_i (S_(O,i) S_(O',i) + S_(O',i) S_(O,i)) x^e = 0 for O != O', on every
+    monomial up to degree 4: the coefficients of kappa_O^2 and kappa_O kappa_O' in sum_i T_i T_i, so the Laplacian
+    is affine in kappa.  S_(O,i) f is the whole-polynomial T_i f less d_i f with kappa 1 on O and 0 elsewhere."""
+    system = GEOMETRIES[name]
+    m, orbits = system.m, len(system.orbits)
+    contexts = [DunklContext(with_kappas(system, [int(o == p) for p in range(orbits)])) for o in range(orbits)]
+
+    def s(o, i, f):
+        return dunkl_derivative_reference(contexts[o], i, f) - f.derivative(i)
+    for d in range(5):
+        for e in monomial_basis(m, d):
+            x = Polynomial.monomial(m, e)
+            firsts = [[s(o, i, x) for i in range(m)] for o in range(orbits)]
+            for o in range(orbits):
+                for p in range(o, orbits):
+                    assert not sum((s(o, i, firsts[p][i]) + s(p, i, firsts[o][i]) for i in range(m)),
+                                   Polynomial.zero(m)), (name, e, o, p)
+
+
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_a_second_context_runs_no_leibniz_chain(monkeypatch, name):
-    calls = []
-    chain = operators._leibniz_chain
+    """Nor does it fill an L_O: a context of a geometry whose orbits another context filled reads both maps."""
+    calls, fills = [], []
+    chain, laplacian = operators._leibniz_chain, operators._orbit_laplacian
     monkeypatch.setattr(operators, "_leibniz_chain", lambda *args: calls.append(1) or chain(*args))
+    monkeypatch.setattr(operators, "_orbit_laplacian", lambda *args: fills.append(1) or laplacian(*args))
     operators._orbit_memo.cache_clear()
     system = GEOMETRIES[name]
     xs = [Polynomial.monomial(system.m, e) for d in range(4) for e in monomial_basis(system.m, d)]
@@ -96,10 +140,11 @@ def test_a_second_context_runs_no_leibniz_chain(monkeypatch, name):
     for kappas in ([Fraction(1, 2), 2], [Fraction(-3, 4), Fraction(5, 3)]):
         ctx = DunklContext(with_kappas(system, kappas[:len(system.orbits)]))
         calls.clear()
+        fills.clear()
         for x in xs:
             images(ctx, x)
-        counts.append(len(calls))
-    assert counts[0] > 0 and counts[1] == 0, (name, counts)
+        counts.append((len(calls), len(fills)))
+    assert counts[0][0] > 0 and counts[0][1] == len(xs) * len(system.orbits) and counts[1] == (0, 0), (name, counts)
 
 
 def test_b3_draws_share_two_entries_and_d3_reads_the_long_one():

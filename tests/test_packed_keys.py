@@ -114,7 +114,7 @@ def test_leibniz_chains_equal_their_tuple_form(case, data):
     dunkl_images(ctx, key)  # resolves the context's orbit memos, which hold the chain set-ups
     units = _units(m)
     steps = [j for j, n in enumerate(e) for _ in range(n)]
-    for s, rows, firsts, _ in (chain for _, (_, chains, _) in ctx._orbits for chain in chains):
+    for s, rows, firsts, _ in (chain for _, orbit in ctx._orbits for chain in orbit.chains):
         by_axis = tuple(tuple((units.index(unit), a) for unit, a in row) for row in rows)
         packed = _leibniz_chain(steps, s, rows, firsts, units)
         assert dict(zip(_exponents(m, packed), packed.values())) == leibniz_chain_reference(

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from math import comb
 
 from .errors import DimensionMismatch, InvalidRootSystem, MathPrecondition
 from .groups import (BUILTIN_FAMILIES, RootSystem, builtin_root_system,
@@ -17,13 +18,18 @@ from .groups import (BUILTIN_FAMILIES, RootSystem, builtin_root_system,
 from .hermite import ch_laguerre, ch_recursion, ch_rodrigues, fischer_decompose, harmonic_basis
 from .operators import DunklContext
 from .poly import MAX_DEGREE, Polynomial, parse_rational, rational_str
-from .suites import PROFILES, SUITE_NAMES, run_suite
+from .suites import CONSTRUCTION_GROUPS, KAPPA_ZERO_CASES, PROFILES, SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
+
+# verify refuses a --max-deg whose estimate is past this before any suite runs: the monomials of degree <= max-deg
+# in the largest m of the profile's groups, times 2^m blades for the Clifford work.  With m = 3 the largest
+# accepted is --max-deg 34 (7,770 monomials, estimate 62,160): the desk battery then runs in about half a minute.
+VERIFY_MONOMIAL_CAP = 1 << 16
 
 
 class UsageError(Exception):
@@ -158,6 +164,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             raise UsageError("--max-deg must be nonnegative")
         if args.max_deg > MAX_DEGREE:
             raise UsageError(f"--max-deg {args.max_deg} is past the degree cap {MAX_DEGREE}")
+        m = max(profile.orthogonality_m_max, *(group[2] for group in CONSTRUCTION_GROUPS),
+                *(case.m for case in KAPPA_ZERO_CASES))
+        estimate = comb(args.max_deg + m, m) << m
+        if estimate > VERIFY_MONOMIAL_CAP:
+            raise UsageError(f"--max-deg {args.max_deg} asks for an estimated {estimate} monomial inputs "
+                             f"(degree <= {args.max_deg} in m = {m}, times 2^{m}), past the cap {VERIFY_MONOMIAL_CAP}")
         profile = dataclasses.replace(
             profile, max_deg=args.max_deg,
             clifford_deg=min(profile.clifford_deg, args.max_deg))

@@ -17,8 +17,9 @@ kappa: Delta_kappa = Delta + sum over the orbits of kappa_O L_O with
 L_O = sum_i (d_i S_(O,i) + S_(O,i) d_i), since the kappa-quadratic part
 sum_i S_(O,i) S_(O',i), summed over the pairs of orbits, vanishes (Dunkl,
 Trans. AMS 311, 1989; Roesler, LNM 1817, 2003).  The images S_(O,i) x^e and
-L_O x^e are kept once per process, per orbit (_orbit_memo), and shared by every
-context whose root system has that orbit, whatever its kappa; the images
+L_O x^e are kept per orbit, in the geometry of the orbit's roots (_orbit_entry),
+and shared by every context whose root system has that orbit, whatever its
+kappa, for as long as one such root system lives; the images
 T_i x^e, Delta_kappa x^e and D(x^e e_A) depend on kappa and are kept per
 context.  The operators are linear, so they apply these images to any
 polynomial term by term.  Everything downstream (Laplacian, Euler operator,
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import DimensionMismatch, MathPrecondition
-from .groups import Matrix, RootSystem, Vector, reflection_matrix
+from .groups import Matrix, RootSystem, Vector, _Geometry
 from .poly import (Block, Polynomial, ScalarLike, _check_degree, _degree_shift, _derivative_map, _exponents, _units,
                    accumulate, compose_linear, divide_by_linear_form, exact, linear_extension)
 
@@ -49,9 +49,9 @@ class DunklContext:
     x^e e_A); the memo lives and dies with the context.  kappa is constant on each
     orbit O of roots, so T_i x^e = d_i x^e + sum over the orbits of kappa_O S_(O,i) x^e,
     and Delta x^e = the classical Laplacian of x^e + sum over the orbits of kappa_O L_O x^e,
-    read from no T_i; the kappa-free pieces S_(O,i) x^e and L_O x^e live in a per-process
-    cache of orbits (see _orbit_memo), shared by every context with the same roots whatever
-    its kappa.
+    read from no T_i; the kappa-free pieces S_(O,i) x^e and L_O x^e, and the reflections,
+    live in the root system's geometry (see groups and _orbit_entry), shared by every
+    context with the same roots whatever its kappa, while one of their root systems lives.
     """
 
     __slots__ = ("root_system", "reflections", "_orbits", "_images", "_laplacians", "_diracs", "_fischer",
@@ -59,7 +59,7 @@ class DunklContext:
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self.reflections: tuple[Matrix, ...] = tuple(map(_reflection, root_system.positive_roots))
+        self.reflections: tuple[Matrix, ...] = root_system._geometry.reflections
         self._orbits = None  # (kappa, orbit memo) per orbit with kappa != 0, resolved on the memo's first fill
         self._images: dict[int, tuple[Block, ...]] = {}
         self._laplacians: dict[int, Block] = {}
@@ -82,16 +82,6 @@ class DunklContext:
         return f"DunklContext(m={self.m}, roots={len(self.root_system.positive_roots)}, mu={self.mu})"
 
 
-# The per-process caches below hold kappa-free geometry shared by every context of the process.  Their
-# keys come from custom root systems too, which can vary without limit, hence the bound.
-_ROOT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_ROOT_CACHE_SIZE)
-def _reflection(alpha: Vector) -> Matrix:
-    return reflection_matrix(alpha)
-
-
 def _chain_setup(m: int, alpha: Vector, refl: Matrix) -> tuple:
     """(s, the rows of the integer matrix s R, C, t) with C_j / t = d_alpha x_j, divided by compose_linear
     and divide_by_linear_form: a substitution that is not alpha's reflection raises here, and once every
@@ -107,7 +97,8 @@ def _chain_setup(m: int, alpha: Vector, refl: Matrix) -> tuple:
 
 
 class _OrbitEntry(NamedTuple):
-    """The kappa-free part of the Dunkl map on one orbit O of roots, kept once per process (see _orbit_memo).
+    """The kappa-free part of the Dunkl map on one orbit O of roots, kept in the geometry of O's roots (see
+    _orbit_entry) and so shared by every root system that has the orbit, whatever its kappa.
 
     axes holds, per axis i where some root of the orbit is nonzero, (i, ((r, alpha_i), ...)) over the roots r
     with alpha_i != 0 (an integer alpha_i as an int); chains holds _chain_setup per root; blocks maps a monomial
@@ -120,17 +111,22 @@ class _OrbitEntry(NamedTuple):
     laplacians: dict
 
 
-@lru_cache(maxsize=_ROOT_CACHE_SIZE)
-def _orbit_memo(m: int, roots: tuple[Vector, ...]) -> _OrbitEntry:
-    """The orbit entry of the roots, its maps empty until read.  A set-up that raises caches nothing."""
-    chains = tuple(_chain_setup(m, alpha, _reflection(alpha)) for alpha in roots)
-    axes = []
-    for i in range(m):
-        weights = tuple((r, int(alpha[i]) if alpha[i].denominator == 1 else alpha[i])
-                        for r, alpha in enumerate(roots) if alpha[i])
-        if weights:  # an axis where every root of the orbit is 0 has no S_i
-            axes.append((i, weights))
-    return _OrbitEntry(tuple(axes), chains, {}, {})
+def _orbit_entry(geometry: _Geometry) -> _OrbitEntry:
+    """The entry of the geometry's roots as one orbit, made on first use and kept in the geometry, its maps empty
+    until read.  A root's set-up is made once, in its own geometry's entry.  A set-up that raises keeps nothing."""
+    entry = geometry.entry
+    if entry is None:
+        m, roots = geometry.m, geometry.roots
+        chains = ((_chain_setup(m, roots[0], geometry.reflections[0]),) if len(roots) == 1 else
+                  tuple(_orbit_entry(geometry.part((r,))).chains[0] for r in range(len(roots))))
+        axes = []
+        for i in range(m):
+            weights = tuple((r, int(alpha[i]) if alpha[i].denominator == 1 else alpha[i])
+                            for r, alpha in enumerate(roots) if alpha[i])
+            if weights:  # an axis where every root of the orbit is 0 has no S_i
+                axes.append((i, weights))
+        entry = geometry.entry = _OrbitEntry(tuple(axes), chains, {}, {})
+    return entry
 
 
 def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...], units: tuple[int, ...]) -> dict:
@@ -196,17 +192,14 @@ def _orbit_laplacian(orbit: _OrbitEntry, key: int, e: tuple[int, ...], units: tu
     return image
 
 
-def _active_orbits(root_system: RootSystem) -> tuple:
-    """(kappa, the orbit's memo) per orbit with kappa != 0: kappa is orbit-constant, and a zero one adds nothing."""
-    roots, kappas, m = root_system.positive_roots, root_system.multiplicities, root_system.m
-    return tuple((kappas[orbit[0]], _orbit_memo(m, tuple(roots[i] for i in orbit)))
-                 for orbit in root_system.orbits if kappas[orbit[0]])
-
-
 def _context_orbits(ctx: DunklContext) -> tuple:
-    """The context's active orbits, resolved on its memo's first fill."""
+    """(kappa, the orbit's entry) per orbit with kappa != 0, resolved on the context's first fill: kappa is
+    orbit-constant, and a zero one adds nothing."""
     if ctx._orbits is None:
-        ctx._orbits = _active_orbits(ctx.root_system)
+        system = ctx.root_system
+        kappas = system.multiplicities
+        ctx._orbits = tuple((kappas[orbit[0]], _orbit_entry(system._geometry.part(orbit)))
+                            for orbit in system.orbits if kappas[orbit[0]])
     return ctx._orbits
 
 

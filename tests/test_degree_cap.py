@@ -100,8 +100,30 @@ def test_verify_max_deg_past_the_cap_exits_1_before_any_suite(capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == "" and err == (f"dunkl-hermite: error: --max-deg {MAX_DEGREE + 1} is past the degree cap "
                                  f"{MAX_DEGREE}\n")
+
+
+# --max-deg -> the estimate of its monomial inputs: degree <= max-deg in m = 3 variables, times 2^3 blades
+ESTIMATES = {34: 62160, 35: 67488, 1000: 1341348008, MAX_DEGREE: 375317148991488}
+
+
+@pytest.mark.parametrize("profile", ["ci", "desk"])
+@pytest.mark.parametrize("max_deg", [35, 1000, MAX_DEGREE])
+def test_verify_max_deg_past_the_monomial_cap_exits_1_before_any_suite(capsys, monkeypatch, profile, max_deg):
+    """At the degree cap, --max-deg would never finish; past the estimate cap it is refused with its estimate."""
+    monkeypatch.setattr(cli, "run_suite", _start)
+    assert cli.main(["verify", "--profile", profile, "--max-deg", str(max_deg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"dunkl-hermite: error: --max-deg {max_deg} asks for an estimated "
+                                 f"{ESTIMATES[max_deg]} monomial inputs (degree <= {max_deg} in m = 3, times 2^3), "
+                                 f"past the cap 65536\n")
+
+
+@pytest.mark.parametrize("args", [["--profile", "ci"], ["--profile", "desk"], ["--max-deg", "34"], ["--max-deg", "0"]])
+def test_verify_defaults_and_the_largest_estimate_under_the_cap_reach_the_suites(monkeypatch, args):
+    assert cli.VERIFY_MONOMIAL_CAP == 65536 and ESTIMATES[34] <= 65536 < ESTIMATES[35]
+    monkeypatch.setattr(cli, "run_suite", _start)
     with pytest.raises(WorkStarted):
-        cli.main(["verify", "--profile", "ci", "--max-deg", str(MAX_DEGREE)])
+        cli.main(["verify", *args])
 
 
 

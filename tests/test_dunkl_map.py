@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_hermite import operators
+from dunkl_hermite import groups, operators
 from dunkl_hermite.errors import InexactDivision
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.hermite import harmonic_basis
@@ -93,11 +93,11 @@ def is_signed_permutation(matrix) -> bool:
 
 
 def set_up_matrices(ctx):
-    """Per root, in root order, the substitution that the orbit memo's chain set-up holds: (s R) / s."""
+    """Per root, in root order, the substitution that the chain set-up of the root's orbit entry holds: (s R) / s."""
     system, units = ctx.root_system, _units(ctx.m)
     matrices = {}
     for orbit in system.orbits:
-        chains = operators._orbit_memo(ctx.m, tuple(system.positive_roots[i] for i in orbit)).chains
+        chains = operators._orbit_entry(system._geometry.part(orbit)).chains
         for i, (s, rows, *_) in zip(orbit, chains):
             matrices[i] = tuple(tuple(Fraction(dict(row).get(unit, 0), s) for unit in units) for row in rows)
     return [matrices[i] for i in range(len(matrices))]
@@ -116,25 +116,36 @@ E1 = (Fraction(1), Fraction(0))
 SWAP = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
 
 
+def private_registry(monkeypatch):
+    """An empty geometry registry and builtin pin in place of the process's until the test ends: every root system
+    built meanwhile gets a geometry validated and set up afresh, and none of them outlives the test."""
+    monkeypatch.setattr(groups, "_GEOMETRIES", weakref.WeakValueDictionary())
+    monkeypatch.setattr(groups, "_builtin_geometry", lru_cache(maxsize=None)(groups._builtin_geometry.__wrapped__))
+
+
 def inject_substitution(monkeypatch, alpha, matrix):
-    """Hand matrix to the orbit set-up as alpha's reflection, through operators._reflection, with a private empty
-    orbit cache in place of the process's until the test ends: every orbit is set up afresh, and no entry built
-    from the substitution outlives the test.  A context built afterwards holds matrix in its reflections too,
-    so the reference reads it as well."""
-    true = operators._reflection
-    monkeypatch.setattr(operators, "_reflection", lambda root: matrix if root == alpha else true(root))
-    private = lru_cache(operators._ROOT_CACHE_SIZE)(operators._orbit_memo.__wrapped__)
-    monkeypatch.setattr(operators, "_orbit_memo", private)
+    """Hand matrix to the chain set-up as alpha's reflection, through groups.reflection_matrix, in a private
+    registry until the test ends: a system built meanwhile has fresh geometries, and no entry built from the
+    substitution outlives the test.  Its context holds matrix in its reflections too, so the reference reads it
+    as well."""
+    true = groups.reflection_matrix
+    monkeypatch.setattr(groups, "reflection_matrix", lambda root: matrix if root == alpha else true(root))
+    private_registry(monkeypatch)
+
+
+def entries(registry):
+    """The entries kept in the geometries of a registry."""
+    return [geometry.entry for geometry in registry.values() if geometry.entry is not None]
 
 
 def test_inexact_division_still_raises(monkeypatch):
-    """A substitution that is not the root's reflection leaves a remainder, and the refused orbit caches
-    nothing."""
+    """A substitution that is not the root's reflection leaves a remainder, and the refused set-up keeps no entry
+    in any geometry."""
     inject_substitution(monkeypatch, E1, SWAP)
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     with pytest.raises(InexactDivision):
         dunkl_derivative(ctx, 0, Polynomial.variable(2, 0))
-    assert operators._orbit_memo.cache_info().currsize == 0
+    assert ctx._orbits is None and len(groups._GEOMETRIES) == 3 and entries(groups._GEOMETRIES) == []
 
 
 # -- independent oracle: sympy only, no package code -----------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_hermite import groups
 from dunkl_hermite.errors import InvalidRootSystem
 from dunkl_hermite.groups import (builtin_root_system, custom_root_system,
                                   orbit_decomposition, reflect_vector, reflection_matrix,
@@ -75,8 +76,11 @@ def test_builtin_rejects_wrong_arity():
 def test_cached_builtin_geometry_equals_a_custom_system(kappas):
     system = builtin_root_system("b", 3, kappas)
     roots = system.positive_roots  # e_1, e_2, e_3 (short orbit), then e_i -+ e_j
-    assert system == custom_root_system(roots, {roots[0]: kappas[0], roots[3]: kappas[1]})
-    assert builtin_root_system("b", 3, [2, 3]).positive_roots is roots  # validated once per process
+    custom = custom_root_system(roots, {roots[0]: kappas[0], roots[3]: kappas[1]})
+    assert system == custom
+    # validated once per process: every b3 system, and a custom one with its roots, holds the pinned geometry
+    assert custom._geometry is system._geometry is groups._builtin_geometry("b", 3)
+    assert builtin_root_system("b", 3, [2, 3]).positive_roots is roots
 
 
 @pytest.mark.parametrize("family, valid, kappas, message", [

@@ -1,10 +1,10 @@
-"""The orbit memo's Leibniz chain: d_alpha x^e from d_alpha x_j in integers, against the whole-polynomial
-reference, and the per-root set-up that is its only division, run once per orbit and process."""
+"""The orbit entries' Leibniz chain: d_alpha x^e from d_alpha x_j in integers, against the whole-polynomial
+reference, and the per-root set-up that is its only division, run once per root while a geometry holds it."""
 from fractions import Fraction
 
 import pytest
 
-from dunkl_hermite import operators
+from dunkl_hermite import groups, operators
 from dunkl_hermite.errors import InexactDivision
 from dunkl_hermite.groups import builtin_root_system, custom_root_system, root_system_from_json
 from dunkl_hermite.hermite import harmonic_basis
@@ -12,7 +12,7 @@ from dunkl_hermite.operators import DunklContext, dunkl_derivative
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
 from reference_operators import dunkl_derivative_reference
-from test_dunkl_map import E1, SWAP, f4_json, g2_json, inject_substitution
+from test_dunkl_map import E1, SWAP, entries, f4_json, g2_json, inject_substitution, private_registry
 
 
 def _chains(ctx):
@@ -56,8 +56,8 @@ def test_swap_substitution_raises_at_degree_two(monkeypatch):
 
 
 def test_swap_substitution_raises_after_the_true_reflection_was_cached(monkeypatch):
-    """e_1's true orbit entry, cached first, does not stand in for an injected swap, a refused set-up is refused
-    again on every call and caches nothing, and the true entry is the one the next context reads."""
+    """e_1's true orbit entry, kept first, does not stand in for an injected swap, a refused set-up is refused
+    again on every call and keeps no entry, and the true entry is the one the next context reads."""
     x0_squared = Polynomial.monomial(2, (2, 0))
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     dunkl_derivative(ctx, 0, x0_squared)
@@ -67,7 +67,7 @@ def test_swap_substitution_raises_after_the_true_reflection_was_cached(monkeypat
         ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
         with pytest.raises(InexactDivision):
             dunkl_derivative(ctx, 0, x0_squared)
-        assert ctx._orbits is None and operators._orbit_memo.cache_info().currsize == 0
+        assert ctx._orbits is None and entries(groups._GEOMETRIES) == []
     monkeypatch.undo()
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     assert _mismatches(ctx, range(5)) == (30, 0)
@@ -76,12 +76,12 @@ def test_swap_substitution_raises_after_the_true_reflection_was_cached(monkeypat
 
 @pytest.mark.parametrize("degree", [1, 4])
 def test_a_cold_context_divides_m_times_per_active_root(monkeypatch, degree):
-    """The set-up divides m times per active root once per process; a second context with the same
+    """The set-up of a cold geometry divides m times per active root; a second context with the same
     roots and other multiplicities divides no more."""
     calls = []
     divide = operators.divide_by_linear_form
     monkeypatch.setattr(operators, "divide_by_linear_form", lambda p, alpha: calls.append(1) or divide(p, alpha))
-    operators._orbit_memo.cache_clear()
+    private_registry(monkeypatch)
     for kappas in [(1, Fraction(1, 2)), (Fraction(-2, 3), 5)]:
         ctx = DunklContext(root_system_from_json(g2_json(*kappas)))
         for d in range(degree, degree + 2):
@@ -97,7 +97,7 @@ def test_a_cold_harmonic_basis_divides_m_times_per_active_root(monkeypatch):
     calls = []
     divide = operators.divide_by_linear_form
     monkeypatch.setattr(operators, "divide_by_linear_form", lambda p, alpha: calls.append(1) or divide(p, alpha))
-    operators._orbit_memo.cache_clear()
+    private_registry(monkeypatch)
     for kappas in [(1, Fraction(1, 2)), (Fraction(-2, 3), 5)]:
         ctx = DunklContext(root_system_from_json(g2_json(*kappas)))
         assert [len(harmonic_basis(ctx, d).elements) for d in range(5)] == [1, 3, 5, 7, 9]

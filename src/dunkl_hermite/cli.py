@@ -18,7 +18,7 @@ from .groups import (BUILTIN_FAMILIES, RootSystem, builtin_root_system,
 from .hermite import ch_laguerre, ch_recursion, ch_rodrigues, fischer_decompose, harmonic_basis
 from .operators import DunklContext
 from .poly import MAX_DEGREE, Polynomial, parse_rational, rational_str
-from .suites import CONSTRUCTION_GROUPS, KAPPA_ZERO_CASES, PROFILES, SUITE_NAMES, run_suite
+from .suites import PROFILES, SUITE_NAMES, largest_m, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,10 +26,12 @@ EXIT_INVALID_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
-# verify refuses a --max-deg whose estimate is past this before any suite runs: the monomials of degree <= max-deg
-# in the largest m of the profile's groups, times 2^m blades for the Clifford work.  With m = 3 the largest
-# accepted is --max-deg 34 (7,770 monomials, estimate 62,160): the desk battery then runs in about half a minute.
-VERIFY_MONOMIAL_CAP = 1 << 16
+# Every command refuses a request whose monomial estimate is past this before its work starts.  verify: the monomials
+# of degree <= max-deg in the largest m of the profile's groups, times 2^m blades for the Clifford work; with m = 3
+# the largest accepted is --max-deg 34 (7,770 monomials, estimate 62,160), and the desk battery then runs in about
+# half a minute.  hermite and decompose: the monomials of the top degree in m, the columns of the harmonic bases
+# they build; b2 takes every degree up to the degree cap (65,535, which has 65,536 monomials).
+MONOMIAL_CAP = 1 << 16
 
 
 class UsageError(Exception):
@@ -117,11 +119,24 @@ _CONSTRUCTIONS = {
 }
 
 
+def _refuse_past_monomial_cap(m: int, degree: int) -> None:
+    """Refuse a request whose monomials of the degree in m variables are past MONOMIAL_CAP, before any basis is
+    built.  Their count C(degree + m - 1, k), k = min(degree, m - 1), is built up one exact factor at a time and left
+    as soon as it is past the cap, so a huge m costs nothing, and the count named is a lower bound."""
+    count, n = 1, degree + m - 1
+    for i in range(min(degree, m - 1)):
+        count = count * (n - i) // (i + 1)
+        if count > MONOMIAL_CAP:
+            raise MathPrecondition(f"the monomials of degree {degree} in m = {m} number at least {count}, "
+                                   f"past the monomial cap {MONOMIAL_CAP}")
+
+
 def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
     ctx = DunklContext(_resolve_group(args))
     degree = args.ell + 2 * max(args.t, 0)  # the record's degree; refused before any basis is built
     if degree > MAX_DEGREE:
         raise MathPrecondition(f"degree ell + 2t = {degree} is past the degree cap {MAX_DEGREE}")
+    _refuse_past_monomial_cap(ctx.m, degree)
     basis = harmonic_basis(ctx, args.ell).elements
     if not 0 <= args.h_index < len(basis):
         raise InputDataError(
@@ -151,6 +166,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
     if poly.m != ctx.m:
         raise InputDataError(
             f"polynomial has m = {poly.m} but the root system has m = {ctx.m}")
+    _refuse_past_monomial_cap(ctx.m, poly.total_degree() or 0)
     components = fischer_decompose(ctx, poly)
     payload = {"components": [{"i": i, "component": part.to_json()}
                               for i, part in components]}
@@ -164,12 +180,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             raise UsageError("--max-deg must be nonnegative")
         if args.max_deg > MAX_DEGREE:
             raise UsageError(f"--max-deg {args.max_deg} is past the degree cap {MAX_DEGREE}")
-        m = max(profile.orthogonality_m_max, *(group[2] for group in CONSTRUCTION_GROUPS),
-                *(case.m for case in KAPPA_ZERO_CASES))
+        m = largest_m(profile)
         estimate = comb(args.max_deg + m, m) << m
-        if estimate > VERIFY_MONOMIAL_CAP:
+        if estimate > MONOMIAL_CAP:
             raise UsageError(f"--max-deg {args.max_deg} asks for an estimated {estimate} monomial inputs "
-                             f"(degree <= {args.max_deg} in m = {m}, times 2^{m}), past the cap {VERIFY_MONOMIAL_CAP}")
+                             f"(degree <= {args.max_deg} in m = {m}, times 2^{m}), past the cap {MONOMIAL_CAP}")
         profile = dataclasses.replace(
             profile, max_deg=args.max_deg,
             clifford_deg=min(profile.clifford_deg, args.max_deg))

@@ -9,20 +9,21 @@ up by m bits, with the blade mask A in the low m bits, so multiplying by x_i
 adds the key of x_i shifted by m, and every degree cap of poly holds.  The
 Dunkl-Dirac operator, vector variable multiplication, and their combination
 D+ = -D + 2x are each one accumulation over it, with one image per term:
-D(x^e e_A) from a per-context memo, x x^e e_A computed on the fly.
+D(x^e e_A) from the context's D memo (a poly._Memo made here on first use and
+filled from the context's T memo), x x^e e_A computed on the fly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from typing import Callable, Mapping, Union
 
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import kernel_basis
-from .operators import DunklContext, d_plus_squared_form, dunkl_images
-from .poly import (Block, Polynomial, _check_degree, _degree_shift, _dimension, _Element, _units, accumulate, json_int,
-                   linear_extension, monomial_keys)
+from .operators import DunklContext, d_plus_squared_form
+from .poly import (Block, Polynomial, _check_degree, _degree_shift, _dimension, _Element, _Memo, _units, accumulate,
+                   json_int, linear_extension, monomial_keys)
 
 ScalarLike = Union[int, Fraction]
 
@@ -134,29 +135,25 @@ class CliffordPolynomial(_Element):
         return f"CliffordPolynomial(m={self.m}, {self!s})"
 
 
-def dirac_image(ctx: DunklContext, key: int) -> Block:
-    """D(x^e e_A) = sum_i e_i T_i(x^e) e_A for the Clifford key of x^e e_A as one block, memoized per context:
-    e_i e_A is sign(e_i e_A) e_(A xor 2^i), and the sign multiplies the numerators of T_i x^e, brought to one
-    denominator."""
-    image = ctx._diracs.get(key)
-    if image is None:
-        m = ctx.m
-        mask = key & (1 << m) - 1
-        images = dunkl_images(ctx, key >> m)
-        den = lcm(*(d for d, _ in images))
-        terms = []
-        for i, (d, nums) in enumerate(images):
-            sign, target = blade_product(1 << i, mask)
-            sign *= den // d
-            terms += [(f << m | target, sign * v) for f, v in nums]
-        image = ctx._diracs[key] = (den, tuple(terms))
-    return image
+def _dirac_fill(m: int, images: _Memo, key: int) -> Block:
+    """The fill of a context's D memo: D(x^e e_A) = sum_i e_i T_i(x^e) e_A for the Clifford key of x^e e_A as one
+    block, T_i x^e read from the context's T memo: e_i e_A is sign(e_i e_A) e_(A xor 2^i), and the sign multiplies
+    the numerators of T_i x^e, brought to one denominator."""
+    mask, blocks = key & (1 << m) - 1, images[key >> m]
+    den = lcm(*(d for d, _ in blocks))
+    terms = []
+    for i, (d, nums) in enumerate(blocks):
+        sign, target = blade_product(1 << i, mask)
+        sign *= den // d
+        terms += [(f << m | target, sign * v) for f, v in nums]
+    return den, tuple(terms)
 
 
-def _dirac_map(ctx: DunklContext) -> Callable[[int], Block]:
-    """key -> D of the key's term, read from the context's memo and filled on a miss."""
-    get = ctx._diracs.get
-    return lambda key: get(key) or dirac_image(ctx, key)
+def _diracs(ctx: DunklContext) -> _Memo:
+    """The context's D memo, made on first use; its fill binds the T memo, not the context."""
+    if ctx._diracs is None:
+        ctx._diracs = _Memo(partial(_dirac_fill, ctx.m, ctx._images))
+    return ctx._diracs
 
 
 def _vector_map(F: CliffordPolynomial) -> Callable[[int], Block]:
@@ -176,7 +173,7 @@ def _vector_map(F: CliffordPolynomial) -> Callable[[int], Block]:
 def dunkl_dirac(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """D F = sum_i e_i (T_i F), Dunkl operators acting blade-wise."""
     _check(ctx, F)
-    return CliffordPolynomial._new(F.m, accumulate([(1, F._block, _dirac_map(ctx))]))
+    return CliffordPolynomial._new(F.m, accumulate([(1, F._block, _diracs(ctx).__getitem__)]))
 
 
 def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
@@ -187,7 +184,8 @@ def vector_multiply(F: CliffordPolynomial) -> CliffordPolynomial:
 def d_plus(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
     """The raising operator -D + 2x; its square is scalar."""
     _check(ctx, F)
-    return CliffordPolynomial._new(F.m, accumulate([(-1, F._block, _dirac_map(ctx)), (2, F._block, _vector_map(F))]))
+    return CliffordPolynomial._new(F.m, accumulate([(-1, F._block, _diracs(ctx).__getitem__),
+                                                    (2, F._block, _vector_map(F))]))
 
 
 def d_plus_squared_scalar(ctx: DunklContext, F: CliffordPolynomial) -> CliffordPolynomial:
@@ -205,8 +203,9 @@ def monogenic_basis(ctx: DunklContext, degree: int) -> list[CliffordPolynomial]:
     """
     if degree < 0:
         raise MathPrecondition(f"degree must be >= 0, got {degree}")
+    diracs = _diracs(ctx)
     keys = [key << ctx.m | mask for mask in range(1 << ctx.m) for key in monomial_keys(ctx.m, degree)]
-    return [CliffordPolynomial._new(ctx.m, (1, v)) for v in kernel_basis([dirac_image(ctx, key) for key in keys], keys)]
+    return [CliffordPolynomial._new(ctx.m, (1, v)) for v in kernel_basis([diracs[key] for key in keys], keys)]
 
 
 def _check(ctx: DunklContext, F: CliffordPolynomial) -> None:

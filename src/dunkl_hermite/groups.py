@@ -333,8 +333,9 @@ def _builtin_geometry(family: str, m: int) -> _Geometry:
     # e_i for z2 and b, then e_i + s e_j (i < j) for each sign s of the family
     roots: list[Vector] = [_unit(m, i) for i in range(m)] if family in ("z2", "b") else []
     signs = {"a": (-1,), "b": (-1, 1), "d": (-1, 1)}.get(family, ())
-    roots += [tuple(Fraction(1) if k == i else Fraction(s) if k == j else Fraction(0) for k in range(m))
-              for i in range(m) for j in range(i + 1, m) for s in signs]
+    if signs:  # no pair loop for z2 and trivial, whose m may be far past what a pair loop can visit
+        roots += [tuple(Fraction(1) if k == i else Fraction(s) if k == j else Fraction(0) for k in range(m))
+                  for i in range(m) for j in range(i + 1, m) for s in signs]
     return _registered(m, tuple(roots))
 
 

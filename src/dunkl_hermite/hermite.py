@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 from .errors import DimensionMismatch, MathPrecondition
 from .linalg import FrameFactor, _eliminate, _sparse_rows, kernel_basis
 from .operators import (DunklContext, WeightedFunction, conjugated_laplacian, d_plus_squared_form,
-                        dunkl_laplacian, heat_semigroup, hermite_shift, laplacian_image, radial_tower,
-                        spherical_shift)
+                        dunkl_laplacian, heat_semigroup, hermite_shift, radial_tower, spherical_shift)
 from .poly import (Polynomial, dim_homogeneous, exact, json_int, linear_extension, monomial_basis, monomial_keys,
                    parse_rational, rational_str)
 
@@ -59,7 +58,7 @@ HARMONIC_CACHE_SIZE = 256
 def _harmonic_basis_cached(ctx_ref: "weakref.ref[DunklContext]", degree: int) -> HarmonicBasis:
     ctx = ctx_ref()
     basis = monomial_keys(ctx.m, degree)
-    vectors = kernel_basis([laplacian_image(ctx, key) for key in basis], basis)
+    vectors = kernel_basis([ctx._laplacians[key] for key in basis], basis)
     return HarmonicBasis(degree=degree, elements=tuple(Polynomial._new(ctx.m, (1, v)) for v in vectors))  # content 1
 
 

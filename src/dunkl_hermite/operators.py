@@ -16,10 +16,11 @@ does not depend on kappa.  So the Dunkl Laplacian sum_i T_i^2 is affine in
 kappa: Delta_kappa = Delta + sum over the orbits of kappa_O L_O with
 L_O = sum_i (d_i S_(O,i) + S_(O,i) d_i), since the kappa-quadratic part
 sum_i S_(O,i) S_(O',i), summed over the pairs of orbits, vanishes (Dunkl,
-Trans. AMS 311, 1989; Roesler, LNM 1817, 2003).  The images S_(O,i) x^e and
-L_O x^e are kept per orbit, in the geometry of the orbit's roots (_orbit_entry),
-and shared by every context whose root system has that orbit, whatever its
-kappa, for as long as one such root system lives; the images
+Trans. AMS 311, 1989; Roesler, LNM 1817, 2003).  Every kept image is one
+poly._Memo, a map that fills itself on a miss, so reading it is a subscript.
+S_(O,i) x^e and L_O x^e are kept per orbit, in the geometry of the orbit's
+roots (_orbit_entry), and shared by every context whose root system has that
+orbit, whatever its kappa, for as long as one such root system lives;
 T_i x^e, Delta_kappa x^e and D(x^e e_A) depend on kappa and are kept per
 context.  The operators are linear, so they apply these images to any
 polynomial term by term.  Everything downstream (Laplacian, Euler operator,
@@ -30,28 +31,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, _Geometry
-from .poly import (Block, Polynomial, ScalarLike, _check_degree, _degree_shift, _derivative_map, _exponents, _units,
-                   accumulate, compose_linear, divide_by_linear_form, exact, linear_extension)
+from .poly import (Block, Polynomial, ScalarLike, _check_degree, _degree_shift, _derivative_map, _exponents, _Memo,
+                   _steps, _units, accumulate, compose_linear, divide_by_linear_form, exact, linear_extension)
 
 
 class DunklContext:
-    """A root system, its reflections, and a lazily filled memo of the Dunkl map.
+    """A root system, its reflections, and the memos of the Dunkl map, each filled on first read (see poly._Memo).
 
-    The images T_1 x^e, ..., T_m x^e and Delta x^e of a monomial, the Dirac image
-    D(x^e e_A) of a Clifford term, and the Fischer frame of a degree with its factor
-    are computed on first use and kept in the memo, the images as integer numerators
-    over one denominator each, keyed by the monomial key of x^e (the Clifford key of
-    x^e e_A); the memo lives and dies with the context.  kappa is constant on each
-    orbit O of roots, so T_i x^e = d_i x^e + sum over the orbits of kappa_O S_(O,i) x^e,
-    and Delta x^e = the classical Laplacian of x^e + sum over the orbits of kappa_O L_O x^e,
-    read from no T_i; the kappa-free pieces S_(O,i) x^e and L_O x^e, and the reflections,
-    live in the root system's geometry (see groups and _orbit_entry), shared by every
-    context with the same roots whatever its kappa, while one of their root systems lives.
+    _images maps the monomial key of x^e to (T_1 x^e, ..., T_m x^e), _laplacians to Delta x^e, and _diracs, made by
+    clifford on first use, the Clifford key of x^e e_A to D(x^e e_A); each image is integer numerators over one
+    denominator, and the memos live and die with the context.  kappa is constant on each orbit O of roots, so
+    T_i x^e = d_i x^e + sum over the orbits of kappa_O S_(O,i) x^e, and Delta x^e = the classical Laplacian of x^e
+    + sum over the orbits of kappa_O L_O x^e, read from no T_i.  The (kappa, geometry) pair of each orbit with
+    kappa != 0 is bound at construction (_orbits); the kappa-free maps S_(O,i) and L_O, and the reflections, live
+    in the orbit's geometry (see groups and _orbit_entry), shared by every context with the same roots whatever its
+    kappa, while one of their root systems lives.  The fills bind m and _orbits, never the context, so a dropped
+    context is freed at once.
     """
 
     __slots__ = ("root_system", "reflections", "_orbits", "_images", "_laplacians", "_diracs", "_fischer",
@@ -59,12 +60,17 @@ class DunklContext:
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self.reflections: tuple[Matrix, ...] = root_system._geometry.reflections
-        self._orbits = None  # (kappa, orbit memo) per orbit with kappa != 0, resolved on the memo's first fill
-        self._images: dict[int, tuple[Block, ...]] = {}
-        self._laplacians: dict[int, Block] = {}
-        self._diracs: dict[int, Block] = {}  # filled by clifford.dirac_image
-        self._fischer: dict[int, tuple] = {}  # degree -> (frame, its factor), filled by hermite._fischer_factor
+        geometry, kappas, m = root_system._geometry, root_system.multiplicities, root_system.m
+        self.reflections: tuple[Matrix, ...] = geometry.reflections
+        # kappa is orbit-constant, and a zero one adds nothing
+        self._orbits = tuple((kappas[orbit[0]], geometry.part(orbit)) for orbit in root_system.orbits
+                             if kappas[orbit[0]])
+        self._images = _Memo(partial(_dunkl_fill, m, self._orbits))
+        self._laplacians = _Memo(partial(_laplacian_fill, m, self._orbits))
+        self._diracs = None  # a _Memo of the T memo, made by clifford, which operators cannot import
+        # degree -> (frame, its factor), filled by hermite._fischer_factor; not a _Memo, since its fill reads the
+        # context itself, and a memo that does is a cycle
+        self._fischer: dict[int, tuple] = {}
 
     @property
     def m(self) -> int:
@@ -101,14 +107,15 @@ class _OrbitEntry(NamedTuple):
     _orbit_entry) and so shared by every root system that has the orbit, whatever its kappa.
 
     axes holds, per axis i where some root of the orbit is nonzero, (i, ((r, alpha_i), ...)) over the roots r
-    with alpha_i != 0 (an integer alpha_i as an int); chains holds _chain_setup per root; blocks maps a monomial
-    key to the nonzero S_(O,i) x^e = sum over the orbit's roots of alpha_i d_alpha x^e as ((i, block), ...),
-    filled by _orbit_blocks; laplacians maps a key to L_O x^e = sum_i (d_i S_(O,i) + S_(O,i) d_i) x^e as one
-    block, filled by _orbit_laplacian."""
+    with alpha_i != 0 (an integer alpha_i as an int); chains holds _chain_setup per root.  blocks and laplacians are
+    memos (poly._Memo) of the monomial key of x^e: blocks to the nonzero S_(O,i) x^e = sum over the orbit's roots of
+    alpha_i d_alpha x^e as ((i, block), ...), filled by _orbit_blocks from (m, axes, chains); laplacians to
+    L_O x^e = sum_i (d_i S_(O,i) + S_(O,i) d_i) x^e as one block, filled by _orbit_laplacian from (m, axes, blocks).
+    Neither fill holds the entry."""
     axes: tuple
     chains: tuple
-    blocks: dict
-    laplacians: dict
+    blocks: _Memo
+    laplacians: _Memo
 
 
 def _orbit_entry(geometry: _Geometry) -> _OrbitEntry:
@@ -125,16 +132,19 @@ def _orbit_entry(geometry: _Geometry) -> _OrbitEntry:
                             for r, alpha in enumerate(roots) if alpha[i])
             if weights:  # an axis where every root of the orbit is 0 has no S_i
                 axes.append((i, weights))
-        entry = geometry.entry = _OrbitEntry(tuple(axes), chains, {}, {})
+        axes = tuple(axes)
+        blocks = _Memo(partial(_orbit_blocks, m, axes, chains))
+        entry = geometry.entry = _OrbitEntry(axes, chains, blocks, _Memo(partial(_orbit_laplacian, m, axes, blocks)))
     return entry
 
 
-def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...], units: tuple[int, ...]) -> dict:
-    """t s^(K-1) d_alpha x^e for e = sum of eps_j over the K steps j, by the Leibniz rule: the sum over the steps k
-    of s^(K-1-k) C_(j_k) G_k x^(e - e_(k+1)), where e_k is the sum of the first k steps and G <- (s R)_j G keeps
-    G_k = s^k (x^(e_k) o r_alpha).  units[j] is the key of x_j: the factor x^(e - e_(k+1)) adds its key."""
+def _leibniz_chain(key: int, steps: list[int], s: int, rows: tuple, firsts: tuple, units: tuple) -> dict:
+    """t s^(K-1) d_alpha x^e for e = sum of eps_j over the K steps j and key the key of x^e, by the Leibniz rule:
+    the sum over the steps k of s^(K-1-k) C_(j_k) G_k x^(e - e_(k+1)), where e_k is the sum of the first k steps and
+    G <- (s R)_j G keeps G_k = s^k (x^(e_k) o r_alpha).  units[j] is the key of x_j: the factor x^(e - e_(k+1)) adds
+    its key, which is key less the units of the first k + 1 steps."""
     g, q = {0: 1}, {}
-    offset, scale = sum(units[j] for j in steps), s ** (len(steps) - 1)
+    offset, scale = key, s ** (len(steps) - 1)
     for k, j in enumerate(steps):
         if k:  # G takes the previous step's row here, so the last step builds no G it never reads
             g, product, row = {}, g, rows[steps[k - 1]]
@@ -154,100 +164,62 @@ def _leibniz_chain(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...
     return q
 
 
-def _orbit_blocks(orbit: _OrbitEntry, key: int, steps: list[int], units: tuple[int, ...]) -> tuple:
-    """The nonzero S_i x^e of the orbit as ((i, block), ...), memoized in the orbit: one Leibniz chain per root,
-    then per axis one accumulation of the roots' quotients weighted by alpha_i."""
-    blocks = orbit.blocks.get(key)
-    if blocks is None:
-        lift = len(steps) - 1
-        quotients = [(t * s ** lift, q.items()) if q else None for s, rows, firsts, t in orbit.chains
-                     for q in (_leibniz_chain(steps, s, rows, firsts, units),)]
-        blocks = []
-        for i, weights in orbit.axes:
-            parts = [(w, quotients[r], None) for r, w in weights if quotients[r]]
-            if len(parts) == 1 and parts[0][0] == 1:  # one root with alpha_i = 1, as in z2 and B's short orbit
-                blocks.append((i, parts[0][1]))
-            elif parts:
-                den, nums = accumulate(parts)
-                if nums:
-                    blocks.append((i, (den, tuple(nums.items()))))
-        blocks = orbit.blocks[key] = tuple(blocks)
-    return blocks
+def _orbit_blocks(m: int, axes: tuple, chains: tuple, key: int) -> tuple:
+    """The fill of an orbit entry's blocks: the nonzero S_i x^e of the orbit as ((i, block), ...), by one Leibniz
+    chain per root, then per axis one accumulation of the roots' quotients weighted by alpha_i."""
+    steps = _steps(m, key)
+    lift, units = len(steps) - 1, _units(m)
+    quotients = [(t * s ** lift, q.items()) if q else None for s, rows, firsts, t in chains
+                 for q in (_leibniz_chain(key, steps, s, rows, firsts, units),)]
+    blocks = []
+    for i, weights in axes:
+        parts = [(w, quotients[r], None) for r, w in weights if quotients[r]]
+        if len(parts) == 1 and parts[0][0] == 1:  # one root with alpha_i = 1, as in z2 and B's short orbit
+            blocks.append((i, parts[0][1]))
+        elif parts:
+            den, nums = accumulate(parts)
+            if nums:
+                blocks.append((i, (den, tuple(nums.items()))))
+    return tuple(blocks)
 
 
-def _orbit_laplacian(orbit: _OrbitEntry, key: int, e: tuple[int, ...], units: tuple[int, ...]) -> Block:
-    """L_O x^e = sum_i d_i (S_(O,i) x^e) + e_i S_(O,i) x^(e - eps_i), kept in the orbit: one accumulation of the
-    derivative of each block S_(O,i) x^e and of the orbit's blocks one degree down, which it memoizes too."""
-    m = len(e)
-    steps = [j for j, n in enumerate(e) for _ in range(n)]
-    parts = [(1, block, _derivative_map(m, i)) for i, block in _orbit_blocks(orbit, key, steps, units)]
-    for i, _ in orbit.axes:  # S_(O,i) is 0 on the other axes
-        n = e[i]
-        if n:
-            down = steps.copy()
-            down.remove(i)
-            parts += [(n, block, None) for j, block in _orbit_blocks(orbit, key - units[i], down, units) if j == i]
+def _orbit_laplacian(m: int, axes: tuple, blocks: _Memo, key: int) -> Block:
+    """The fill of an orbit entry's laplacians: L_O x^e = sum_i d_i (S_(O,i) x^e) + e_i S_(O,i) x^(e - eps_i), one
+    accumulation of the derivative of each block S_(O,i) x^e and of the orbit's blocks one degree down."""
+    parts = [(1, block, _derivative_map(m, i)) for i, block in blocks[key]]
+    for i, _ in axes:  # S_(O,i) is 0 on the other axes; d_i x^e is e_i x^(e - eps_i), or nothing
+        for down, n in _derivative_map(m, i)(key)[1]:
+            parts += [(n, block, None) for j, block in blocks[down] if j == i]
     den, nums = accumulate(parts)
-    image = orbit.laplacians[key] = (den, tuple(nums.items()))
-    return image
+    return den, tuple(nums.items())
 
 
-def _context_orbits(ctx: DunklContext) -> tuple:
-    """(kappa, the orbit's entry) per orbit with kappa != 0, resolved on the context's first fill: kappa is
-    orbit-constant, and a zero one adds nothing."""
-    if ctx._orbits is None:
-        system = ctx.root_system
-        kappas = system.multiplicities
-        ctx._orbits = tuple((kappas[orbit[0]], _orbit_entry(system._geometry.part(orbit)))
-                            for orbit in system.orbits if kappas[orbit[0]])
-    return ctx._orbits
-
-
-def dunkl_images(ctx: DunklContext, key: int) -> tuple[Block, ...]:
-    """T_1 x^e, ..., T_m x^e for the key of x^e as blocks (den, ((key, int), ...)), memoized: per axis one
+def _dunkl_fill(m: int, orbits: tuple, key: int) -> tuple[Block, ...]:
+    """The fill of a context's T memo: T_1 x^e, ..., T_m x^e as blocks (den, ((key, int), ...)), per axis one
     accumulation of the derivative and the kappa-weighted blocks S_(O,i) x^e of the active orbits."""
-    images = ctx._images.get(key)
-    if images is None:
-        m = ctx.m
-        units, e = _units(m), _exponents(m, (key,))[0]
-        steps = [j for j, n in enumerate(e) for _ in range(n)]
-        parts = [[(n, (1, ((key - units[i], 1),)), None)] if n else [] for i, n in enumerate(e)]
-        for kappa, orbit in _context_orbits(ctx):
-            for i, block in _orbit_blocks(orbit, key, steps, units):
-                parts[i].append((kappa, block, None))
-        images = []
-        for axis_parts in parts:
-            den, nums = accumulate(axis_parts)
-            # kept as term tuples, not Polynomials: the memo is most of what a context holds
-            images.append((den, tuple(nums.items())))
-        images = ctx._images[key] = tuple(images)
-    return images
+    units, e = _units(m), _exponents(m, (key,))[0]
+    parts = [[(n, (1, ((key - units[i], 1),)), None)] if n else [] for i, n in enumerate(e)]
+    for kappa, geometry in orbits:
+        for i, block in _orbit_entry(geometry).blocks[key]:
+            parts[i].append((kappa, block, None))
+    # kept as term tuples, not Polynomials: the memo is most of what a context holds
+    return tuple((den, tuple(nums.items())) for den, nums in map(accumulate, parts))
 
 
-def laplacian_image(ctx: DunklContext, key: int) -> Block:
-    """Delta_kappa x^e for the key of x^e as a block, memoized: one accumulation of the classical Delta x^e and
-    kappa_O L_O x^e over the active orbits, L_O x^e read from the orbit entry and filled there on a miss."""
-    image = ctx._laplacians.get(key)
-    if image is None:
-        units, e = _units(ctx.m), _exponents(ctx.m, (key,))[0]
-        parts = [(1, (1, [(key - 2 * units[i], n * (n - 1)) for i, n in enumerate(e) if n > 1]), None)]
-        parts += [(kappa, orbit.laplacians.get(key) or _orbit_laplacian(orbit, key, e, units), None)
-                  for kappa, orbit in _context_orbits(ctx)]
-        den, nums = accumulate(parts)
-        image = ctx._laplacians[key] = (den, tuple(nums.items()))
-    return image
+def _laplacian_fill(m: int, orbits: tuple, key: int) -> Block:
+    """The fill of a context's Delta memo: one accumulation of the classical Delta x^e and kappa_O L_O x^e over the
+    active orbits, L_O x^e read from the orbit entry."""
+    units, e = _units(m), _exponents(m, (key,))[0]
+    parts = [(1, (1, [(key - 2 * units[i], n * (n - 1)) for i, n in enumerate(e) if n > 1]), None)]
+    parts += [(kappa, _orbit_entry(geometry).laplacians[key], None) for kappa, geometry in orbits]
+    den, nums = accumulate(parts)
+    return den, tuple(nums.items())
 
 
 def _dunkl_map(ctx: DunklContext, axis: int) -> Callable[[int], Block]:
-    """key -> T_axis of the key's monomial, read from the context's memo and filled on a miss."""
-    get = ctx._images.get
-    return lambda key: (get(key) or dunkl_images(ctx, key))[axis]
-
-
-def _laplacian_map(ctx: DunklContext) -> Callable[[int], Block]:
-    """key -> Delta of the key's monomial, read from the context's memo and filled on a miss."""
-    get = ctx._laplacians.get
-    return lambda key: get(key) or laplacian_image(ctx, key)
+    """key -> T_axis of the key's monomial, read from the context's memo."""
+    images = ctx._images
+    return lambda key: images[key][axis]
 
 
 def dunkl_derivative(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
@@ -257,21 +229,16 @@ def dunkl_derivative(ctx: DunklContext, axis: int, f: Polynomial) -> Polynomial:
 
 def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """Sum over axes of the squared Dunkl operator."""
-    return linear_extension(f.m, [(1, _check(ctx, f), _laplacian_map(ctx))])
+    return linear_extension(f.m, [(1, _check(ctx, f), ctx._laplacians.__getitem__)])
 
 
 def _weighted(m: int, weight: Callable[[int], ScalarLike]) -> Callable[[int], Block]:
     """x^e -> weight(|e|) x^e in m variables, the weight made exact (a float is refused) once per degree."""
-    weights: dict[int, tuple[int, int]] = {}
-    shift = _degree_shift(m)
+    weights, shift = _Memo(lambda d: ((w := exact(weight(d))).denominator, w.numerator)), _degree_shift(m)
 
     def image(key: int) -> Block:
-        d = key >> shift
-        w = weights.get(d)
-        if w is None:
-            w = exact(weight(d))
-            w = weights[d] = (w.denominator, w.numerator)
-        return w[0], ((key, w[1]),)
+        den, num = weights[key >> shift]
+        return den, ((key, num),)
     return image
 
 
@@ -338,7 +305,7 @@ def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial
     """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n."""
     n = exact(n)
     block = _check(ctx, f)
-    return linear_extension(f.m, [(1, block, _laplacian_map(ctx)),
+    return linear_extension(f.m, [(1, block, ctx._laplacians.__getitem__),
                                   (-1, block, _weighted(f.m, lambda d: 2 * (d - n)))])
 
 
@@ -351,7 +318,7 @@ def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2."""
     block = _check(ctx, f)
     return linear_extension(f.m, [(1, block, _weighted(f.m, lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
-                                  (-1, block, _laplacian_map(ctx)),
+                                  (-1, block, ctx._laplacians.__getitem__),
                                   (-4, block, _shifts(f, range(f.m), 2))])
 
 
@@ -379,21 +346,18 @@ def conjugated_laplacian(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Po
     _check_degree((f.total_degree() or 0) + 2)
     weight, units = 2 * exact(rate), _units(m)
     low = m.bit_length()  # the bits of the axis tag
-    axis_of, get = (1 << low) - 1, ctx._images.get
-
-    def images(key: int) -> tuple[Block, ...]:
-        return get(key) or dunkl_images(ctx, key)
+    axis_of, images = (1 << low) - 1, ctx._images
 
     def tagged_dunkl(i: int) -> Callable[[int], Block]:
         def image(key: int) -> Block:
-            den, terms = images(key)[i]
+            den, terms = images[key][i]
             return den, [(k << low | i, v) for k, v in terms]
         return image
     den, nums = accumulate([part for i, unit in enumerate(units) for part in (
         (1, block, tagged_dunkl(i)),
         (weight, block, lambda key, step=unit << low | i: (1, (((key << low) + step, 1),))))])
     firsts = den, nums.items()
-    return linear_extension(m, [(1, firsts, lambda key: images(key >> low)[key & axis_of]),
+    return linear_extension(m, [(1, firsts, lambda key: images[key >> low][key & axis_of]),
                                 (weight, firsts, lambda key: (1, (((key >> low) + units[key & axis_of], 1),)))])
 
 

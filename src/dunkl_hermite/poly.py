@@ -78,7 +78,15 @@ def _keys(exponents: Sequence[Exponent]) -> list[int]:
 def _exponents(m: int, keys: Iterable[int]) -> list[Exponent]:
     """The exponent tuple of each key in m variables."""
     shifts = range(_BITS * (m - 1), -1, -_BITS)
-    return [tuple(key >> s & _FIELD for s in shifts) for key in keys]
+    return [tuple([key >> s & _FIELD for s in shifts]) for key in keys]  # a list, not a generator: faster
+
+
+def _steps(m: int, key: int) -> list[int]:
+    """The axis of each factor of x^e, in axis order: e_j copies of j for each axis j."""
+    steps = []
+    for j, shift in enumerate(range(_BITS * (m - 1), -1, -_BITS)):
+        steps += [j] * (key >> shift & _FIELD)
+    return steps
 
 
 def rational_str(value: Fraction) -> str:
@@ -486,6 +494,21 @@ def accumulate(parts: Iterable[tuple]) -> tuple[int, dict]:
     out = {key: v for key, v in out.items() if v}
     g = gcd(den, *out.values())  # den itself when out is empty
     return (den, out) if g == 1 else (den // g, {key: v // g for key, v in out.items()})
+
+
+class _Memo(dict):
+    """A map that fills itself: a missing key's value is fill(key), computed on the first read and kept; a fill that
+    raises keeps nothing.  So memo.__getitem__ is an image that accumulate reads.  A fill binds what it reads, never
+    the memo's owner: a cycle would keep a dropped owner, and everything it holds, until the cycle collector runs."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable[[Hashable], object]):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def linear_extension(m: int, parts: Iterable[tuple]) -> Polynomial:

@@ -406,6 +406,13 @@ class Suite:
 
 KAPPA_ZERO_CASES = tuple(GroupCase(f"z2^{m}", "z2", m, (Fraction(0),) * m) for m in (2, 3))
 
+
+def largest_m(profile: Profile) -> int:
+    """The largest m the profile's suites sweep: of its orthogonality cases, the group tables and KAPPA_ZERO_CASES."""
+    return max(profile.orthogonality_m_max, *(group[2] for group in CONSTRUCTION_GROUPS),
+               *(case.m for case in KAPPA_ZERO_CASES))
+
+
 SUITES = {
     "commute": Suite(_operator_cases, _commute),
     "sl2": Suite(_construction_cases, _sl2),

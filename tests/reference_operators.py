@@ -16,8 +16,7 @@ from typing import Callable, Iterable
 
 from dunkl_hermite.clifford import CliffordPolynomial, blade_product
 from dunkl_hermite.clifford import _check as _check_clifford
-from dunkl_hermite.operators import (DunklContext, _check, _conjugated, _dunkl_map, conjugated_dunkl, dunkl_derivative,
-                                    dunkl_images)
+from dunkl_hermite.operators import DunklContext, _check, _conjugated, _dunkl_map, conjugated_dunkl, dunkl_derivative
 from dunkl_hermite.poly import (Block, Exponent, Polynomial, accumulate, compose_linear, divide_by_linear_form,
                                 linear_extension)
 
@@ -41,7 +40,7 @@ def dunkl_derivative_reference(ctx: DunklContext, axis: int, f: Polynomial) -> P
 def dunkl_laplacian_reference(ctx: DunklContext, f: Polynomial) -> Polynomial:
     """sum_i T_i (T_i f), both steps read from the context's memo of the Dunkl map, one monomial of f at a time."""
     def image(key: int) -> Block:
-        den, nums = accumulate((1, first, _dunkl_map(ctx, i)) for i, first in enumerate(dunkl_images(ctx, key)))
+        den, nums = accumulate((1, first, _dunkl_map(ctx, i)) for i, first in enumerate(ctx._images[key]))
         return den, nums.items()
     return linear_extension(f.m, [(1, _check(ctx, f), image)])
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl_hermite.clifford import (CliffordPolynomial, blade_product, d_plus,
-                                    d_plus_squared_scalar, dirac_image, dunkl_dirac, monogenic_basis,
+                                    d_plus_squared_scalar, dunkl_dirac, monogenic_basis,
                                     vector_multiply)
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian, euler_operator
 from dunkl_hermite.poly import Polynomial, dim_homogeneous, monomial_basis, monomial_keys
 from reference_operators import dunkl_dirac_reference
-from test_dunkl_map import g2_json
+from test_dunkl_map import Marker, collector_off, custom_g2, g2_json, mark_orbit_maps
 from test_kernel_bases import dirac_kernel
 
 
@@ -277,14 +277,16 @@ def test_monogenic_columns_come_from_the_memo_and_equal_the_reference(name):
             for e, key in zip(monomial_basis(m, degree), monomial_keys(m, degree)):
                 assert key << m | mask in ctx._diracs  # the Clifford key of x^e e_A
                 reference = dunkl_dirac_reference(ctx, CliffordPolynomial(m, {mask: Polynomial.monomial(m, e)}))
-                assert as_fractions(*dirac_image(ctx, key << m | mask)) == as_fractions(*reference._block), (
+                assert as_fractions(*ctx._diracs[key << m | mask]) == as_fractions(*reference._block), (
                     name, mask, e)
         for M in basis:
             assert not dunkl_dirac_reference(ctx, M)
 
 
 def test_a_dropped_context_frees_its_dirac_memo():
-    """The Dirac memo lives in the context: once the context is dropped, nothing keeps it or the memo alive."""
+    """The Dirac memo lives in the context: once the context is dropped, nothing keeps it or the memo alive.  Its
+    fill binds the T memo, not the context, so with T, Delta and D filled a context is freed by reference counts
+    alone, without the cycle collector, and so are a custom system's geometry and its orbit entries' S and L maps."""
     ctx = reference_context("b2", [Fraction(1, 2), Fraction(1, 3)])
     F = CliffordPolynomial(2, {0b01: Polynomial.monomial(2, (2, 1))})
     d_plus(ctx, dunkl_dirac(ctx, F))
@@ -294,3 +296,15 @@ def test_a_dropped_context_frees_its_dirac_memo():
     del ctx
     gc.collect()
     assert ref() is None
+    with collector_off():
+        for build, custom in ((lambda: builtin_root_system("b", 2, [Fraction(1, 2), Fraction(1, 3)]), False),
+                              (lambda: custom_g2(Fraction(5, 17)), True)):
+            ctx = DunklContext(build())
+            F = CliffordPolynomial(ctx.m, {0b01: Polynomial.monomial(ctx.m, (2, 1) + (0,) * (ctx.m - 2))})
+            dunkl_dirac(ctx, F)
+            dunkl_laplacian(ctx, F.blade(0b01))
+            assert ctx._images and ctx._laplacians and ctx._diracs
+            ctx._diracs[-1] = Marker()
+            refs = [weakref.ref(ctx), weakref.ref(ctx._diracs[-1])] + (mark_orbit_maps(ctx) if custom else [])
+            del ctx
+            assert len(refs) == (2 + 1 + 4 if custom else 2) and all(ref() is None for ref in refs)

@@ -3,6 +3,7 @@ degree MAX_DEGREE and refuses one of MAX_DEGREE + 1 with a ValueError naming bot
 Only monomials, in a context without roots, so that no case starts real work.  The CLI refuses a request past
 the cap before its work starts: the work is patched to raise, so a request at the cap reaches it and one past
 the cap does not.  So does a builtin family whose roots are too many to validate."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -120,11 +121,57 @@ def test_verify_max_deg_past_the_monomial_cap_exits_1_before_any_suite(capsys, m
 
 @pytest.mark.parametrize("args", [["--profile", "ci"], ["--profile", "desk"], ["--max-deg", "34"], ["--max-deg", "0"]])
 def test_verify_defaults_and_the_largest_estimate_under_the_cap_reach_the_suites(monkeypatch, args):
-    assert cli.VERIFY_MONOMIAL_CAP == 65536 and ESTIMATES[34] <= 65536 < ESTIMATES[35]
+    assert cli.MONOMIAL_CAP == 65536 and ESTIMATES[34] <= 65536 < ESTIMATES[35]
     monkeypatch.setattr(cli, "run_suite", _start)
     with pytest.raises(WorkStarted):
         cli.main(["verify", *args])
 
+
+# (argv, the degree of the request, m, the monomial count past the cap that the refusal names: the first partial
+# product C(n, k) of C(degree + m - 1, .) past it).  z2^3 has 65,341 monomials of degree 360 and 65,703 of 361;
+# trivial in m = 10^9 is refused as fast as in m = 1000: neither its roots nor the count visit the m axes.
+PAST_THE_MONOMIAL_CAP = [
+    (["hermite", "--group", "trivial", "--m", "1000", "--t", "1", "--ell", "3"], 5, 1000, 1004 * 1003 // 2),
+    (["hermite", "--group", "trivial", "--m", str(10 ** 9), "--t", "1", "--ell", "3"], 5, 10 ** 9, 10 ** 9 + 4),
+    (["hermite", "--group", "z2", "--m", "3", "--kappa", "1,1,1", "--t", "0", "--ell", "361"], 361, 3, 65703),
+    (["hermite", "--group", "z2", "--m", "3", "--kappa", "1,1,1", "--t", "180", "--ell", "1"], 361, 3, 65703),
+    (["decompose", "--group", "trivial", "--m", "1000"], 3, 1000, 1002 * 1001 // 2),
+    (["decompose", "--group", "z2", "--m", "3", "--kappa", "1,1,1"], 361, 3, 65703),
+]
+AT_THE_MONOMIAL_CAP = [
+    (["hermite", "--group", "z2", "--m", "3", "--kappa", "1,1,1", "--t", "0", "--ell", "360"], 360),
+    (["hermite", "--group", "z2", "--m", "3", "--kappa", "1,1,1", "--t", "179", "--ell", "2"], 360),
+    (["decompose", "--group", "z2", "--m", "3", "--kappa", "1,1,1"], 360),
+    (["decompose", "--group", "b", "--m", "2", "--kappa", "1,1"], MAX_DEGREE),
+]
+
+
+def _request(monkeypatch, tmp_path, argv, degree, m):
+    """argv with its work patched to raise; a decompose reads x_1^degree in m variables."""
+    monkeypatch.setattr(cli, "harmonic_basis", _start)
+    monkeypatch.setattr(cli, "fischer_decompose", _start)
+    if argv[0] == "decompose":
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(x(degree, m).to_json()))
+        argv = argv + ["--poly-file", str(path)]
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("argv, degree, m, count", PAST_THE_MONOMIAL_CAP)
+def test_a_request_past_the_monomial_cap_exits_3_before_any_basis(capsys, monkeypatch, tmp_path, argv, degree, m,
+                                                                  count):
+    """hermite and decompose refuse a top degree whose monomials in m are past the cap verify uses, naming a lower
+    bound of the count, however large m is."""
+    assert _request(monkeypatch, tmp_path, argv, degree, m) == cli.EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"dunkl-hermite: error: the monomials of degree {degree} in m = {m} number at least "
+                                 f"{count}, past the monomial cap {cli.MONOMIAL_CAP}\n")
+
+
+@pytest.mark.parametrize("argv, degree", AT_THE_MONOMIAL_CAP)
+def test_a_request_at_the_monomial_cap_reaches_the_work(monkeypatch, tmp_path, argv, degree):
+    with pytest.raises(WorkStarted):
+        _request(monkeypatch, tmp_path, argv, degree, int(argv[4]))
 
 
 # family -> the number of its positive roots in m coordinates, and the largest m of the family whose n roots

@@ -3,6 +3,7 @@ against an independent sympy oracle, and its lifetime."""
 import gc
 import itertools
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from dunkl_hermite import groups, operators
 from dunkl_hermite.errors import InexactDivision
-from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
+from dunkl_hermite.groups import builtin_root_system, custom_root_system, root_system_from_json, trivial_root_system
 from dunkl_hermite.hermite import harmonic_basis
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian
 from dunkl_hermite.poly import Polynomial, _units
@@ -145,7 +146,7 @@ def test_inexact_division_still_raises(monkeypatch):
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     with pytest.raises(InexactDivision):
         dunkl_derivative(ctx, 0, Polynomial.variable(2, 0))
-    assert ctx._orbits is None and len(groups._GEOMETRIES) == 3 and entries(groups._GEOMETRIES) == []
+    assert not ctx._images and len(groups._GEOMETRIES) == 3 and entries(groups._GEOMETRIES) == []
 
 
 # -- independent oracle: sympy only, no package code -----------------------------
@@ -191,8 +192,44 @@ def test_dunkl_derivative_matches_sympy(name, roots, build, data):
         assert {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items()} == dict(got.terms), (name, axis)
 
 
+@contextmanager
+def collector_off():
+    """The cycle collector disabled until the block ends: what is freed meanwhile is freed by reference counts."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class Marker:
+    """A stand-in put into a memo under a key no monomial has: it dies with the memo."""
+
+
+def custom_g2(scale):
+    """G2's roots times scale, as a custom system: its geometry lives only while the system does."""
+    roots = [tuple(scale * c for c in root) for root in root_system_from_json(g2_json(1, 1)).positive_roots]
+    return custom_root_system(roots, [(roots[0], Fraction(1, 2)), (roots[3], 3)])
+
+
+def mark_orbit_maps(ctx):
+    """Weak references to the context's geometry and to a marker in each S and L map of its orbit entries, all of
+    which must be filled; the entries are read in a scope of their own, so no name outlives the call."""
+    refs = [weakref.ref(ctx.root_system._geometry)]
+    for entry in [operators._orbit_entry(geometry) for _, geometry in ctx._orbits]:
+        assert entry.blocks and entry.laplacians
+        for memo in (entry.blocks, entry.laplacians):
+            memo[-1] = Marker()
+            refs.append(weakref.ref(memo[-1]))
+    return refs
+
+
 def test_a_dropped_context_is_released():
-    """Neither the harmonic basis cache nor the memo keeps a context alive."""
+    """Neither the harmonic basis cache nor the memo keeps a context alive; no fill refers back to its memo's
+    owner, so with T and Delta filled a context is freed by reference counts alone, without the cycle collector,
+    and so are a custom system's geometry and its orbit entries with S and L filled."""
     ctx = DunklContext(builtin_root_system("b", 2, [Fraction(1, 2), Fraction(1, 3)]))
     assert len(harmonic_basis(ctx, 4).elements) == 2
     dunkl_laplacian(ctx, Polynomial.monomial(2, (3, 2)))
@@ -200,3 +237,18 @@ def test_a_dropped_context_is_released():
     del ctx
     gc.collect()
     assert ref() is None
+    with collector_off():
+        ctx = DunklContext(builtin_root_system("b", 2, [Fraction(1, 2), Fraction(1, 3)]))
+        dunkl_derivative(ctx, 0, Polynomial.monomial(2, (3, 2)))
+        dunkl_laplacian(ctx, Polynomial.monomial(2, (3, 2)))
+        assert ctx._images and ctx._laplacians
+        refs = [weakref.ref(ctx)]
+        del ctx
+        assert refs[0]() is None
+        ctx = DunklContext(custom_g2(Fraction(3, 13)))
+        x = Polynomial.monomial(3, (2, 1, 1))
+        dunkl_derivative(ctx, 0, x)
+        dunkl_laplacian(ctx, x)
+        refs = [weakref.ref(ctx)] + mark_orbit_maps(ctx)
+        del ctx
+        assert len(refs) == 1 + 1 + 4 and all(ref() is None for ref in refs)

@@ -10,11 +10,7 @@ from dunkl_hermite.groups import builtin_root_system, custom_root_system, root_s
 from dunkl_hermite.operators import DunklContext, dunkl_derivative, dunkl_laplacian
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
-from test_dunkl_map import f4_json, g2_json, private_registry
-
-
-class Marker:
-    """A stand-in put into a map under a key no monomial has: it dies with the map."""
+from test_dunkl_map import Marker, f4_json, g2_json, private_registry
 
 
 def fill(ctx, degree=3):
@@ -37,7 +33,8 @@ def _filled_custom_g2():
     geometry = system._geometry
     parts = [geometry.part(orbit) for orbit in geometry.orbits] + [geometry.part((r,)) for r in range(len(roots))]
     markers = [Marker() for _ in range(4)]
-    for (_, entry), marks in zip(ctx._orbits, (markers[:2], markers[2:])):
+    for (_, part), marks in zip(ctx._orbits, (markers[:2], markers[2:])):
+        entry = part.entry
         assert entry.blocks and entry.laplacians
         entry.blocks[-1], entry.laplacians[-1] = marks
     return [weakref.ref(obj) for obj in (geometry, *parts, *markers)], [(3, g.roots) for g in (geometry, *parts)]
@@ -60,7 +57,7 @@ def test_two_thousand_dropped_systems_leave_the_registry_as_it_was():
         ctx = DunklContext(custom_root_system([root], [(root, Fraction(1, k))]))
         dunkl_derivative(ctx, 0, x)
         dunkl_laplacian(ctx, x)
-        assert ctx._orbits[0][1].blocks and ctx._orbits[0][1].laplacians
+        assert ctx._orbits[0][1].entry.blocks and ctx._orbits[0][1].entry.laplacians
         assert len(groups._GEOMETRIES) <= before + 2
     del ctx
     assert len(groups._GEOMETRIES) == before
@@ -90,11 +87,12 @@ def test_builtin_geometries_survive_collection_with_their_entries():
     ctx = DunklContext(builtin_root_system("b", 3, [Fraction(1, 2), 3]))
     fill(ctx, 2)
     geometry = weakref.ref(ctx.root_system._geometry)
-    entries = [id(entry) for _, entry in ctx._orbits]
+    entries = [id(part.entry) for _, part in ctx._orbits]
     del ctx
     gc.collect()
     assert geometry() is groups._builtin_geometry("b", 3) is groups._GEOMETRIES[3, geometry().roots]
     again = DunklContext(builtin_root_system("b", 3, [2, Fraction(1, 5)]))
     assert again.root_system._geometry is geometry()
     fill(again, 0)
-    assert [id(entry) for _, entry in again._orbits] == entries and all(entry.blocks for _, entry in again._orbits)
+    assert [id(part.entry) for _, part in again._orbits] == entries
+    assert all(part.entry.blocks for _, part in again._orbits)

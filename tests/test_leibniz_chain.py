@@ -16,8 +16,9 @@ from test_dunkl_map import E1, SWAP, entries, f4_json, g2_json, inject_substitut
 
 
 def _chains(ctx):
-    """The chain set-ups (s, rows, C, t) of the context's active roots, orbit by orbit."""
-    return [chain for _, orbit in ctx._orbits for chain in orbit.chains]
+    """The chain set-ups (s, rows, C, t) of the context's active roots, orbit by orbit, as the entries kept in the
+    geometries of its active orbits hold them."""
+    return [chain for _, geometry in ctx._orbits for chain in geometry.entry.chains]
 
 
 def _mismatches(ctx, degrees):
@@ -61,17 +62,17 @@ def test_swap_substitution_raises_after_the_true_reflection_was_cached(monkeypat
     x0_squared = Polynomial.monomial(2, (2, 0))
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     dunkl_derivative(ctx, 0, x0_squared)
-    true_entries = [orbit for _, orbit in ctx._orbits]
+    true_entries = [geometry.entry for _, geometry in ctx._orbits]
     inject_substitution(monkeypatch, E1, SWAP)
     for _ in range(2):
         ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
         with pytest.raises(InexactDivision):
             dunkl_derivative(ctx, 0, x0_squared)
-        assert ctx._orbits is None and entries(groups._GEOMETRIES) == []
+        assert not ctx._images and entries(groups._GEOMETRIES) == []
     monkeypatch.undo()
     ctx = DunklContext(builtin_root_system("z2", 2, [1, 1]))
     assert _mismatches(ctx, range(5)) == (30, 0)
-    assert all(new is old for (_, new), old in zip(ctx._orbits, true_entries))
+    assert all(geometry.entry is old for (_, geometry), old in zip(ctx._orbits, true_entries))
 
 
 @pytest.mark.parametrize("degree", [1, 4])

@@ -166,7 +166,7 @@ def test_b3_draws_share_two_entries_and_d3_reads_the_long_one(monkeypatch):
         b3 = DunklContext(builtin_root_system("b", 3, [Fraction(n + 1, 3), Fraction(7, n + 2)]))
         for x in xs:
             images(b3, x)
-        read.update(id(entry) for _, entry in b3._orbits)
+        read.update(id(geometry.entry) for _, geometry in b3._orbits)
 
     def kept():
         return sorted(len(geometry.roots) for geometry in groups._GEOMETRIES.values() if geometry.entry)
@@ -174,7 +174,7 @@ def test_b3_draws_share_two_entries_and_d3_reads_the_long_one(monkeypatch):
     d3 = DunklContext(builtin_root_system("d", 3, [Fraction(2, 5)]))
     assert images(d3, xs[-1]) == reference_images(d3, xs[-1])
     assert len(groups._GEOMETRIES) == 12 and kept() == [1] * 9 + [3, 6]
-    assert d3._orbits[0][1] is b3._orbits[1][1]
+    assert d3._orbits[0][1] is b3._orbits[1][1] and d3._orbits[0][1].entry is b3._orbits[1][1].entry is not None
     assert d3.root_system._geometry is b3.root_system._geometry.part(b3.root_system.orbits[1])
 
 

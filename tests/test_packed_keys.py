@@ -5,10 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_hermite.clifford import CliffordPolynomial, dirac_image, vector_multiply
+from dunkl_hermite.clifford import CliffordPolynomial, _diracs, vector_multiply
 from dunkl_hermite.groups import builtin_root_system, root_system_from_json
-from dunkl_hermite.operators import DunklContext, _leibniz_chain, _shifts, conjugated_laplacian, dunkl_images
-from dunkl_hermite.poly import (_BITS, MAX_DEGREE, Polynomial, _exponents, _keys, _units, accumulate,
+from dunkl_hermite.operators import DunklContext, _leibniz_chain, _orbit_entry, _shifts, conjugated_laplacian
+from dunkl_hermite.poly import (_BITS, MAX_DEGREE, Polynomial, _exponents, _keys, _steps, _units, accumulate,
                                 linear_extension, monomial_basis, monomial_keys)
 
 from reference_operators import (clifford_product_reference, clifford_terms, clifford_tuple_block,
@@ -111,12 +111,13 @@ def test_leibniz_chains_equal_their_tuple_form(case, data):
     m = ctx.m
     e = data.draw(exponents(m, 4).filter(any))
     key = _keys([e])[0]
-    dunkl_images(ctx, key)  # resolves the context's orbit memos, which hold the chain set-ups
+    ctx._images[key]  # makes the entries of the context's orbits, which hold the chain set-ups
     units = _units(m)
     steps = [j for j, n in enumerate(e) for _ in range(n)]
-    for s, rows, firsts, _ in (chain for _, orbit in ctx._orbits for chain in orbit.chains):
+    assert _steps(m, key) == steps
+    for s, rows, firsts, _ in (chain for _, geometry in ctx._orbits for chain in _orbit_entry(geometry).chains):
         by_axis = tuple(tuple((units.index(unit), a) for unit, a in row) for row in rows)
-        packed = _leibniz_chain(steps, s, rows, firsts, units)
+        packed = _leibniz_chain(key, steps, s, rows, firsts, units)
         assert dict(zip(_exponents(m, packed), packed.values())) == leibniz_chain_reference(
             steps, s, by_axis, firsts), (name, e)
 
@@ -127,7 +128,7 @@ def test_dirac_images_equal_their_tuple_form(case, data):
     name, ctx = case
     m = ctx.m
     mask, e = data.draw(st.integers(0, (1 << m) - 1)), data.draw(exponents(m, 3))
-    den, terms = dirac_image(ctx, _keys([e])[0] << m | mask)
+    den, terms = _diracs(ctx)[_keys([e])[0] << m | mask]
     low = (1 << m) - 1
     packed = {(k & low, f): Fraction(v, den) for (k, v), f in zip(terms, _exponents(m, [k >> m for k, _ in terms]))}
     assert packed == fractions_of(dirac_image_reference(ctx, (mask, e))), (name, mask, e)

@@ -3,6 +3,10 @@ and the verification suites, all as deterministic JSON on standard output.
 
 Exit codes: 0 success, 1 usage, 2 invalid input data, 3 mathematical
 precondition violated, 4 verification failures.
+
+main builds the flags of one command only, that of the first argv token naming a command.  This is exact: a token
+before the command can only be a top-level option (--pretty, -h), so that token is the command whenever the command
+is valid, and for an invalid command argparse stops at the top level before it reads any command's flags.
 """
 from __future__ import annotations
 
@@ -47,12 +51,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _add_pretty_flag(sub: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps a subcommand-level default from clobbering the top-level flag
-    sub.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS,
-                     help="indent the JSON output")
 
 
 def _add_group_flags(sub: argparse.ArgumentParser) -> None:
@@ -131,12 +129,29 @@ def _refuse_past_monomial_cap(m: int, degree: int) -> None:
                                    f"past the monomial cap {MONOMIAL_CAP}")
 
 
+def _refuse_a_recursion_past_monomial_cap(m: int, t: int, ell: int) -> None:
+    """Refuse a hermite request whose recursion cannot finish, before any basis is built.  Its estimate: step
+    s = 1..t works on the monomials of degrees ell, ell + 2, ..., ell + 2s in m, summed over the steps one exact
+    term at a time and left as soon as the sum is past MONOMIAL_CAP, so the sum named is a lower bound.  b2 takes
+    t up to 56 at ell = 1, z2^3 up to 22.  Each term is at most the top degree's count, already under the cap."""
+    if ell < 0:
+        return  # harmonic_basis refuses a negative degree
+    total, step = 0, comb(ell + m - 1, m - 1)
+    for s in range(1, t + 1):
+        step += comb(ell + 2 * s + m - 1, m - 1)
+        total += step
+        if total > MONOMIAL_CAP:
+            raise MathPrecondition(f"the recursion to t = {t} from degree {ell} in m = {m} takes an estimated "
+                                   f"{total} or more monomial terms, past the monomial cap {MONOMIAL_CAP}")
+
+
 def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
     ctx = DunklContext(_resolve_group(args))
     degree = args.ell + 2 * max(args.t, 0)  # the record's degree; refused before any basis is built
     if degree > MAX_DEGREE:
         raise MathPrecondition(f"degree ell + 2t = {degree} is past the degree cap {MAX_DEGREE}")
     _refuse_past_monomial_cap(ctx.m, degree)
+    _refuse_a_recursion_past_monomial_cap(ctx.m, args.t, args.ell)
     basis = harmonic_basis(ctx, args.ell).elements
     if not 0 <= args.h_index < len(basis):
         raise InputDataError(
@@ -203,49 +218,59 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
-def build_parser() -> _Parser:
+def _add_hermite_flags(sub: argparse.ArgumentParser) -> None:
+    _add_group_flags(sub)
+    sub.add_argument("--t", type=int, required=True, help="Hermite index (half the degree rise)")
+    sub.add_argument("--ell", type=int, required=True, help="degree of the harmonic factor")
+    sub.add_argument("--h-index", type=int, default=0, help="which basis harmonic of degree ell (default 0)")
+    sub.add_argument("--construction", choices=("recursion", "rodrigues", "laguerre", "all"), default="recursion")
+
+
+def _add_decompose_flags(sub: argparse.ArgumentParser) -> None:
+    _add_group_flags(sub)
+    sub.add_argument("--poly-file", required=True, help="polynomial JSON file, or - for standard input")
+
+
+def _add_verify_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    sub.add_argument("--profile", choices=tuple(PROFILES), default="desk")
+    sub.add_argument("--seed", type=int, default=7, help="seed for the multiplicity draws (default 7)")
+    sub.add_argument("--max-deg", type=int, default=None, help="override the profile's polynomial degree cap")
+
+
+# command name -> (its line in the top-level help, what adds its flags, its handler)
+COMMANDS = {
+    "group-info": ("roots, orbits, gamma and mu of a group", _add_group_flags, cmd_group_info),
+    "hermite": ("one Clifford-Hermite polynomial as JSON", _add_hermite_flags, cmd_hermite),
+    "decompose": ("Fischer decomposition of a polynomial", _add_decompose_flags, cmd_decompose),
+    "verify": ("run a verification suite", _add_verify_flags, cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, with the flags of command only (of every command when it is None)."""
     parser = _Parser(prog="dunkl-hermite",
                      description="Exact Dunkl operator calculus and Clifford-Hermite polynomials")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    info = commands.add_parser("group-info", help="roots, orbits, gamma and mu of a group")
-    _add_group_flags(info)
-    _add_pretty_flag(info)
-    info.set_defaults(handler=cmd_group_info)
-
-    hermite = commands.add_parser("hermite", help="one Clifford-Hermite polynomial as JSON")
-    _add_group_flags(hermite)
-    hermite.add_argument("--t", type=int, required=True, help="Hermite index (half the degree rise)")
-    hermite.add_argument("--ell", type=int, required=True, help="degree of the harmonic factor")
-    hermite.add_argument("--h-index", type=int, default=0,
-                         help="which basis harmonic of degree ell (default 0)")
-    hermite.add_argument("--construction", choices=("recursion", "rodrigues", "laguerre", "all"),
-                         default="recursion")
-    _add_pretty_flag(hermite)
-    hermite.set_defaults(handler=cmd_hermite)
-
-    decompose = commands.add_parser("decompose", help="Fischer decomposition of a polynomial")
-    _add_group_flags(decompose)
-    decompose.add_argument("--poly-file", required=True,
-                           help="polynomial JSON file, or - for standard input")
-    _add_pretty_flag(decompose)
-    decompose.set_defaults(handler=cmd_decompose)
-
-    verify = commands.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    verify.add_argument("--profile", choices=tuple(PROFILES), default="desk")
-    verify.add_argument("--seed", type=int, default=7,
-                        help="seed for the multiplicity draws (default 7)")
-    verify.add_argument("--max-deg", type=int, default=None,
-                        help="override the profile's polynomial degree cap")
-    _add_pretty_flag(verify)
-    verify.set_defaults(handler=cmd_verify)
+    for name, (help_text, add_flags, handler) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_flags(sub)
+            # SUPPRESS keeps a subcommand-level default from clobbering the top-level flag
+            sub.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="indent the JSON output")
+        sub.set_defaults(handler=handler)
     return parser
 
 
+def _command_in(argv: list[str]) -> str | None:
+    """The command argv runs: its first token that names one, or None when none does."""
+    return next((token for token in argv if token in COMMANDS), None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(_command_in(argv))
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)

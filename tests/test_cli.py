@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 # suites and the errors are taken at import, with main: after a test that re-imports the package,
 # this file must still patch the suites module that main calls and raise the class it catches
 from dunkl_hermite import suites
@@ -278,6 +280,17 @@ def test_main_calls_in_one_process_answer_like_fresh_processes(capsys, monkeypat
         assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert [code for code, _, _ in results] == [0, 0, 1, 0, 0, 0]
     assert results[1][1].startswith("{\n  ") and results[-1][1].startswith('{"m":3,')
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hermite", "--help"], ["nonsense", "hermite"],
+                                  ["verify", "--suite", "bogus"],
+                                  ["hermite", "--group", "z2", "--m", "2", "--kappa", "1,1", "--ell", "1"]])
+def test_help_and_usage_errors_in_one_process_answer_like_fresh_processes(capsys, monkeypatch, argv):
+    """Help and usage errors leave main by argparse's SystemExit, with the code and bytes of a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width; a fresh process has no terminal
+    fresh = run_fresh(*argv)
+    assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == (0 if "--help" in argv else 1)
 
 
 def test_console_entry_point_runs():

@@ -2,9 +2,11 @@
 degree MAX_DEGREE and refuses one of MAX_DEGREE + 1 with a ValueError naming both, before it builds a key.
 Only monomials, in a context without roots, so that no case starts real work.  The CLI refuses a request past
 the cap before its work starts: the work is patched to raise, so a request at the cap reaches it and one past
-the cap does not.  So does a builtin family whose roots are too many to validate."""
+the cap does not.  So does a builtin family whose roots are too many to validate, and a hermite request whose
+recursion's estimated terms are too many."""
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -88,11 +90,18 @@ def test_a_hermite_request_past_the_cap_exits_3_before_any_basis(capsys, monkeyp
                                  f"{MAX_DEGREE}\n")
 
 
-@pytest.mark.parametrize("t, ell", [(0, MAX_DEGREE), (1, MAX_DEGREE - 2), (MAX_DEGREE // 2, 1)])
-def test_a_hermite_request_at_the_cap_reaches_the_work(monkeypatch, t, ell):
+B2 = ["--group", "b", "--m", "2", "--kappa", "1,1"]
+Z2_1 = ["--group", "z2", "--m", "1", "--kappa", "1"]
+
+
+# A recursion step that reaches the degree cap is accepted only in one variable, where each degree has one monomial:
+# in b2 the estimate of its terms is past the monomial cap (test_a_recursion_past_its_estimate_exits_3).
+@pytest.mark.parametrize("group, t, ell", [(B2, 0, MAX_DEGREE), (Z2_1, 1, MAX_DEGREE - 2)],
+                         ids=["0-65535", "z2-m1-t1-ell65533"])
+def test_a_hermite_request_at_the_cap_reaches_the_work(monkeypatch, group, t, ell):
     monkeypatch.setattr(cli, "harmonic_basis", _start)
     with pytest.raises(WorkStarted):
-        cli.main(["hermite", "--group", "b", "--m", "2", "--kappa", "1,1", "--t", str(t), "--ell", str(ell)])
+        cli.main(["hermite", *group, "--t", str(t), "--ell", str(ell)])
 
 
 def test_verify_max_deg_past_the_cap_exits_1_before_any_suite(capsys, monkeypatch):
@@ -140,7 +149,6 @@ PAST_THE_MONOMIAL_CAP = [
 ]
 AT_THE_MONOMIAL_CAP = [
     (["hermite", "--group", "z2", "--m", "3", "--kappa", "1,1,1", "--t", "0", "--ell", "360"], 360),
-    (["hermite", "--group", "z2", "--m", "3", "--kappa", "1,1,1", "--t", "179", "--ell", "2"], 360),
     (["decompose", "--group", "z2", "--m", "3", "--kappa", "1,1,1"], 360),
     (["decompose", "--group", "b", "--m", "2", "--kappa", "1,1"], MAX_DEGREE),
 ]
@@ -168,7 +176,8 @@ def test_a_request_past_the_monomial_cap_exits_3_before_any_basis(capsys, monkey
                                  f"{count}, past the monomial cap {cli.MONOMIAL_CAP}\n")
 
 
-@pytest.mark.parametrize("argv, degree", AT_THE_MONOMIAL_CAP)
+# explicit ids keep each case's test name when a case leaves the list
+@pytest.mark.parametrize("argv, degree", AT_THE_MONOMIAL_CAP, ids=["argv0-360", "argv2-360", "argv3-65535"])
 def test_a_request_at_the_monomial_cap_reaches_the_work(monkeypatch, tmp_path, argv, degree):
     with pytest.raises(WorkStarted):
         _request(monkeypatch, tmp_path, argv, degree, int(argv[4]))
@@ -202,3 +211,50 @@ def test_the_largest_builtin_family_under_the_cap_reaches_its_geometry(monkeypat
     monkeypatch.setattr(groups, "_builtin_geometry", _start)
     with pytest.raises(WorkStarted):
         group_info(family, m)
+
+
+def recursion_estimate(m: int, t: int, ell: int) -> int:
+    """The refusal's estimate of a hermite recursion's terms: over the steps s = 1..t, the monomials in m of the
+    degrees ell, ell + 2, ..., ell + 2s."""
+    return sum(comb(ell + 2 * j + m - 1, m - 1) for s in range(1, t + 1) for j in range(s + 1))
+
+
+Z2_3 = ["--group", "z2", "--m", "3", "--kappa", "1,1,1"]
+# (group, m, t, ell, the estimate the refusal names: that of the first step count past the cap).  b2 t = 32,767 at
+# ell = 1 and z2^3 t = 179 at ell = 2 pass the degree cap and the top degree's monomial cap, and never finish.
+PAST_THE_RECURSION_ESTIMATE = [
+    (B2, 2, 57, 1, recursion_estimate(2, 57, 1)),
+    (B2, 2, MAX_DEGREE // 2, 1, recursion_estimate(2, 57, 1)),
+    (B2, 2, 1, MAX_DEGREE - 2, recursion_estimate(2, 1, MAX_DEGREE - 2)),
+    (Z2_3, 3, 23, 1, recursion_estimate(3, 23, 1)),
+    (Z2_3, 3, 23, 2, recursion_estimate(3, 23, 2)),
+    (Z2_3, 3, 179, 2, recursion_estimate(3, 23, 2)),
+    (Z2_1, 1, 361, 0, recursion_estimate(1, 361, 0)),
+]
+# (group, m, t, ell) of the largest t accepted: b2 at ell = 1 takes about 3 s on a 2-core box
+AT_THE_RECURSION_ESTIMATE = [(B2, 2, 56, 1), (Z2_3, 3, 22, 1), (Z2_3, 3, 22, 2), (Z2_1, 1, 360, 0)]
+
+
+@pytest.mark.parametrize("group, m, t, ell, estimate", PAST_THE_RECURSION_ESTIMATE,
+                         ids=[f"{group[1]}-m{m}-t{t}-ell{ell}" for group, m, t, ell, _ in PAST_THE_RECURSION_ESTIMATE])
+def test_a_recursion_past_its_estimate_exits_3(capsys, monkeypatch, group, m, t, ell,
+                                                                         estimate):
+    """After the degree cap and the top degree's monomial cap, a hermite request whose recursion's estimated terms
+    are past the monomial cap is refused, naming the estimate at the first step past it."""
+    assert estimate > cli.MONOMIAL_CAP
+    monkeypatch.setattr(cli, "harmonic_basis", _start)
+    argv = ["hermite", *group, "--t", str(t), "--ell", str(ell)]
+    assert cli.main(argv) == cli.EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"dunkl-hermite: error: the recursion to t = {t} from degree {ell} in m = {m} "
+                                 f"takes an estimated {estimate} or more monomial terms, past the monomial cap "
+                                 f"{cli.MONOMIAL_CAP}\n")
+
+
+@pytest.mark.parametrize("group, m, t, ell", AT_THE_RECURSION_ESTIMATE,
+                         ids=[f"{group[1]}-m{m}-t{t}-ell{ell}" for group, m, t, ell in AT_THE_RECURSION_ESTIMATE])
+def test_the_largest_recursion_under_its_estimate_reaches_the_work(monkeypatch, group, m, t, ell):
+    assert recursion_estimate(m, t, ell) <= cli.MONOMIAL_CAP < recursion_estimate(m, t + 1, ell)
+    monkeypatch.setattr(cli, "harmonic_basis", _start)
+    with pytest.raises(WorkStarted):
+        cli.main(["hermite", *group, "--t", str(t), "--ell", str(ell)])

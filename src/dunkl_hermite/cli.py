@@ -152,6 +152,8 @@ def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
         raise MathPrecondition(f"degree ell + 2t = {degree} is past the degree cap {MAX_DEGREE}")
     _refuse_past_monomial_cap(ctx.m, degree)
     _refuse_a_recursion_past_monomial_cap(ctx.m, args.t, args.ell)
+    if args.t < 0:  # the library's refusal, before any basis, so that --h-index is not checked first
+        raise MathPrecondition(f"index t must be >= 0, got {args.t}")
     basis = harmonic_basis(ctx, args.ell).elements
     if not 0 <= args.h_index < len(basis):
         raise InputDataError(

@@ -66,33 +66,31 @@ def weighted_moment(exponents: Sequence[int], kappas: Sequence) -> MomentValue:
         raise DimensionMismatch(f"dimension mismatch: {len(exponents)} vs {len(kappas)}")
     for a in exponents:
         json_int(a, "exponent")
-    return _moment(exponents, _check_kappas(kappas))
+    return MomentValue(_moment(exponents, _check_kappas(kappas)), Fraction(len(exponents), 2))
 
 
-def _moment(exponents: Sequence[int], kappas: Sequence[int]) -> MomentValue:
-    """weighted_moment for multiplicities already checked to be nonnegative integers."""
-    pi_power = Fraction(len(exponents), 2)
+def _moment(exponents: Sequence[int], kappas: Sequence[int]) -> Fraction:
+    """The coefficient of pi^(m/2) in weighted_moment, for multiplicities already checked to be nonnegative
+    integers."""
     coefficient = Fraction(1)
     for a, kappa in zip(exponents, kappas):
         if a < 0:
             raise MathPrecondition(f"negative exponent {a}")
         if a % 2:
-            return MomentValue(Fraction(0), pi_power)
+            return Fraction(0)
         coefficient *= gamma_half_integer(a // 2 + kappa)
-    return MomentValue(coefficient, pi_power)
+    return coefficient
 
 
 def inner_product(f: Polynomial, g: Polynomial, kappas: Sequence) -> MomentValue:
-    """Exact weighted Gaussian pairing of two polynomials."""
+    """Exact weighted Gaussian pairing of two polynomials: one sum of the moments of the terms of f g."""
     if f.m != g.m:
         raise DimensionMismatch(f"dimension mismatch: {f.m} vs {g.m}")
     if len(kappas) != f.m:
         raise DimensionMismatch(f"dimension mismatch: {len(kappas)} multiplicities vs dimension {f.m}")
     kappas = _check_kappas(kappas)  # checked once here; _moment trusts them for every product term
-    total = MomentValue(Fraction(0), Fraction(f.m, 2))
-    for e, c in (f * g).terms.items():
-        total = total + _moment(e, kappas).scale(c)
-    return total
+    return MomentValue(sum((c * _moment(e, kappas) for e, c in (f * g).terms.items()), Fraction(0)),
+                       Fraction(f.m, 2))
 
 
 def axis_multiplicities(ctx: DunklContext) -> list[Fraction]:

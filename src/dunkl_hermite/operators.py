@@ -33,12 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, MathPrecondition
 from .groups import Matrix, RootSystem, Vector, _Geometry
-from .poly import (Block, Polynomial, ScalarLike, _check_degree, _degree_shift, _derivative_map, _exponents, _Memo,
-                   _steps, _units, accumulate, compose_linear, divide_by_linear_form, exact, linear_extension)
+from .poly import (Block, Polynomial, ScalarLike, _check_axis, _check_degree, _degree_shift, _derivative_map,
+                   _exponents, _Memo, _steps, _units, accumulate, compose_linear, divide_by_linear_form, exact,
+                   linear_extension)
 
 
 class DunklContext:
@@ -242,12 +243,11 @@ def _weighted(m: int, weight: Callable[[int], ScalarLike]) -> Callable[[int], Bl
     return image
 
 
-def _shifts(f: Polynomial, axes: Iterable[int], by: int) -> Callable[[int], Block]:
-    """x^e -> the sum over the axes i of x_i^by x^e, for the terms of f: one key addition per axis; |x|^2 for all
-    axes and by = 2.  Refuses a degree past the cap first."""
-    _check_degree((f.total_degree() or 0) + by)
-    units = _units(f.m)
-    offsets = [by * units[i] for i in axes]
+def _shifts(f: Polynomial) -> Callable[[int], Block]:
+    """x^e -> |x|^2 x^e, the sum over the axes i of x^(e + 2 eps_i), for the terms of f: one key addition per axis.
+    Refuses a degree past the cap first."""
+    _check_degree((f.total_degree() or 0) + 2)
+    offsets = [2 * unit for unit in _units(f.m)]
     return lambda key: (1, [(key + offset, 1) for offset in offsets])
 
 
@@ -271,7 +271,7 @@ def euler_operator(f: Polynomial) -> Polynomial:
 
 def multiply_by_norm_squared(f: Polynomial) -> Polynomial:
     """|x|^2 f: x^e maps to the sum over i of x^(e + 2 eps_i), an exponent shift per axis."""
-    return linear_extension(f.m, [(1, f._block, _shifts(f, range(f.m), 2))])
+    return linear_extension(f.m, [(1, f._block, _shifts(f))])
 
 
 def sl2_e(f: Polynomial) -> Polynomial:
@@ -298,7 +298,7 @@ def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike, scale: Sc
     ell = exact(ell)
     weight = _weighted(f.m, lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
     lf = dunkl_laplacian(ctx, f)
-    return linear_extension(f.m, [(scale, lf._block, _shifts(lf, range(f.m), 2)), (-scale, f._block, weight)])
+    return linear_extension(f.m, [(scale, lf._block, _shifts(lf)), (-scale, f._block, weight)])
 
 
 def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:
@@ -319,46 +319,36 @@ def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
     block = _check(ctx, f)
     return linear_extension(f.m, [(1, block, _weighted(f.m, lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
                                   (-1, block, ctx._laplacians.__getitem__),
-                                  (-4, block, _shifts(f, range(f.m), 2))])
+                                  (-4, block, _shifts(f))])
 
 
-def _conjugated(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> list:
-    """The parts of T_i f + 2 * rate * x_i f."""
-    block = _check(ctx, f, axis)
-    return [(1, block, _dunkl_map(ctx, axis)),
-            (2 * exact(rate), block, _shifts(f, (axis,), 1))]
+def _conjugated(ctx: DunklContext, weight: Fraction, axis: int, block: Block) -> list:
+    """The parts of (T_axis + weight x_axis) on a block: the T memo's image, and the key of x_axis added to each
+    key."""
+    unit = _units(ctx.m)[axis]
+    return [(1, block, _dunkl_map(ctx, axis)), (weight, block, lambda key: (1, ((key + unit, 1),)))]
 
 
 def conjugated_dunkl(ctx: DunklContext, rate: Fraction, axis: int, f: Polynomial) -> Polynomial:
     """Dunkl operator conjugated by exp(rate * |x|^2): T_i + 2 * rate * x_i."""
-    return linear_extension(f.m, _conjugated(ctx, rate, axis, f))
+    block, weight = _check(ctx, f, axis), 2 * exact(rate)
+    _check_degree((f.total_degree() or 0) + 1)
+    return linear_extension(f.m, _conjugated(ctx, weight, axis, block))
 
 
 def conjugated_laplacian(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Polynomial:
     """Dunkl Laplacian conjugated by exp(rate * |x|^2): sum of squared conjugated operators T_i + 2 rate x_i.
 
     A sum of squares on purpose, not the affine form of dunkl_laplacian: hermite's Rodrigues side reads this and
-    its recursion side the affine Laplacian, so their agreement compares the two ways of computing it.
-
-    Two accumulations: the m first applications as one sum over keys that carry their axis in the low bits,
-    then the sum of the second applications, each along the axis its key carries."""
+    its recursion side the affine Laplacian, so their agreement compares the two ways of computing it.  One
+    accumulation per axis for the first applications, then one of all the second applications."""
     block, m = _check(ctx, f), ctx.m
     _check_degree((f.total_degree() or 0) + 2)
-    weight, units = 2 * exact(rate), _units(m)
-    low = m.bit_length()  # the bits of the axis tag
-    axis_of, images = (1 << low) - 1, ctx._images
-
-    def tagged_dunkl(i: int) -> Callable[[int], Block]:
-        def image(key: int) -> Block:
-            den, terms = images[key][i]
-            return den, [(k << low | i, v) for k, v in terms]
-        return image
-    den, nums = accumulate([part for i, unit in enumerate(units) for part in (
-        (1, block, tagged_dunkl(i)),
-        (weight, block, lambda key, step=unit << low | i: (1, (((key << low) + step, 1),))))])
-    firsts = den, nums.items()
-    return linear_extension(m, [(1, firsts, lambda key: images[key >> low][key & axis_of]),
-                                (weight, firsts, lambda key: (1, (((key >> low) + units[key & axis_of], 1),)))])
+    weight, seconds = 2 * exact(rate), []
+    for i in range(m):
+        den, nums = accumulate(_conjugated(ctx, weight, i, block))
+        seconds += _conjugated(ctx, weight, i, (den, nums.items()))
+    return linear_extension(m, seconds)
 
 
 def heat_semigroup(ctx: DunklContext, f: Polynomial, rate: Fraction = Fraction(-1, 4)) -> Polynomial:
@@ -413,6 +403,5 @@ def _check(ctx: DunklContext, f: Polynomial, axis: int = 0):
     """The block of f, once f has the context's dimension and axis is one of its axes."""
     if f.m != ctx.m:
         raise DimensionMismatch(f"dimension mismatch: polynomial in {f.m} variables vs context dimension {ctx.m}")
-    if not 0 <= axis < ctx.m:
-        raise DimensionMismatch(f"axis {axis} out of range for dimension {ctx.m}")
+    _check_axis(ctx.m, axis)
     return f._block

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from dunkl_hermite.clifford import CliffordPolynomial, blade_product
 from dunkl_hermite.clifford import _check as _check_clifford
-from dunkl_hermite.operators import DunklContext, _check, _conjugated, _dunkl_map, conjugated_dunkl, dunkl_derivative
+from dunkl_hermite.operators import DunklContext, _check, _dunkl_map, conjugated_dunkl, dunkl_derivative
 from dunkl_hermite.poly import (Block, Exponent, Polynomial, accumulate, compose_linear, divide_by_linear_form,
                                 linear_extension)
 
@@ -56,9 +56,12 @@ def dunkl_dirac_reference(ctx: DunklContext, F: CliffordPolynomial) -> CliffordP
 
 
 def conjugated_laplacian_reference(ctx: DunklContext, rate: Fraction, f: Polynomial) -> Polynomial:
-    """sum_i (T_i + 2 rate x_i)^2 f, through the m intermediate polynomials (T_i + 2 rate x_i) f."""
-    return linear_extension(f.m, [part for i in range(ctx.m)
-                                  for part in _conjugated(ctx, rate, i, conjugated_dunkl(ctx, rate, i, f))])
+    """sum_i (T_i + 2 rate x_i)^2 f, through the m intermediate polynomials (T_i + 2 rate x_i) f and the public
+    conjugated_dunkl and +."""
+    out = Polynomial.zero(f.m)
+    for i in range(ctx.m):
+        out = out + conjugated_dunkl(ctx, rate, i, conjugated_dunkl(ctx, rate, i, f))
+    return out
 
 
 # -- exponent-tuple forms ----------------------------------------------------
@@ -105,9 +108,9 @@ def times_variable_reference(p: Polynomial, axis: int) -> dict:
         (e[:axis] + (e[axis] + 1,) + e[axis + 1:], 1),)))]))
 
 
-def shifts_reference(axes: Iterable[int], by: int) -> Callable[[Exponent], Block]:
-    """x^e -> the sum over the axes i of x_i^by x^e."""
-    return lambda e: (1, tuple((e[:i] + (e[i] + by,) + e[i + 1:], 1) for i in axes))
+def norm_squared_reference(e: Exponent) -> Block:
+    """x^e -> |x|^2 x^e, the sum over the axes i of x_i^2 x^e."""
+    return 1, tuple((e[:i] + (e[i] + 2,) + e[i + 1:], 1) for i in range(len(e)))
 
 
 def leibniz_chain_reference(steps: list[int], s: int, rows: tuple, firsts: tuple[int, ...]) -> dict[Exponent, int]:

@@ -134,6 +134,20 @@ def test_hermite_h_index_out_of_range(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "z2", "--m", "1", "--kappa", "1", "--t", "-1", "--ell", "2"],  # an empty degree-2 basis
+    ["--group", "b", "--m", "2", "--kappa", "1,1", "--t", "-1", "--ell", "1"],
+    ["--group", "b", "--m", "2", "--kappa", "1,1", "--t", "-1", "--ell", "1", "--h-index", "5"],
+])
+def test_hermite_negative_t_exits_3_before_any_basis(capsys, monkeypatch, argv):
+    """A negative t is refused with the library's message before the basis, so before --h-index is checked."""
+    def started(*args):
+        raise AssertionError("a harmonic basis was built")
+    monkeypatch.setitem(main.__globals__, "harmonic_basis", started)  # the cli module main runs in
+    code, out, err = run_cli(capsys, "hermite", *argv)
+    assert (code, out, err) == (3, "", "dunkl-hermite: error: index t must be >= 0, got -1\n")
+
+
 def test_decompose_square_two_components(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"m": 2, "terms": [{"c": "1/1", "e": [2, 0]}]}))

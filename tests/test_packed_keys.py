@@ -13,8 +13,8 @@ from dunkl_hermite.poly import (_BITS, MAX_DEGREE, Polynomial, _exponents, _keys
 
 from reference_operators import (clifford_product_reference, clifford_terms, clifford_tuple_block,
                                  conjugated_laplacian_reference, deglex_key, derivative_reference,
-                                 dirac_image_reference, fractions_of, leibniz_chain_reference, product_reference,
-                                 shifts_reference, times_variable_reference, tuple_block, vector_map_reference)
+                                 dirac_image_reference, fractions_of, leibniz_chain_reference, norm_squared_reference,
+                                 product_reference, times_variable_reference, tuple_block, vector_map_reference)
 from test_dunkl_map import f4_json, g2_json
 
 coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -88,9 +88,8 @@ def test_ring_maps_equal_their_tuple_forms(case):
     assert (p * q).terms == product_reference(p, q)
     assert p.derivative(axis).terms == derivative_reference(p, axis)
     assert p.times_variable(axis).terms == times_variable_reference(p, axis)
-    for axes, by in [(range(p.m), 2), ((axis,), 1)]:
-        assert linear_extension(p.m, [(1, p._block, _shifts(p, axes, by))]).terms == fractions_of(accumulate([
-            (1, tuple_block(p), shifts_reference(axes, by))]))
+    assert linear_extension(p.m, [(1, p._block, _shifts(p))]).terms == fractions_of(accumulate([
+        (1, tuple_block(p), norm_squared_reference)]))
 
 
 @given(st.integers(1, 5).flatmap(lambda m: st.tuples(cliffords(m), cliffords(m))))
@@ -137,7 +136,7 @@ def test_dirac_images_equal_their_tuple_form(case, data):
 @given(contexts(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_conjugated_laplacian_equals_the_intermediate_polynomials(case, data):
-    """Two accumulations, the axis in the low bits of the first one's keys, against m intermediate polynomials."""
+    """One accumulation per axis, then one of the second applications, against m intermediate polynomials."""
     name, ctx = case
     f = data.draw(polynomials(ctx.m, 4, 4))
     rate = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))

@@ -1,5 +1,5 @@
-"""compose_linear, laguerre_poly, weighted_moment, the exact RREF, rank and kernel and the frame solve against
-sympy, an oracle sharing no code with the package."""
+"""compose_linear, laguerre_poly, weighted_moment, inner_product, the exact RREF, rank and kernel and the frame
+solve against sympy, an oracle sharing no code with the package."""
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.hermite import laguerre_poly
 from dunkl_hermite.linalg import kernel_vectors, matrix_rank, reduced_row_echelon, solve_in_frame
-from dunkl_hermite.moments import weighted_moment
+from dunkl_hermite.moments import inner_product, weighted_moment
 from dunkl_hermite.poly import Polynomial, compose_linear
 
 from test_dunkl_map import f4_json, g2_json, polynomials
@@ -66,6 +66,25 @@ def test_weighted_moment_matches_sympy_gamma(m):
             assert value.coefficient == to_fraction(expected), (exponents, kappas)
             if any(a % 2 for a in exponents):
                 assert value.is_zero
+
+
+def sympy_polynomial(p: Polynomial, xs):
+    return sp.Add(*(sp.Rational(c.numerator, c.denominator) * sp.Mul(*(x ** a for x, a in zip(xs, e)))
+                    for e, c in p.terms.items()))
+
+
+@given(st.integers(1, 2).flatmap(lambda m: st.tuples(
+    polynomials(m, 3), polynomials(m, 3), st.lists(st.integers(0, 2), min_size=m, max_size=m))))
+@settings(max_examples=40, deadline=None)
+def test_inner_product_matches_sympy_gamma(case):
+    """f g expanded in sympy, each term's moment the product of its gamma_oracle factors, against one exact sum."""
+    f, g, kappas = case
+    xs = sp.symbols(f"x0:{f.m}")
+    product = sp.Poly(sp.expand(sympy_polynomial(f, xs) * sympy_polynomial(g, xs)), *xs)
+    expected = sp.Add(*(c * sp.Mul(*(gamma_oracle(a, k) for a, k in zip(e, kappas))) for e, c in product.terms()))
+    value = inner_product(f, g, kappas)
+    assert value.pi_power == Fraction(f.m, 2)
+    assert value.coefficient == to_fraction(expected), (f, g, kappas)
 
 
 def rational(value):

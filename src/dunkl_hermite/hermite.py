@@ -118,7 +118,8 @@ def fischer_project(ctx: DunklContext, i: int, degree: int, p: Polynomial) -> Po
 
     Built as the product over l != i of
         (L + (k-2l)(mu-2+k-2l)) / (2(i-l)(2k-2i-2l+mu-2))
-    where L = |x|^2 Delta - E(mu-2+E); every denominator is checked.
+    where L = |x|^2 Delta - E(mu-2+E); every denominator is checked.  With mu = p/q each factor's scale is
+    q / N for the integer N = 2(i-l)((2k-2i-2l-2)q + p), one Fraction per factor.
     """
     _require_mu(ctx, "Fischer projection")
     if not p.is_homogeneous():
@@ -133,11 +134,11 @@ def fischer_project(ctx: DunklContext, i: int, degree: int, p: Polynomial) -> Po
     for l in range(degree // 2 + 1):
         if l == i:
             continue
-        denominator = 2 * (i - l) * (2 * degree - 2 * i - 2 * l + mu - 2)
+        denominator = 2 * (i - l) * ((2 * degree - 2 * i - 2 * l - 2) * mu.denominator + mu.numerator)
         if denominator == 0:
             raise MathPrecondition(
                 f"projection denominator vanishes at (i={i}, l={l}, mu={mu})")
-        out = spherical_shift(ctx, out, degree - 2 * l, 1 / Fraction(denominator))
+        out = spherical_shift(ctx, out, degree - 2 * l, Fraction(mu.denominator, denominator))
     return out
 
 

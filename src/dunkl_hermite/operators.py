@@ -25,7 +25,14 @@ T_i x^e, Delta_kappa x^e and D(x^e e_A) depend on kappa and are kept per
 context.  The operators are linear, so they apply these images to any
 polynomial term by term.  Everything downstream (Laplacian, Euler operator,
 sl2 action, Gaussian conjugation, heat semigroup) is assembled from these
-exact pieces.
+exact pieces.  The functions of the Euler operator E on that path are
+affine in mu = p/q and in a rational argument a/b, so each weighs degree d
+by one integer over one fixed denominator (_degree_image), with no Fraction
+per degree: sl2_h by (2qd + p) / 2q, d_plus_squared_form by 2(2qd + p) / q,
+hermite_shift by 2(a - db) / b for n = a/b, and spherical_shift (and
+laplace_beltrami, its ell = 0 case) subtracts
+(db - a)((d - 2)qb + aq + pb) / qb^2 for ell = a/b.  degree_weighted keeps
+the Fraction path for any weight.
 """
 from __future__ import annotations
 
@@ -233,14 +240,19 @@ def dunkl_laplacian(ctx: DunklContext, f: Polynomial) -> Polynomial:
     return linear_extension(f.m, [(1, _check(ctx, f), ctx._laplacians.__getitem__)])
 
 
-def _weighted(m: int, weight: Callable[[int], ScalarLike]) -> Callable[[int], Block]:
-    """x^e -> weight(|e|) x^e in m variables, the weight made exact (a float is refused) once per degree."""
-    weights, shift = _Memo(lambda d: ((w := exact(weight(d))).denominator, w.numerator)), _degree_shift(m)
+def _degree_image(m: int, den: int, weight: Callable[[int], int]) -> Callable[[int], Block]:
+    """x^e -> weight(|e|) / den x^e in m variables, for an integer weight of the degree over one fixed den > 0."""
+    shift = _degree_shift(m)
+    return lambda key: (den, ((key, weight(key >> shift)),))
 
-    def image(key: int) -> Block:
-        den, num = weights[key >> shift]
-        return den, ((key, num),)
-    return image
+
+def _ratio(value: ScalarLike) -> tuple[int, int]:
+    """(a, b) with value = a / b and b > 0: an int is (value, 1), anything else goes through exact, which refuses a
+    float."""
+    if type(value) is int:
+        return value, 1
+    value = exact(value)
+    return value.numerator, value.denominator
 
 
 def _shifts(f: Polynomial) -> Callable[[int], Block]:
@@ -252,8 +264,14 @@ def _shifts(f: Polynomial) -> Callable[[int], Block]:
 
 
 def degree_weighted(f: Polynomial, weight: Callable[[int], ScalarLike]) -> Polynomial:
-    """x^e maps to weight(|e|) * x^e: any function of the Euler operator, as a diagonal map."""
-    return linear_extension(f.m, [(1, f._block, _weighted(f.m, weight))])
+    """x^e maps to weight(|e|) * x^e: any function of the Euler operator, as a diagonal map, the weight made exact
+    (a float is refused) once per degree."""
+    weights, shift = _Memo(lambda d: ((w := exact(weight(d))).denominator, w.numerator)), _degree_shift(f.m)
+
+    def image(key: int) -> Block:
+        den, num = weights[key >> shift]
+        return den, ((key, num),)
+    return linear_extension(f.m, [(1, f._block, image)])
 
 
 def radial_tower(f: Polynomial, n: int) -> list[Polynomial]:
@@ -285,39 +303,45 @@ def sl2_f(ctx: DunklContext, f: Polynomial) -> Polynomial:
 
 
 def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:
-    """Neutral element: Euler operator plus mu/2."""
-    _check(ctx, f)
-    return degree_weighted(f, lambda d, half=ctx.mu / 2: d + half)
+    """Neutral element: Euler operator plus mu/2; with mu = p/q, degree d weighs (2qd + p) / 2q."""
+    block, (p, q) = _check(ctx, f), _ratio(ctx.mu)
+    return linear_extension(f.m, [(1, block, _degree_image(f.m, 2 * q, lambda d: 2 * q * d + p))])
 
 
 def spherical_shift(ctx: DunklContext, f: Polynomial, ell: ScalarLike, scale: ScalarLike = 1) -> Polynomial:
     """scale (L + ell(mu - 2 + ell)) f, L = |x|^2 Delta - E(mu - 2 + E); degree d weighs (d - ell)(mu - 2 + d + ell).
 
-    Two accumulations: Delta f, then its |x|^2 shift less the degree weights of f, both times scale.  Shifting
-    Delta f rather than each term's image shifts every monomial of Delta f once, however many images share it."""
-    ell = exact(ell)
-    weight = _weighted(f.m, lambda d, shift=ctx.mu - 2 + ell: (d - ell) * (shift + d))
+    With mu = p/q and ell = a/b that weight is (db - a)(qbd + (a - 2b)q + pb) / qb^2, one integer over one
+    denominator.  Two accumulations: Delta f, then its |x|^2 shift less the degree weights of f, both times scale.
+    Shifting Delta f rather than each term's image shifts every monomial of Delta f once, however many images
+    share it."""
+    (a, b), (p, q) = _ratio(ell), _ratio(ctx.mu)
+    qb, c = q * b, (a - 2 * b) * q + p * b
+    weight = _degree_image(f.m, qb * b, lambda d: (a - d * b) * (qb * d + c))  # subtracted, so negated
     lf = dunkl_laplacian(ctx, f)
-    return linear_extension(f.m, [(scale, lf._block, _shifts(lf)), (-scale, f._block, weight)])
+    return linear_extension(f.m, [(scale, lf._block, _shifts(lf)), (scale, f._block, weight)])
 
 
 def hermite_shift(ctx: DunklContext, f: Polynomial, n: ScalarLike) -> Polynomial:
-    """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n."""
-    n = exact(n)
+    """(Delta - 2E + 2n) f, zero on the Hermite elements of total degree n; with n = a/b, degree d weighs
+    -2(d - n) = 2(a - db) / b."""
+    a, b = _ratio(n)
     block = _check(ctx, f)
     return linear_extension(f.m, [(1, block, ctx._laplacians.__getitem__),
-                                  (-1, block, _weighted(f.m, lambda d: 2 * (d - n)))])
+                                  (1, block, _degree_image(f.m, b, lambda d: 2 * (a - d * b)))])
 
 
 def laplace_beltrami(ctx: DunklContext, f: Polynomial) -> Polynomial:
-    """|x|^2 Delta - E(mu - 2 + E) with E the Euler operator; degree preserving."""
+    """|x|^2 Delta - E(mu - 2 + E) with E the Euler operator; degree preserving.  The ell = 0 spherical shift: with
+    mu = p/q, E(mu - 2 + E) weighs degree d by d(qd + p - 2q) / q."""
     return spherical_shift(ctx, f, 0)
 
 
 def d_plus_squared_form(ctx: DunklContext, f: Polynomial) -> Polynomial:
-    """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2."""
-    block = _check(ctx, f)
-    return linear_extension(f.m, [(1, block, _weighted(f.m, lambda d, mu=ctx.mu: 2 * (2 * d + mu))),
+    """-Delta f - 4|x|^2 f + 2(2E + mu) f, the scalar form of the squared raising operator (D+)^2; with mu = p/q,
+    degree d weighs 2(2qd + p) / q."""
+    block, (p, q) = _check(ctx, f), _ratio(ctx.mu)
+    return linear_extension(f.m, [(1, block, _degree_image(f.m, q, lambda d: 2 * (2 * q * d + p))),
                                   (-1, block, ctx._laplacians.__getitem__),
                                   (-4, block, _shifts(f))])
 

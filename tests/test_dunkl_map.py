@@ -52,6 +52,18 @@ SYSTEMS = {
     "F4": (4, 2, lambda k: root_system_from_json(f4_json(*k))),
 }
 
+
+class Pinned:
+    """A stand-in for st.data() in an @example: draw(strategy, label) returns the value pinned for the label, so a
+    hypothesis property also runs on fixed inputs, first, and a wrong operator fails before any search or shrink."""
+
+    def __init__(self, values: dict):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+
 kappa = st.fractions(min_value=0, max_value=3, max_denominator=5)
 coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 

@@ -213,6 +213,8 @@ FLOAT_ARGUMENTS = {
     "spherical_shift_of_zero": lambda: spherical_shift(Z2, Polynomial.zero(1), 0.5),
     "hermite_shift": lambda: hermite_shift(Z2, X, 0.5),
     "hermite_shift_of_zero": lambda: hermite_shift(Z2, Polynomial.zero(1), 0.5),
+    "spherical_shift_scale": lambda: spherical_shift(Z2, X, 1, 0.5),
+    "spherical_shift_scale_of_zero": lambda: spherical_shift(Z2, Polynomial.zero(1), 1, 0.5),
 }
 
 
@@ -221,6 +223,14 @@ def test_a_float_argument_is_refused_as_passed(name):
     """The error names the value passed, not a weight derived from it, and a zero polynomial does not skip it."""
     with pytest.raises(ValueError, match=r"inexact float 0\.5;"):
         FLOAT_ARGUMENTS[name]()
+
+
+@pytest.mark.parametrize("shift", [spherical_shift, hermite_shift])
+def test_a_float_argument_is_refused_before_a_dimension_mismatch(shift):
+    """ell and n are read before the polynomial: a float one is named even when the polynomial's dimension is
+    wrong too."""
+    with pytest.raises(ValueError, match=r"inexact float 0\.5;"):
+        shift(Z2, Polynomial.variable(2, 0), 0.5)
 
 
 @pytest.mark.parametrize("name", FLOAT_ROOT_SYSTEMS)

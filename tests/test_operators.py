@@ -2,11 +2,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_hermite.errors import MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, trivial_root_system
+from dunkl_hermite.hermite import fischer_project
 from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_dunkl,
                                      conjugated_laplacian, d_plus_squared_form, degree_weighted, dunkl_derivative,
                                      dunkl_laplacian, euler_operator, heat_semigroup, hermite_shift,
@@ -14,7 +15,8 @@ from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_
                                      sl2_h, spherical_shift)
 from dunkl_hermite.poly import Polynomial, monomial_basis
 
-from test_dunkl_map import SYSTEMS
+from test_dunkl_map import SYSTEMS, Pinned
+from test_hermite import fischer_project_by_composition
 
 
 def ctx_z2(m, kappas):
@@ -147,9 +149,15 @@ def euler_by_products(f):
     return out
 
 
-@given(context_and_polynomial(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=5))
+# ell and n of the shifted eigen-operators: the paper's nonnegative integers, and negative and non-integer
+# values, whose numerator and denominator the integer degree weights expand by hand
+shift_argument = st.one_of(st.integers(min_value=0, max_value=5),
+                           st.sampled_from([-1, -3, Fraction(5, 2), Fraction(-5, 3), Fraction(1, 6)]))
+
+
+@given(context_and_polynomial(), st.integers(min_value=0, max_value=3), shift_argument, shift_argument)
 @settings(max_examples=60, deadline=None)
-def test_radial_and_euler_maps_equal_their_product_formulas(case, n, ell):
+def test_radial_and_euler_maps_equal_their_product_formulas(case, n, ell, shift):
     """The |x|^2 shift, the radial tower, every function of E and the two shifted eigen-operators
     against the formulas they replace, written with generic products of |x|^2 and x_i."""
     name, ctx, f = case
@@ -166,20 +174,49 @@ def test_radial_and_euler_maps_equal_their_product_formulas(case, n, ell):
     assert d_plus_squared_form(ctx, f) == -lf - 4 * (norm2 * f) + 2 * (2 * ef + mu * f), (name, f)
     assert (spherical_shift(ctx, f, ell)
             == norm2 * lf - (mu - 2) * ef - euler_by_products(ef) + ell * (mu - 2 + ell) * f), (name, f, ell)
-    assert hermite_shift(ctx, f, n) == lf - 2 * ef + (2 * n) * f, (name, f, n)
+    assert hermite_shift(ctx, f, shift) == lf - 2 * ef + (2 * shift) * f, (name, f, shift)
 
 
-@given(context_and_polynomial(), st.integers(min_value=0, max_value=5),
-       st.sampled_from([1, -1, Fraction(2, 7), Fraction(-5, 3)]))
+def spherical_by_composition(ctx, f, ell, scale=1):
+    """scale (L + ell(mu - 2 + ell)) f as |x|^2 times the Laplacian less degree_weighted's Fraction weights."""
+    weight = lambda d: (d - ell) * (ctx.mu - 2 + d + ell)
+    return (multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - degree_weighted(f, weight)) * scale
+
+
+@given(context_and_polynomial(), shift_argument, st.sampled_from([1, -1, Fraction(2, 7), Fraction(-5, 3)]))
 @settings(max_examples=60, deadline=None)
 def test_spherical_shift_equals_its_composition(case, ell, scale):
     """The scaled shift against the composition it replaces: |x|^2 times the Laplacian, less the degree
     weights, then times the scale as a pass of its own."""
     name, ctx, f = case
-    weight = lambda d: (d - ell) * (ctx.mu - 2 + d + ell)
-    expected = (multiply_by_norm_squared(dunkl_laplacian(ctx, f)) - degree_weighted(f, weight)) * scale
+    expected = spherical_by_composition(ctx, f, ell, scale)
     assert spherical_shift(ctx, f, ell, scale) == expected, (name, f, ell, scale)
     assert spherical_shift(ctx, f, ell) * scale == expected, (name, f, ell)
+
+
+def dense(m, degrees):
+    """Every monomial of the given degrees in m variables, with distinct nonzero coefficients."""
+    exponents = [e for d in degrees for e in monomial_basis(m, d)]
+    return Polynomial(m, {e: Fraction((-1) ** k * (k + 1), k % 4 + 1) for k, e in enumerate(exponents)})
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "G2"])
+def test_degree_weights_equal_their_compositions_on_pinned_inputs(name):
+    """Each operator with an integer degree weight against degree_weighted's Fraction path, on one dense
+    polynomial of degrees 0-4 and kappas 1/2, 3/4: no drawing and no shrinking, so a wrong weight fails at once."""
+    m, nk, build = SYSTEMS[name]
+    ctx = DunklContext(build([Fraction(1, 2), Fraction(3, 4)][:nk]))
+    f, mu = dense(m, range(5)), ctx.mu
+    lf, norm2f = dunkl_laplacian(ctx, f), multiply_by_norm_squared(f)
+    assert sl2_h(ctx, f) == degree_weighted(f, lambda d: d + mu / 2)
+    assert d_plus_squared_form(ctx, f) == degree_weighted(f, lambda d: 2 * (2 * d + mu)) - lf - 4 * norm2f
+    for n in (4, Fraction(-5, 3)):
+        assert hermite_shift(ctx, f, n) == lf - degree_weighted(f, lambda d: 2 * (d - n)), n
+    for ell in (2, Fraction(5, 2)):
+        assert spherical_shift(ctx, f, ell, Fraction(2, 7)) == spherical_by_composition(ctx, f, ell, Fraction(2, 7))
+    top = dense(m, [4])
+    for i in range(3):
+        assert fischer_project(ctx, i, 4, top) == fischer_project_by_composition(ctx, i, 4, top), i
 
 
 def test_conjugated_dunkl_adds_multiplication_term():
@@ -207,8 +244,23 @@ def mixed_degree(draw, m):
                Polynomial.zero(m))
 
 
+def small_mixed(m):
+    """x_0^2 x_(m-1) - 3/2 x_1 + 2: parts in degrees 0, 1 and 3."""
+    return Polynomial(m, {(2,) + (0,) * (m - 2) + (1,): 1, (0, 1) + (0,) * (m - 2): Fraction(-3, 2), (0,) * m: 2})
+
+
+# one small input per system, run before any drawn one
+SL2_PINNED = Pinned({label: value for name, m, kappas in (("a3", 3, [Fraction(1, 2)]),
+                                                          ("b3", 3, [Fraction(1, 2), Fraction(3, 4)]),
+                                                          ("z2^2", 2, [Fraction(1, 2), Fraction(3, 4)]),
+                                                          ("G2", 3, [Fraction(1, 2), Fraction(3, 4)]))
+                     for label, value in ((f"{name} kappas", kappas), (f"{name} p", small_mixed(m)),
+                                          (f"{name} a", Fraction(-2, 3)))})
+
+
 @pytest.mark.parametrize("name", ["a3", "b3", "z2^2", "G2"])
 @given(data=st.data())
+@example(data=SL2_PINNED)
 @settings(max_examples=15, deadline=None)
 def test_conjugated_laplacian_is_the_sl2_closed_form(name, data):
     """sum_i (T_i + 2a x_i)^2 = Delta + 2a(2E + mu) + 4a^2 |x|^2 by sum_i (T_i x_i + x_i T_i) = 2E + mu, so at
@@ -216,10 +268,10 @@ def test_conjugated_laplacian_is_the_sl2_closed_form(name, data):
     package computes the left side as squared conjugated Dunkl operators, never from this form."""
     m, nk, build = SYSTEMS[name]
     kappas = data.draw(st.lists(st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5),
-                                min_size=nk, max_size=nk))
+                                min_size=nk, max_size=nk), label=f"{name} kappas")
     ctx = DunklContext(build(kappas))
-    p = data.draw(mixed_degree(m))
-    a = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    p = data.draw(mixed_degree(m), label=f"{name} p")
+    a = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7), label=f"{name} a")
     closed = (dunkl_laplacian(ctx, p) + (2 * a) * (2 * euler_operator(p) + ctx.mu * p)
               + (4 * a * a) * multiply_by_norm_squared(p))
     assert conjugated_laplacian(ctx, a, p) == closed, (name, kappas, a, p)

@@ -2,7 +2,7 @@
 form in tests/reference_operators.py, exactly."""
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_hermite.clifford import CliffordPolynomial, _diracs, vector_multiply
@@ -15,7 +15,7 @@ from reference_operators import (clifford_product_reference, clifford_terms, cli
                                  conjugated_laplacian_reference, deglex_key, derivative_reference,
                                  dirac_image_reference, fractions_of, leibniz_chain_reference, norm_squared_reference,
                                  product_reference, times_variable_reference, tuple_block, vector_map_reference)
-from test_dunkl_map import f4_json, g2_json
+from test_dunkl_map import Pinned, f4_json, g2_json
 
 coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 kappa = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
@@ -134,10 +134,12 @@ def test_dirac_images_equal_their_tuple_form(case, data):
 
 
 @given(contexts(), st.data())
+@example(("a3", DunklContext(builtin_root_system("a", 3, [Fraction(1, 2)]))),
+         Pinned({"f": Polynomial(3, {(2, 1, 0): 1, (0, 0, 1): Fraction(-3, 2)}), "rate": Fraction(-1, 2)}))
 @settings(max_examples=30, deadline=None)
 def test_conjugated_laplacian_equals_the_intermediate_polynomials(case, data):
     """One accumulation per axis, then one of the second applications, against m intermediate polynomials."""
     name, ctx = case
-    f = data.draw(polynomials(ctx.m, 4, 4))
-    rate = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    f = data.draw(polynomials(ctx.m, 4, 4), label="f")
+    rate = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4), label="rate")
     assert conjugated_laplacian(ctx, rate, f) == conjugated_laplacian_reference(ctx, rate, f), name

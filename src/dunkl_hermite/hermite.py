@@ -197,31 +197,35 @@ def _radial_sum(tower: Sequence[Polynomial], coords: Sequence[Fraction]) -> Poly
 
 
 def _radial_coordinates(tower: Sequence[Polynomial], target: Polynomial) -> list[Fraction]:
-    """Coordinates of target in the tower of a nonzero homogeneous h: layer i has its own degree, so coordinate
-    i is a ratio at the layer's leading monomial, and one exact reconstruction checks membership."""
-    coords = [target.coefficient(e) / c for e, c in map(Polynomial.leading_term, tower)]
+    """Coordinates of target in the tower of a nonzero homogeneous h: layer i has its own degree, so coordinate i
+    is one ratio of integers at the layer's leading key, and one exact reconstruction checks membership."""
+    coords = [Fraction(target._nums.get(key, 0) * layer._den, num * target._den)
+              for layer in tower for key, num in (max(layer._nums.items()),)]
     if _radial_sum(tower, coords) != target:
         raise MathPrecondition("target polynomial is not in the span of the frame")
     return coords
 
 
-def _iterated_record(ctx: DunklContext, t: int, harmonic: Polynomial,
-                     step: Callable[[Polynomial], Polynomial]) -> HermiteRecord:
-    """The record of step applied t times to a Dunkl-harmonic factor, with its radial
-    coordinates read in the tower |x|^{2i} * harmonic, i = 0..t."""
-    if t < 0:
-        raise MathPrecondition(f"index t must be >= 0, got {t}")
-    ell = _validated_harmonic(ctx, harmonic)
-    out = harmonic
-    for _ in range(t):
-        out = step(out)
-    return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic, polynomial=out,
-                         radial_coeffs=tuple(_radial_coordinates(radial_tower(harmonic, t), out)))
+def _records(ctx: DunklContext, ts: Sequence[int], harmonic: Polynomial,
+             step: Callable[[DunklContext, Polynomial], Polynomial]) -> list[HermiteRecord]:
+    """The records t in ts (ascending) of one family: step applied t times to a Dunkl-harmonic factor, checked once,
+    in one loop to the last t beside one radial tower |x|^{2i} * harmonic; only the wanted records read coordinates."""
+    if ts[0] < 0:
+        raise MathPrecondition(f"index t must be >= 0, got {ts[0]}")
+    ell, tower, iterates = _validated_harmonic(ctx, harmonic), radial_tower(harmonic, ts[-1]), [harmonic]
+    for _ in range(ts[-1]):
+        iterates.append(step(ctx, iterates[-1]))
+    return [HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic, polynomial=iterates[t],
+                          radial_coeffs=tuple(_radial_coordinates(tower[:t + 1], iterates[t]))) for t in ts]
+
+
+def _rodrigues_step(ctx: DunklContext, p: Polynomial) -> Polynomial:
+    return -conjugated_laplacian(ctx, -1, p)
 
 
 def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
     """t-fold application of the scalar operator -Delta - 4|x|^2 + 2(2E + mu)."""
-    return _iterated_record(ctx, t, harmonic, lambda p: d_plus_squared_form(ctx, p))
+    return _records(ctx, (t,), harmonic, d_plus_squared_form)[0]
 
 
 def ch_rodrigues(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
@@ -230,7 +234,7 @@ def ch_rodrigues(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteReco
     exp(|x|^2) (-Delta)^t exp(-|x|^2) acts on polynomials as the t-th power of
     the negated Laplacian conjugated at rate -1; no symbolic exponentials.
     """
-    return _iterated_record(ctx, t, harmonic, lambda p: -conjugated_laplacian(ctx, Fraction(-1), p))
+    return _records(ctx, (t,), harmonic, _rodrigues_step)[0]
 
 
 def laguerre_poly(t: int, a: Fraction) -> tuple[Fraction, ...]:

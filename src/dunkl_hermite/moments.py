@@ -14,8 +14,8 @@ from math import factorial
 from typing import Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .hermite import ch_recursion, harmonic_basis
-from .operators import DunklContext
+from .hermite import _records, harmonic_basis
+from .operators import DunklContext, d_plus_squared_form
 from .poly import Polynomial, exact, json_int, rational_str
 
 
@@ -156,23 +156,17 @@ class OrthogonalityReport:
 def orthogonality_report(ctx: DunklContext, max_total_degree: int) -> OrthogonalityReport:
     """Pair every Hermite element with 2t + ell <= max degree under the
     weighted Gaussian inner product (Hermite functions pair with the plain
-    weight once both Gaussians are accounted for)."""
+    weight once both Gaussians are accounted for), in the order total, t, harmonic; one family per harmonic."""
     kappas = axis_multiplicities(ctx)
     _check_kappas(kappas)
-    labeled = []
-    for total in range(max_total_degree + 1):
-        for t in range(total // 2 + 1):
-            ell = total - 2 * t
-            basis = harmonic_basis(ctx, ell)
-            for h_index, h in enumerate(basis.elements):
-                record = ch_recursion(ctx, t, h)
-                labeled.append(((t, ell, h_index), record.polynomial))
-    entries = []
-    violations = []
-    nonpositive = []
-    for a in range(len(labeled)):
-        for b in range(a, len(labeled)):
-            (key_a, poly_a), (key_b, poly_b) = labeled[a], labeled[b]
+    families = [[_records(ctx, range((max_total_degree - ell) // 2 + 1), h, d_plus_squared_form)
+                 for h in harmonic_basis(ctx, ell).elements] for ell in range(max_total_degree + 1)]
+    labeled = [((t, ell, h_index), family[t].polynomial)
+               for total in range(max_total_degree + 1) for t in range(total // 2 + 1)
+               for ell in (total - 2 * t,) for h_index, family in enumerate(families[ell])]
+    entries, violations, nonpositive = [], [], []
+    for a, (key_a, poly_a) in enumerate(labeled):
+        for key_b, poly_b in labeled[a:]:
             value = inner_product(poly_a, poly_b, kappas)
             entry = OrthogonalityEntry(left=key_a, right=key_b, value=value)
             entries.append(entry)

@@ -292,14 +292,17 @@ def multiply_by_norm_squared(f: Polynomial) -> Polynomial:
     return linear_extension(f.m, [(1, f._block, _shifts(f))])
 
 
+_HALF, _MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
+
+
 def sl2_e(f: Polynomial) -> Polynomial:
-    """Raising element: multiplication by |x|^2 / 2."""
-    return multiply_by_norm_squared(f) * Fraction(1, 2)
+    """Raising element: multiplication by |x|^2 / 2, the shift and the 1/2 in one accumulation."""
+    return linear_extension(f.m, [(_HALF, f._block, _shifts(f))])
 
 
 def sl2_f(ctx: DunklContext, f: Polynomial) -> Polynomial:
-    """Lowering element: -1/2 times the Dunkl Laplacian."""
-    return dunkl_laplacian(ctx, f) * Fraction(-1, 2)
+    """Lowering element: -1/2 times the Dunkl Laplacian, in one accumulation."""
+    return linear_extension(f.m, [(_MINUS_HALF, _check(ctx, f), ctx._laplacians.__getitem__)])
 
 
 def sl2_h(ctx: DunklContext, f: Polynomial) -> Polynomial:

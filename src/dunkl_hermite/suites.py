@@ -22,13 +22,13 @@ from .clifford import (CliffordPolynomial, d_plus, d_plus_squared_scalar, dunkl_
                        monogenic_basis, vector_multiply)
 from .errors import DunklError
 from .groups import builtin_root_system
-from .hermite import (ch_laguerre, ch_recursion, ch_rodrigues, coefficient_recursions_check,
+from .hermite import (_records, _rodrigues_step, ch_laguerre, coefficient_recursions_check,
                       eigenspace_checks, fischer_decompose, fischer_project,
                       harmonic_basis, harmonic_dimension_classical, proportionality_constant,
                       rosler_hermite, weighted_eigenfunction_check)
 from .moments import orthogonality_report
-from .operators import (DunklContext, degree_weighted, dunkl_derivative, dunkl_laplacian, hermite_shift,
-                        radial_tower, sl2_e, sl2_f, sl2_h, spherical_shift)
+from .operators import (DunklContext, d_plus_squared_form, degree_weighted, dunkl_derivative, dunkl_laplacian,
+                        hermite_shift, radial_tower, sl2_e, sl2_f, sl2_h, spherical_shift)
 from .poly import Polynomial, monomial_basis, rational_str
 
 SUITE_NAMES = ("commute", "sl2", "lemma1", "anticommutator", "dplus2", "fischer",
@@ -290,11 +290,12 @@ def _harmonics(ctx: DunklContext, ell_max: int) -> Iterator[tuple[int, int, Poly
 
 def _hermite_eq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """The three constructions agree exactly; small indices match the closed
-    table; both radial recurrences hold."""
+    table; both radial recurrences hold.  Recursion and Rodrigues are one family each per harmonic."""
+    ts = range(profile.t_max + 1)
     for ell, h_index, h in _harmonics(ctx, profile.ell_max):
-        previous = None
-        for t in range(profile.t_max + 1):
-            rec, rod, lag = ch_recursion(ctx, t, h), ch_rodrigues(ctx, t, h), ch_laguerre(ctx, t, ell, h)
+        recs, rods = _records(ctx, ts, h, d_plus_squared_form), _records(ctx, ts, h, _rodrigues_step)
+        for t, rec, rod in zip(ts, recs, rods):
+            lag = ch_laguerre(ctx, t, ell, h)
             at = {"t": t, "ell": ell, "h_index": h_index}
             s.expect("construction equivalence",
                      rec.polynomial == rod.polynomial == lag.polynomial
@@ -305,28 +306,26 @@ def _hermite_eq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
             if t in _TABLE_RADIALS:
                 s.expect("closed radial table", rec.radial_coeffs == _TABLE_RADIALS[t](ell, ctx.mu),
                          **at, radial=rec.radial_coeffs)
-            if previous is not None:
-                check = coefficient_recursions_check(previous, rec)
+            if t:
+                check = coefficient_recursions_check(recs[t - 1], rec)
                 s.expect("radial recurrences", check.ok, **at,
                          step=check.step_failures, internal=check.internal_failures)
-            previous = rec
 
 
 def _classical_reduction(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """kappa = 0 gives the classical radial table with mu = m."""
     for ell, _, h in _harmonics(ctx, min(profile.ell_max, 2)):
-        for t in (0, 1, 2):
-            rec = ch_recursion(ctx, t, h)
-            s.expect("classical reduction", rec.radial_coeffs == _TABLE_RADIALS[t](ell, Fraction(ctx.m)),
-                     t=t, ell=ell, radial=rec.radial_coeffs)
+        for rec in _records(ctx, range(3), h, d_plus_squared_form):
+            s.expect("classical reduction", rec.radial_coeffs == _TABLE_RADIALS[rec.t](ell, Fraction(ctx.m)),
+                     t=rec.t, ell=ell, radial=rec.radial_coeffs)
 
 
 def _diffeq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Each Hermite element satisfies (Delta - 2E) CH = -2(2t + ell) CH and is
     an eigenvector of the spherical operator at -ell(mu - 2 + ell)."""
     for ell, h_index, h in _harmonics(ctx, profile.ell_max):
-        for t in range(profile.t_max + 1):
-            ch = ch_recursion(ctx, t, h).polynomial
+        for rec in _records(ctx, range(profile.t_max + 1), h, d_plus_squared_form):
+            t, ch = rec.t, rec.polynomial
             s.check("(Delta - 2E) CH = -2(2t + ell) CH", hermite_shift(ctx, ch, 2 * t + ell),
                     t=t, ell=ell, h_index=h_index)
             s.check("spherical eigenvalue -ell(mu - 2 + ell)", spherical_shift(ctx, ch, ell),

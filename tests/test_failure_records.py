@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from dunkl_hermite import suites
-from dunkl_hermite.operators import DunklContext
+from dunkl_hermite.operators import DunklContext, d_plus_squared_form
 from dunkl_hermite.poly import Polynomial
 from dunkl_hermite.suites import SUITE_NAMES, Profile, run_suite
 
@@ -78,7 +78,7 @@ def _break_remaining_kinds(mp):
     squares and the fixed kappa = 0 odd ladder, the Fischer reassembly and
     dimension checks, the top radial coefficient and the positive diagonal."""
     names = ("d_plus", "dunkl_dirac", "harmonic_dimension_classical", "fischer_decompose",
-             "fischer_project", "ch_recursion", "orthogonality_report")
+             "fischer_project", "_records", "orthogonality_report")
     (d_plus, dirac, dimension, decompose, project,
      recursion, orthogonality) = (getattr(suites, n) for n in names)
 
@@ -96,11 +96,13 @@ def _break_remaining_kinds(mp):
         out = project(ctx, i, degree, p)
         return out + p if i == 1 else out
 
-    def recursion_faulty(ctx, t, h):
-        rec = recursion(ctx, t, h)
-        if t == 2:
-            rec = replace(rec, radial_coeffs=rec.radial_coeffs[:-1] + (rec.radial_coeffs[-1] + 1,))
-        return rec
+    def recursion_faulty(ctx, ts, h, step):
+        """The recursion family's record t = 2 with its top radial coefficient off by one; Rodrigues untouched."""
+        records = recursion(ctx, ts, h, step)
+        if step is not d_plus_squared_form:
+            return records
+        return [replace(rec, radial_coeffs=rec.radial_coeffs[:-1] + (rec.radial_coeffs[-1] + 1,)) if rec.t == 2
+                else rec for rec in records]
 
     def orthogonality_faulty(ctx, degree):
         report = orthogonality(ctx, degree)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dunkl_hermite.errors import MathPrecondition
+from dunkl_hermite.errors import DimensionMismatch, MathPrecondition
 from dunkl_hermite.groups import builtin_root_system, trivial_root_system
 from dunkl_hermite.hermite import fischer_project
 from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_dunkl,
@@ -13,7 +13,7 @@ from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_
                                      dunkl_laplacian, euler_operator, heat_semigroup, hermite_shift,
                                      laplace_beltrami, multiply_by_norm_squared, radial_tower, sl2_e, sl2_f,
                                      sl2_h, spherical_shift)
-from dunkl_hermite.poly import Polynomial, monomial_basis
+from dunkl_hermite.poly import MAX_DEGREE, Polynomial, monomial_basis
 
 from test_dunkl_map import SYSTEMS, Pinned
 from test_hermite import fischer_project_by_composition
@@ -217,6 +217,23 @@ def test_degree_weights_equal_their_compositions_on_pinned_inputs(name):
     top = dense(m, [4])
     for i in range(3):
         assert fischer_project(ctx, i, 4, top) == fischer_project_by_composition(ctx, i, 4, top), i
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "G2"])
+def test_sl2_e_and_f_carry_their_signed_halves(name):
+    """sl2_e is |x|^2 f / 2 and sl2_f is -Delta f / 2 on one dense polynomial, and each refuses what its composition
+    refuses.  The sl2 suite cannot see either scale: [H, E] = 2E holds for any multiple of E, and [E, F] = H is
+    unchanged when E and F both flip sign."""
+    m, nk, build = SYSTEMS[name]
+    ctx = DunklContext(build([Fraction(1, 2), Fraction(3, 4)][:nk]))
+    f = dense(m, range(5))
+    assert sl2_e(f) == multiply_by_norm_squared(f) * Fraction(1, 2)
+    assert sl2_f(ctx, f) == dunkl_laplacian(ctx, f) * Fraction(-1, 2)
+    top = Polynomial.monomial(m, (MAX_DEGREE - 1,) + (0,) * (m - 1))
+    with pytest.raises(ValueError, match=rf"degree {MAX_DEGREE + 1} is past the degree cap"):
+        sl2_e(top)
+    with pytest.raises(DimensionMismatch, match=rf"polynomial in {m + 1} variables vs context dimension {m}"):
+        sl2_f(ctx, dense(m + 1, range(3)))
 
 
 def test_conjugated_dunkl_adds_multiplication_term():

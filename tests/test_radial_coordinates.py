@@ -1,8 +1,9 @@
 """A Hermite record's radial coordinates, read by degree, against the frame solve they replace."""
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_hermite import hermite, linalg
@@ -22,6 +23,10 @@ SYSTEMS["z2^3"] = (3, 3, lambda k: builtin_root_system("z2", 3, k))
 kappa = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
 coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 NOT_IN_SPAN = "MathPrecondition: target polynomial is not in the span of the frame"
+# the pinned example of both properties: a small b2 tower, ell = 2 and t = 2, with three nonzero coordinates
+B2_TOWER = radial_tower(harmonic_basis(DunklContext(builtin_root_system("b", 2, [Fraction(1, 2), Fraction(3, 4)])),
+                                       2).elements[0], 2)
+B2_CASE = (B2_TOWER, 2, [Fraction(3), Fraction(-1, 2), Fraction(5, 4)])
 
 
 def outcome(solve, tower, target):
@@ -53,6 +58,7 @@ def in_span(draw):
 
 
 @given(in_span())
+@example(B2_CASE)
 @settings(max_examples=100, deadline=None)
 def test_coordinates_by_degree_equal_the_frame_solve(case):
     tower, _, coords = case
@@ -62,6 +68,7 @@ def test_coordinates_by_degree_equal_the_frame_solve(case):
 
 @given(in_span(), st.sampled_from(["wrong ratio", "extra degree", "dropped monomial"]), coefficient.filter(bool),
        st.randoms(use_true_random=False))
+@example(B2_CASE, "wrong ratio", Fraction(2, 3), random.Random(0))
 @settings(max_examples=150, deadline=None)
 def test_targets_outside_the_tower_raise_as_the_frame_solve_does(case, kind, delta, random):
     """One monomial of one layer off its ratio, a monomial of a degree no layer has, or one monomial of a

@@ -19,7 +19,7 @@ from math import comb
 from .errors import DimensionMismatch, InvalidRootSystem, MathPrecondition
 from .groups import (BUILTIN_FAMILIES, RootSystem, builtin_root_system,
                      root_system_from_json)
-from .hermite import ch_laguerre, ch_recursion, ch_rodrigues, fischer_decompose, harmonic_basis
+from .hermite import _CONSTRUCTIONS, _checked, fischer_decompose, harmonic_basis
 from .operators import DunklContext
 from .poly import MAX_DEGREE, Polynomial, parse_rational, rational_str
 from .suites import PROFILES, SUITE_NAMES, largest_m, run_suite
@@ -110,13 +110,6 @@ def cmd_group_info(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-_CONSTRUCTIONS = {
-    "recursion": lambda ctx, t, ell, h: ch_recursion(ctx, t, h),
-    "rodrigues": lambda ctx, t, ell, h: ch_rodrigues(ctx, t, h),
-    "laguerre": ch_laguerre,
-}
-
-
 def _refuse_past_monomial_cap(m: int, degree: int) -> None:
     """Refuse a request whose monomials of the degree in m variables are past MONOMIAL_CAP, before any basis is
     built.  Their count C(degree + m - 1, k), k = min(degree, m - 1), is built up one exact factor at a time and left
@@ -159,12 +152,11 @@ def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
         raise InputDataError(
             f"--h-index {args.h_index} out of range: the degree-{args.ell} "
             f"harmonic basis has {len(basis)} elements")
-    harmonic = basis[args.h_index]
+    names = tuple(_CONSTRUCTIONS) if args.construction == "all" else (args.construction,)
+    checked = _checked(ctx, (args.t,), basis[args.h_index])  # one check and one tower for every construction run
+    records = {name: _CONSTRUCTIONS[name](ctx, (args.t,), *checked)[0] for name in names}
     if args.construction != "all":
-        record = _CONSTRUCTIONS[args.construction](ctx, args.t, args.ell, harmonic)
-        return record.to_json(), EXIT_OK
-    records = {name: fn(ctx, args.t, args.ell, harmonic)
-               for name, fn in _CONSTRUCTIONS.items()}
+        return records[args.construction].to_json(), EXIT_OK
     first = records["recursion"]
     agree = all(rec.polynomial == first.polynomial
                 and rec.radial_coeffs == first.radial_coeffs
@@ -225,7 +217,7 @@ def _add_hermite_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t", type=int, required=True, help="Hermite index (half the degree rise)")
     sub.add_argument("--ell", type=int, required=True, help="degree of the harmonic factor")
     sub.add_argument("--h-index", type=int, default=0, help="which basis harmonic of degree ell (default 0)")
-    sub.add_argument("--construction", choices=("recursion", "rodrigues", "laguerre", "all"), default="recursion")
+    sub.add_argument("--construction", choices=(*_CONSTRUCTIONS, "all"), default="recursion")
 
 
 def _add_decompose_flags(sub: argparse.ArgumentParser) -> None:

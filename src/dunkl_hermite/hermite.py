@@ -2,7 +2,8 @@
 
 A Hermite element of index (t, ell) is a radial polynomial of degree t in
 |x|^2 times a Dunkl-harmonic polynomial of degree ell.  Three independent
-constructions are implemented and cross-checked:
+constructions, the routes of _CONSTRUCTIONS, read one checked harmonic and
+its radial tower |x|^{2i} h (_checked), and are cross-checked:
 
   recursion: t-fold application of the scalar square of the raising operator,
   rodrigues: Gaussian conjugation of the t-th Laplacian power,
@@ -206,35 +207,30 @@ def _radial_coordinates(tower: Sequence[Polynomial], target: Polynomial) -> list
     return coords
 
 
-def _records(ctx: DunklContext, ts: Sequence[int], harmonic: Polynomial,
-             step: Callable[[DunklContext, Polynomial], Polynomial]) -> list[HermiteRecord]:
-    """The records t in ts (ascending) of one family: step applied t times to a Dunkl-harmonic factor, checked once,
-    in one loop to the last t beside one radial tower |x|^{2i} * harmonic; only the wanted records read coordinates."""
+def _checked(ctx: DunklContext, ts: Sequence[int], harmonic: Polynomial) -> tuple[int, list[Polynomial]]:
+    """The one check behind every route: t < 0 refused for the first t in ts (ascending), then the harmonic checked
+    once; returns its degree and its radial tower |x|^{2i} * harmonic, i up to the last t."""
     if ts[0] < 0:
         raise MathPrecondition(f"index t must be >= 0, got {ts[0]}")
-    ell, tower, iterates = _validated_harmonic(ctx, harmonic), radial_tower(harmonic, ts[-1]), [harmonic]
+    return _validated_harmonic(ctx, harmonic), radial_tower(harmonic, ts[-1])
+
+
+def _iterated(ctx: DunklContext, ts: Sequence[int], ell: int, tower: Sequence[Polynomial],
+              step: Callable[[DunklContext, Polynomial], Polynomial]) -> list[HermiteRecord]:
+    """The records t in ts of step applied t times to tower[0], in one loop; only they read tower coordinates."""
+    iterates = [tower[0]]
     for _ in range(ts[-1]):
         iterates.append(step(ctx, iterates[-1]))
-    return [HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic, polynomial=iterates[t],
+    return [HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=tower[0], polynomial=iterates[t],
                           radial_coeffs=tuple(_radial_coordinates(tower[:t + 1], iterates[t]))) for t in ts]
 
 
-def _rodrigues_step(ctx: DunklContext, p: Polynomial) -> Polynomial:
-    return -conjugated_laplacian(ctx, -1, p)
+def _recursion(ctx: DunklContext, ts: Sequence[int], ell: int, tower: Sequence[Polynomial]) -> list[HermiteRecord]:
+    return _iterated(ctx, ts, ell, tower, d_plus_squared_form)
 
 
-def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
-    """t-fold application of the scalar operator -Delta - 4|x|^2 + 2(2E + mu)."""
-    return _records(ctx, (t,), harmonic, d_plus_squared_form)[0]
-
-
-def ch_rodrigues(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
-    """t-fold application of the Gaussian-conjugated negated Laplacian.
-
-    exp(|x|^2) (-Delta)^t exp(-|x|^2) acts on polynomials as the t-th power of
-    the negated Laplacian conjugated at rate -1; no symbolic exponentials.
-    """
-    return _records(ctx, (t,), harmonic, _rodrigues_step)[0]
+def _rodrigues(ctx: DunklContext, ts: Sequence[int], ell: int, tower: Sequence[Polynomial]) -> list[HermiteRecord]:
+    return _iterated(ctx, ts, ell, tower, lambda ctx, p: -conjugated_laplacian(ctx, -1, p))
 
 
 def laguerre_poly(t: int, a: Fraction) -> tuple[Fraction, ...]:
@@ -258,17 +254,38 @@ def laguerre_poly(t: int, a: Fraction) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def _laguerre(ctx: DunklContext, ts: Sequence[int], ell: int, tower: Sequence[Polynomial]) -> list[HermiteRecord]:
+    """Each closed-form radial profile of ch_laguerre summed over tower[:t + 1]."""
+    radials = [tuple(4 ** t * factorial(t) * c for c in laguerre_poly(t, ctx.mu / 2 + ell - 1)) for t in ts]
+    return [HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=tower[0], radial_coeffs=radial,
+                          polynomial=_radial_sum(tower[:t + 1], radial)) for t, radial in zip(ts, radials)]
+
+
+# The three constructions as routes (ctx, ts, ell, tower) -> the records t in ts, fed by one _checked harmonic.  Callers
+# read a route here at call time, and each route reads its step from the module globals at call time.
+_CONSTRUCTIONS = {"recursion": _recursion, "rodrigues": _rodrigues, "laguerre": _laguerre}
+
+
+def ch_recursion(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
+    """t-fold application of the scalar operator -Delta - 4|x|^2 + 2(2E + mu)."""
+    return _CONSTRUCTIONS["recursion"](ctx, (t,), *_checked(ctx, (t,), harmonic))[0]
+
+
+def ch_rodrigues(ctx: DunklContext, t: int, harmonic: Polynomial) -> HermiteRecord:
+    """t-fold application of the Gaussian-conjugated negated Laplacian.
+
+    exp(|x|^2) (-Delta)^t exp(-|x|^2) acts on polynomials as the t-th power of
+    the negated Laplacian conjugated at rate -1; no symbolic exponentials.
+    """
+    return _CONSTRUCTIONS["rodrigues"](ctx, (t,), *_checked(ctx, (t,), harmonic))[0]
+
+
 def ch_laguerre(ctx: DunklContext, t: int, ell: int, harmonic: Polynomial) -> HermiteRecord:
     """Closed-form radial profile 2^{2t} t! L_t^{mu/2 + ell - 1}(|x|^2) times the harmonic."""
-    if t < 0:
-        raise MathPrecondition(f"index t must be >= 0, got {t}")
-    actual = _validated_harmonic(ctx, harmonic)
+    actual, tower = _checked(ctx, (t,), harmonic)
     if actual != ell:
         raise MathPrecondition(f"harmonic has degree {actual}, expected ell = {ell}")
-    scale = 4 ** t * factorial(t)
-    radial = tuple(scale * c for c in laguerre_poly(t, ctx.mu / 2 + ell - 1))
-    return HermiteRecord(t=t, ell=ell, mu=ctx.mu, harmonic=harmonic,
-                         radial_coeffs=radial, polynomial=_radial_sum(radial_tower(harmonic, t), radial))
+    return _CONSTRUCTIONS["laguerre"](ctx, (t,), ell, tower)[0]
 
 
 @dataclass(frozen=True)
@@ -376,8 +393,11 @@ def proportionality_constant(ctx: DunklContext, i: int, n: int, harmonic: Polyno
     ell = _validated_harmonic(ctx, harmonic)
     if ell != n - 2 * i:
         raise MathPrecondition(f"harmonic degree {ell} does not match n - 2i = {n - 2 * i}")
-    heat_image = rosler_hermite(ctx, radial_tower(harmonic, i)[i])
-    hermite = ch_recursion(ctx, i, harmonic).polynomial
+    if i < 0:
+        raise MathPrecondition(f"index t must be >= 0, got {i}")
+    tower = radial_tower(harmonic, i)
+    heat_image = rosler_hermite(ctx, tower[i])
+    hermite = _CONSTRUCTIONS["recursion"](ctx, (i,), ell, tower)[0].polynomial
     lead_exp, lead_coeff = hermite.leading_term()
     c = heat_image.coefficient(lead_exp) / lead_coeff
     if heat_image - c * hermite:

@@ -14,8 +14,8 @@ from math import factorial
 from typing import Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .hermite import _records, harmonic_basis
-from .operators import DunklContext, d_plus_squared_form
+from .hermite import _CONSTRUCTIONS, _checked, harmonic_basis
+from .operators import DunklContext
 from .poly import Polynomial, exact, json_int, rational_str
 
 
@@ -159,8 +159,8 @@ def orthogonality_report(ctx: DunklContext, max_total_degree: int) -> Orthogonal
     weight once both Gaussians are accounted for), in the order total, t, harmonic; one family per harmonic."""
     kappas = axis_multiplicities(ctx)
     _check_kappas(kappas)
-    families = [[_records(ctx, range((max_total_degree - ell) // 2 + 1), h, d_plus_squared_form)
-                 for h in harmonic_basis(ctx, ell).elements] for ell in range(max_total_degree + 1)]
+    families = [[_CONSTRUCTIONS["recursion"](ctx, ts, *_checked(ctx, ts, h)) for h in harmonic_basis(ctx, ell).elements]
+                for ell in range(max_total_degree + 1) for ts in (range((max_total_degree - ell) // 2 + 1),)]
     labeled = [((t, ell, h_index), family[t].polynomial)
                for total in range(max_total_degree + 1) for t in range(total // 2 + 1)
                for ell in (total - 2 * t,) for h_index, family in enumerate(families[ell])]

@@ -22,13 +22,12 @@ from .clifford import (CliffordPolynomial, d_plus, d_plus_squared_scalar, dunkl_
                        monogenic_basis, vector_multiply)
 from .errors import DunklError
 from .groups import builtin_root_system
-from .hermite import (_records, _rodrigues_step, ch_laguerre, coefficient_recursions_check,
-                      eigenspace_checks, fischer_decompose, fischer_project,
-                      harmonic_basis, harmonic_dimension_classical, proportionality_constant,
-                      rosler_hermite, weighted_eigenfunction_check)
+from .hermite import (_CONSTRUCTIONS, _checked, coefficient_recursions_check, eigenspace_checks,
+                      fischer_decompose, fischer_project, harmonic_basis, harmonic_dimension_classical,
+                      proportionality_constant, rosler_hermite, weighted_eigenfunction_check)
 from .moments import orthogonality_report
-from .operators import (DunklContext, d_plus_squared_form, degree_weighted, dunkl_derivative, dunkl_laplacian,
-                        hermite_shift, radial_tower, sl2_e, sl2_f, sl2_h, spherical_shift)
+from .operators import (DunklContext, degree_weighted, dunkl_derivative, dunkl_laplacian, hermite_shift, radial_tower,
+                        sl2_e, sl2_f, sl2_h, spherical_shift)
 from .poly import Polynomial, monomial_basis, rational_str
 
 SUITE_NAMES = ("commute", "sl2", "lemma1", "anticommutator", "dplus2", "fischer",
@@ -290,12 +289,12 @@ def _harmonics(ctx: DunklContext, ell_max: int) -> Iterator[tuple[int, int, Poly
 
 def _hermite_eq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """The three constructions agree exactly; small indices match the closed
-    table; both radial recurrences hold.  Recursion and Rodrigues are one family each per harmonic."""
+    table; both radial recurrences hold.  The three are one family each from one check of each harmonic."""
     ts = range(profile.t_max + 1)
     for ell, h_index, h in _harmonics(ctx, profile.ell_max):
-        recs, rods = _records(ctx, ts, h, d_plus_squared_form), _records(ctx, ts, h, _rodrigues_step)
-        for t, rec, rod in zip(ts, recs, rods):
-            lag = ch_laguerre(ctx, t, ell, h)
+        checked = _checked(ctx, ts, h)
+        recs, rods, lags = (route(ctx, ts, *checked) for route in _CONSTRUCTIONS.values())
+        for t, rec, rod, lag in zip(ts, recs, rods, lags):
             at = {"t": t, "ell": ell, "h_index": h_index}
             s.expect("construction equivalence",
                      rec.polynomial == rod.polynomial == lag.polynomial
@@ -315,7 +314,7 @@ def _hermite_eq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
 def _classical_reduction(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """kappa = 0 gives the classical radial table with mu = m."""
     for ell, _, h in _harmonics(ctx, min(profile.ell_max, 2)):
-        for rec in _records(ctx, range(3), h, d_plus_squared_form):
+        for rec in _CONSTRUCTIONS["recursion"](ctx, range(3), *_checked(ctx, range(3), h)):
             s.expect("classical reduction", rec.radial_coeffs == _TABLE_RADIALS[rec.t](ell, Fraction(ctx.m)),
                      t=rec.t, ell=ell, radial=rec.radial_coeffs)
 
@@ -323,8 +322,9 @@ def _classical_reduction(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
 def _diffeq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Each Hermite element satisfies (Delta - 2E) CH = -2(2t + ell) CH and is
     an eigenvector of the spherical operator at -ell(mu - 2 + ell)."""
+    ts = range(profile.t_max + 1)
     for ell, h_index, h in _harmonics(ctx, profile.ell_max):
-        for rec in _records(ctx, range(profile.t_max + 1), h, d_plus_squared_form):
+        for rec in _CONSTRUCTIONS["recursion"](ctx, ts, *_checked(ctx, ts, h)):
             t, ch = rec.t, rec.polynomial
             s.check("(Delta - 2E) CH = -2(2t + ell) CH", hermite_shift(ctx, ch, 2 * t + ell),
                     t=t, ell=ell, h_index=h_index)

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl_hermite import suites
-from dunkl_hermite.operators import DunklContext, d_plus_squared_form
+from dunkl_hermite import hermite, suites
+from dunkl_hermite.operators import DunklContext
 from dunkl_hermite.poly import Polynomial
 from dunkl_hermite.suites import SUITE_NAMES, Profile, run_suite
 
@@ -78,9 +78,9 @@ def _break_remaining_kinds(mp):
     squares and the fixed kappa = 0 odd ladder, the Fischer reassembly and
     dimension checks, the top radial coefficient and the positive diagonal."""
     names = ("d_plus", "dunkl_dirac", "harmonic_dimension_classical", "fischer_decompose",
-             "fischer_project", "_records", "orthogonality_report")
-    (d_plus, dirac, dimension, decompose, project,
-     recursion, orthogonality) = (getattr(suites, n) for n in names)
+             "fischer_project", "orthogonality_report")
+    d_plus, dirac, dimension, decompose, project, orthogonality = (getattr(suites, n) for n in names)
+    recursion = hermite._CONSTRUCTIONS["recursion"]
 
     def d_plus_faulty(ctx, F):
         return d_plus(ctx, F) + F
@@ -96,22 +96,19 @@ def _break_remaining_kinds(mp):
         out = project(ctx, i, degree, p)
         return out + p if i == 1 else out
 
-    def recursion_faulty(ctx, ts, h, step):
-        """The recursion family's record t = 2 with its top radial coefficient off by one; Rodrigues untouched."""
-        records = recursion(ctx, ts, h, step)
-        if step is not d_plus_squared_form:
-            return records
+    def recursion_faulty(ctx, ts, ell, tower):
+        """The recursion route's record t = 2 with its top radial coefficient off by one; the other routes untouched."""
         return [replace(rec, radial_coeffs=rec.radial_coeffs[:-1] + (rec.radial_coeffs[-1] + 1,)) if rec.t == 2
-                else rec for rec in records]
+                else rec for rec in recursion(ctx, ts, ell, tower)]
 
     def orthogonality_faulty(ctx, degree):
         report = orthogonality(ctx, degree)
         return replace(report, nonpositive_diagonal=report.entries[:2])
 
     for name, fn in zip(names, (d_plus_faulty, dirac_faulty, lambda m, d: dimension(m, d) + 1,
-                                decompose_faulty, project_faulty, recursion_faulty,
-                                orthogonality_faulty)):
+                                decompose_faulty, project_faulty, orthogonality_faulty)):
         mp.setattr(suites, name, fn)
+    mp.setitem(hermite._CONSTRUCTIONS, "recursion", recursion_faulty)
 
 
 SCENARIOS = {"mu": _shift_mu, "axis-one": _perturb_axis_one, "roesler": _break_roesler_reports,

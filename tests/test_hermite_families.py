@@ -1,21 +1,31 @@
-"""One Hermite family per harmonic: hermite._records, the loop behind ch_recursion and ch_rodrigues, against the
-public constructions, and hermite-eq's use of it (each family built once per harmonic, the two kept apart)."""
+"""One checked harmonic and one radial tower per harmonic: one hermite._checked followed by one route of
+hermite._CONSTRUCTIONS, against the public constructions, and the callers that share the check (hermite-eq, the
+proportionality constant, the CLI), with the three constructions kept three computations."""
+import json
 from fractions import Fraction
 
 import pytest
 
-from dunkl_hermite import hermite, moments, operators, suites
+from dunkl_hermite import cli, hermite, moments, operators, suites
 from dunkl_hermite.errors import MathPrecondition
-from dunkl_hermite.hermite import _records, _rodrigues_step, ch_recursion, ch_rodrigues, harmonic_basis
+from dunkl_hermite.groups import builtin_root_system
+from dunkl_hermite.hermite import (_checked, ch_laguerre, ch_recursion, ch_rodrigues, harmonic_basis,
+                                   proportionality_constant)
 from dunkl_hermite.linalg import solve_in_frame
-from dunkl_hermite.operators import DunklContext, d_plus_squared_form, radial_tower
+from dunkl_hermite.operators import DunklContext, conjugated_laplacian, d_plus_squared_form, radial_tower
 from dunkl_hermite.poly import Polynomial
 from dunkl_hermite.suites import CI, Sweep
 
 from test_dunkl_map import SYSTEMS
 
-# family -> (the public construction, the step its loop applies)
-FAMILIES = {"recursion": (ch_recursion, d_plus_squared_form), "rodrigues": (ch_rodrigues, _rodrigues_step)}
+# iterated route -> (the public construction, the step its loop applies)
+FAMILIES = {"recursion": (ch_recursion, d_plus_squared_form),
+            "rodrigues": (ch_rodrigues, lambda ctx, p: -conjugated_laplacian(ctx, -1, p))}
+
+
+def records_of(ctx, ts, h, route):
+    """The records t in ts of one route from one check, as the package's callers read them."""
+    return hermite._CONSTRUCTIONS[route](ctx, ts, *_checked(ctx, ts, h))
 
 
 def context(name: str) -> DunklContext:
@@ -25,20 +35,23 @@ def context(name: str) -> DunklContext:
 
 @pytest.mark.parametrize("name", ["a3", "b3", "G2"])
 def test_every_record_of_a_family_equals_the_public_construction(name):
-    """Each record t = 0..3 of one loop equals the public construction at t, and the step folded t times over the
-    harmonic with its coordinates by the frame solve."""
+    """Each record t = 0..3 of one route equals the public construction at t; an iterated route's record is the step
+    folded t times over the harmonic with its coordinates by the frame solve."""
     ctx = context(name)
     for ell in range(3):
         for h in harmonic_basis(ctx, ell).elements:
-            for construct, step in FAMILIES.values():
-                family, out = _records(ctx, range(4), h, step), h
+            for route, (construct, step) in FAMILIES.items():
+                family, out = records_of(ctx, range(4), h, route), h
                 assert [record.t for record in family] == [0, 1, 2, 3]
                 for t, record in enumerate(family):
                     assert record == construct(ctx, t, h), (ell, t)
                     assert (record.ell, record.mu, record.harmonic, record.polynomial) == (ell, ctx.mu, h, out)
                     assert list(record.radial_coeffs) == solve_in_frame(radial_tower(h, t), out)
                     out = step(ctx, out)
-                assert _records(ctx, range(1, 4, 2), h, step) == [family[1], family[3]]
+                assert records_of(ctx, range(1, 4, 2), h, route) == [family[1], family[3]]
+            laguerre = records_of(ctx, range(4), h, "laguerre")
+            assert laguerre == [ch_laguerre(ctx, t, ell, h) for t in range(4)]
+            assert records_of(ctx, range(1, 4, 2), h, "laguerre") == [laguerre[1], laguerre[3]]
 
 
 def refusal(call) -> str:
@@ -50,7 +63,7 @@ def refusal(call) -> str:
 @pytest.mark.parametrize("name", ["a3", "b3", "G2"])
 def test_the_loop_refuses_as_the_public_constructions_do(name):
     """t < 0 is refused before the harmonic is checked; a zero, a non-homogeneous and a non-harmonic factor are each
-    refused with their own message, by the loop and by both public constructions."""
+    refused with their own message, by the one check every route reads and by both iterated public constructions."""
     ctx = context(name)
     x1 = Polynomial.variable(ctx.m, 0)
     not_harmonic = x1 * x1 * x1 * x1
@@ -59,9 +72,37 @@ def test_the_loop_refuses_as_the_public_constructions_do(name):
              (2, x1 + Polynomial.constant(ctx.m, 1), "harmonic factor must be homogeneous"),
              (2, not_harmonic, "polynomial is not Dunkl-harmonic: its Laplacian is nonzero")]
     for t, h, message in cases:
-        for construct, step in FAMILIES.values():
-            assert refusal(lambda: _records(ctx, range(t, 3), h, step)) == message
+        assert refusal(lambda: _checked(ctx, range(t, 3), h)) == message
+        for construct, _ in FAMILIES.values():
             assert refusal(lambda: construct(ctx, t, h)) == message
+
+
+def test_laguerre_and_the_proportionality_constant_keep_their_refusal_order():
+    """ch_laguerre refuses t < 0 first, then the factor, then its degree against ell.  proportionality_constant checks
+    the factor first, then its degree against n - 2i, then i.  A float t or i is a TypeError, raised only after the
+    factor has been checked."""
+    ctx = DunklContext(builtin_root_system("b", 2, [Fraction(1, 2), Fraction(3, 4)]))
+    h = harmonic_basis(ctx, 1).elements[0]
+    x1 = Polynomial.variable(ctx.m, 0)
+    bad = x1 * x1 * x1 * x1
+    not_harmonic = "polynomial is not Dunkl-harmonic: its Laplacian is nonzero"
+    cases = [(lambda: ch_laguerre(ctx, -1, 4, bad), "index t must be >= 0, got -1"),
+             (lambda: ch_laguerre(ctx, 2, 1, Polynomial.zero(ctx.m)), "harmonic factor must be nonzero"),
+             (lambda: ch_laguerre(ctx, 1, 5, h), "harmonic has degree 1, expected ell = 5"),
+             (lambda: proportionality_constant(ctx, -1, 2, bad), not_harmonic),
+             (lambda: proportionality_constant(ctx, 1, 5, h), "harmonic degree 1 does not match n - 2i = 3"),
+             (lambda: proportionality_constant(ctx, -1, -1, h), "index t must be >= 0, got -1"),
+             (lambda: ch_recursion(ctx, 1.0, bad), not_harmonic),
+             (lambda: ch_rodrigues(ctx, 1.0, bad), not_harmonic),
+             (lambda: ch_laguerre(ctx, 1.0, 1, bad), not_harmonic),
+             (lambda: proportionality_constant(ctx, 0.5, 2, bad), not_harmonic)]
+    for call, message in cases:
+        assert refusal(call) == message
+    for call in (lambda: ch_recursion(ctx, 1.0, h), lambda: ch_rodrigues(ctx, 1.0, h),
+                 lambda: ch_laguerre(ctx, 1.0, 1, h), lambda: proportionality_constant(ctx, 0.5, 2, h),
+                 lambda: proportionality_constant(ctx, 1.0, 3, h)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def hermite_eq_case():
@@ -71,33 +112,59 @@ def hermite_eq_case():
     return case
 
 
+def counts(monkeypatch) -> dict:
+    """Live call counts, through the names hermite reads, of its harmonic check, its radial tower, the Laguerre
+    profile and the step of each iterated route."""
+    names = {"_validated_harmonic": "checks", "radial_tower": "towers", "laguerre_poly": "profiles",
+             "d_plus_squared_form": "recursion", "conjugated_laplacian": "rodrigues"}
+    out = dict.fromkeys(names.values(), 0)
+
+    def counted(fn, key):
+        def counting(*args):
+            out[key] += 1
+            return fn(*args)
+        return counting
+
+    for name, key in names.items():
+        monkeypatch.setattr(hermite, name, counted(getattr(hermite, name), key))
+    return out
+
+
 def test_hermite_eq_builds_each_family_once_per_harmonic(monkeypatch):
-    """Each family takes t_max steps per harmonic (one rebuild per t took t_max (t_max + 1) / 2) and checks the
-    harmonic once; ch_laguerre still checks it once per t."""
+    """hermite-eq runs all three routes from one check and one tower per harmonic (one check and one tower per
+    family and per Laguerre t took 2 + t_max + 1 of each); each iterated family still takes t_max steps per harmonic
+    and the Laguerre route one profile per t, so the three stay three computations."""
     case = hermite_eq_case()
     ctx = case.context()
     harmonics = sum(len(harmonic_basis(ctx, ell).elements) for ell in range(CI.ell_max + 1))
-    steps = {"recursion": 0, "rodrigues": 0}
-    checks = []
-
-    def counted(family, step):
-        def counting(ctx, p):
-            steps[family] += 1
-            return step(ctx, p)
-        return counting
-
-    def validated(ctx, h, original=hermite._validated_harmonic):
-        checks.append(h)
-        return original(ctx, h)
-
-    monkeypatch.setattr(suites, "d_plus_squared_form", counted("recursion", d_plus_squared_form))
-    monkeypatch.setattr(suites, "_rodrigues_step", counted("rodrigues", _rodrigues_step))
-    monkeypatch.setattr(hermite, "_validated_harmonic", validated)
+    calls = counts(monkeypatch)
     sweep = Sweep(case)
     suites._hermite_eq(sweep, ctx, CI)
     assert sweep.failures == [] and sweep.cases > 0
-    assert steps == {"recursion": harmonics * CI.t_max, "rodrigues": harmonics * CI.t_max}
-    assert len(checks) == harmonics * (2 + CI.t_max + 1)
+    assert calls == {"checks": harmonics, "towers": harmonics, "profiles": harmonics * (CI.t_max + 1),
+                     "recursion": harmonics * CI.t_max, "rodrigues": harmonics * CI.t_max}
+
+
+def test_the_proportionality_constant_checks_once_and_builds_one_tower(monkeypatch):
+    """The heat input |x|^{2i} h is the top layer of the tower the Hermite element reads: one check, one tower and i
+    recursion steps (its own check and tower and those of ch_recursion took two of each)."""
+    ctx = DunklContext(builtin_root_system("b", 2, [Fraction(1, 2), Fraction(3, 4)]))
+    h = harmonic_basis(ctx, 1).elements[0]
+    expected = proportionality_constant(ctx, 2, 5, h)
+    calls = counts(monkeypatch)
+    assert proportionality_constant(ctx, 2, 5, h) == expected
+    assert calls == {"checks": 1, "towers": 1, "profiles": 0, "recursion": 2, "rodrigues": 0}
+
+
+def test_the_cli_runs_every_construction_from_one_check(monkeypatch, capsys):
+    """hermite --construction all checks its harmonic once and builds one tower for the three routes (each public
+    construction took one of each)."""
+    calls = counts(monkeypatch)
+    argv = ["hermite", "--group", "b", "--m", "2", "--kappa", "1/2,3/4", "--t", "2", "--ell", "1",
+            "--construction", "all"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["agree"] is True
+    assert calls == {"checks": 1, "towers": 1, "profiles": 1, "recursion": 2, "rodrigues": 2}
 
 
 def mutated(name: str):
@@ -126,3 +193,19 @@ def test_a_mutant_of_either_step_fails_construction_equivalence(monkeypatch, nam
     broken, kept = MUTANTS[name], ({"recursion", "rodrigues"} - {MUTANTS[name]}).pop()
     for f in failed:
         assert f[kept]["polynomial"] == f["laguerre"]["polynomial"] != f[broken]["polynomial"], f["t"]
+
+
+def test_a_scaled_tower_fails_construction_equivalence(monkeypatch):
+    """Layer i of every radial tower scaled by 2^i: the recursion and Rodrigues coordinates shrink by 2^-i while the
+    Laguerre polynomial grows by 2^i in layer i, so hermite-eq's agreement check fails at every t > 0 of every
+    harmonic.  One shared tower cannot make the three sides agree by construction."""
+    original = hermite.radial_tower
+    monkeypatch.setattr(hermite, "radial_tower",
+                        lambda f, n: [2 ** i * layer for i, layer in enumerate(original(f, n))])
+    case = hermite_eq_case()
+    ctx = case.context()
+    sweep = Sweep(case)
+    suites._hermite_eq(sweep, ctx, CI)
+    failed = [(f["ell"], f["h_index"], f["t"]) for f in sweep.failures if f["identity"] == "construction equivalence"]
+    assert failed == [(ell, h_index, t) for ell, h_index, _ in suites._harmonics(ctx, CI.ell_max)
+                      for t in range(1, CI.t_max + 1)]

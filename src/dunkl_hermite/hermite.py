@@ -11,7 +11,8 @@ its radial tower |x|^{2i} h (_checked), and are cross-checked:
 
 The same module carries the Fischer decomposition of homogeneous polynomials
 into harmonic layers, the heat-semigroup Hermite family, and the exact
-verdict-producing checks that tie all of these together.
+verdict-producing checks that tie all of these together; the roesler suite
+and orthogonality_report read one adapted basis of them (_adapted_basis).
 """
 from __future__ import annotations
 
@@ -288,6 +289,16 @@ def ch_laguerre(ctx: DunklContext, t: int, ell: int, harmonic: Polynomial) -> He
     return _CONSTRUCTIONS["laguerre"](ctx, (t,), ell, tower)[0]
 
 
+def _adapted_basis(ctx: DunklContext, top: int) -> list[list[tuple[tuple[int, int, int], Polynomial, HermiteRecord]]]:
+    """Per degree n <= top, entries ((t, ell, j), |x|^{2t} h_j, recursion record (t, ell) of h_j), 2t + ell = n, t then
+    j; one check, tower and recursion family t = 0..(top - ell)//2 per harmonic, the route read at call time."""
+    families = [[(checked[1], _CONSTRUCTIONS["recursion"](ctx, ts, *checked))
+                 for h in harmonic_basis(ctx, ell).elements for checked in (_checked(ctx, ts, h),)]
+                for ell in range(top + 1) for ts in (range((top - ell) // 2 + 1),)]
+    return [[((t, n - 2 * t, j), tower[t], records[t]) for t in range(n // 2 + 1)
+             for j, (tower, records) in enumerate(families[n - 2 * t])] for n in range(top + 1)]
+
+
 @dataclass(frozen=True)
 class RecursionCheck:
     """Exact verdict for the two radial-coefficient recurrences."""
@@ -366,10 +377,15 @@ def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:
     """(Delta - 2E) q = -2n q for both Hermite families of total degree n,
     plus the rank comparison showing the two families span the same dimension."""
     _require_mu(ctx, "eigenspace comparison")
-    heat_family = [rosler_hermite(ctx, Polynomial.monomial(ctx.m, e))
-                   for e in monomial_basis(ctx.m, degree)]
     hermite_family = [ch_recursion(ctx, t, h).polynomial for t in range(degree // 2 + 1)
                       for h in harmonic_basis(ctx, degree - 2 * t).elements]
+    return _eigenspace(ctx, degree, hermite_family)[0]
+
+
+def _eigenspace(ctx: DunklContext, degree: int, hermite_family: list) -> tuple[EigenspaceReport, list[Polynomial]]:
+    """eigenspace_checks on a given Hermite family: its report and the heat images of the monomials of the degree."""
+    heat_family = [rosler_hermite(ctx, Polynomial.monomial(ctx.m, e))
+                   for e in monomial_basis(ctx.m, degree)]
     failures = []
     for label, family in (("heat", heat_family), ("hermite", hermite_family)):
         for q in family:
@@ -380,7 +396,7 @@ def eigenspace_checks(ctx: DunklContext, degree: int) -> EigenspaceReport:
     return EigenspaceReport(degree=degree, cases=len(heat_family) + len(hermite_family), failures=tuple(failures),
                             heat_family_rank=_span_rank(heat_family),
                             hermite_family_rank=_span_rank(hermite_family),
-                            combined_rank=_span_rank(heat_family + hermite_family), expected_rank=expected)
+                            combined_rank=_span_rank(heat_family + hermite_family), expected_rank=expected), heat_family
 
 
 def proportionality_constant(ctx: DunklContext, i: int, n: int, harmonic: Polynomial) -> Fraction:
@@ -396,8 +412,13 @@ def proportionality_constant(ctx: DunklContext, i: int, n: int, harmonic: Polyno
     if i < 0:
         raise MathPrecondition(f"index t must be >= 0, got {i}")
     tower = radial_tower(harmonic, i)
-    heat_image = rosler_hermite(ctx, tower[i])
-    hermite = _CONSTRUCTIONS["recursion"](ctx, (i,), ell, tower)[0].polynomial
+    return _proportionality(ctx, i, n, tower[i], _CONSTRUCTIONS["recursion"](ctx, (i,), ell, tower)[0])
+
+
+def _proportionality(ctx: DunklContext, i: int, n: int, frame: Polynomial, record: HermiteRecord) -> Fraction:
+    """proportionality_constant from the built frame element |x|^{2i} h and recursion record (i, ell) of h."""
+    heat_image = rosler_hermite(ctx, frame)
+    hermite = record.polynomial
     lead_exp, lead_coeff = hermite.leading_term()
     c = heat_image.coefficient(lead_exp) / lead_coeff
     if heat_image - c * hermite:

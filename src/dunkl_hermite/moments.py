@@ -14,7 +14,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import DimensionMismatch, MathPrecondition
-from .hermite import _CONSTRUCTIONS, _checked, harmonic_basis
+from .hermite import _adapted_basis
 from .operators import DunklContext
 from .poly import Polynomial, exact, json_int, rational_str
 
@@ -156,14 +156,11 @@ class OrthogonalityReport:
 def orthogonality_report(ctx: DunklContext, max_total_degree: int) -> OrthogonalityReport:
     """Pair every Hermite element with 2t + ell <= max degree under the
     weighted Gaussian inner product (Hermite functions pair with the plain
-    weight once both Gaussians are accounted for), in the order total, t, harmonic; one family per harmonic."""
+    weight once both Gaussians are accounted for), in the order total, t, harmonic: the adapted basis, read once."""
     kappas = axis_multiplicities(ctx)
     _check_kappas(kappas)
-    families = [[_CONSTRUCTIONS["recursion"](ctx, ts, *_checked(ctx, ts, h)) for h in harmonic_basis(ctx, ell).elements]
-                for ell in range(max_total_degree + 1) for ts in (range((max_total_degree - ell) // 2 + 1),)]
-    labeled = [((t, ell, h_index), family[t].polynomial)
-               for total in range(max_total_degree + 1) for t in range(total // 2 + 1)
-               for ell in (total - 2 * t,) for h_index, family in enumerate(families[ell])]
+    labeled = [(key, record.polynomial) for entries in _adapted_basis(ctx, max_total_degree)
+               for key, _, record in entries]
     entries, violations, nonpositive = [], [], []
     for a, (key_a, poly_a) in enumerate(labeled):
         for key_b, poly_b in labeled[a:]:

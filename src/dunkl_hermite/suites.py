@@ -22,9 +22,9 @@ from .clifford import (CliffordPolynomial, d_plus, d_plus_squared_scalar, dunkl_
                        monogenic_basis, vector_multiply)
 from .errors import DunklError
 from .groups import builtin_root_system
-from .hermite import (_CONSTRUCTIONS, _checked, coefficient_recursions_check, eigenspace_checks,
-                      fischer_decompose, fischer_project, harmonic_basis, harmonic_dimension_classical,
-                      proportionality_constant, rosler_hermite, weighted_eigenfunction_check)
+from .hermite import (_CONSTRUCTIONS, _adapted_basis, _checked, _eigenspace, _proportionality, _require_mu,
+                      coefficient_recursions_check, fischer_decompose, fischer_project, harmonic_basis,
+                      harmonic_dimension_classical, weighted_eigenfunction_check)
 from .moments import orthogonality_report
 from .operators import (DunklContext, degree_weighted, dunkl_derivative, dunkl_laplacian, hermite_shift, radial_tower,
                         sl2_e, sl2_f, sl2_h, spherical_shift)
@@ -335,9 +335,11 @@ def _diffeq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
 def _roesler(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
     """Heat-semigroup Hermite family: eigenvalue equations (plain and
     Gaussian-weighted), equal spans with the Clifford-Hermite family, and
-    elementwise proportionality on the adapted basis."""
+    elementwise proportionality on the adapted basis, built once for both degree caps."""
+    _require_mu(ctx, "eigenspace comparison")
+    basis = _adapted_basis(ctx, max(profile.eigen_degree_max, profile.span_degree_max))
     for n in range(profile.eigen_degree_max + 1):
-        report = eigenspace_checks(ctx, n)
+        report, heat_family = _eigenspace(ctx, n, [record.polynomial for _, _, record in basis[n]])
         s.cases += report.cases + 1
         for failure in report.failures:
             s.fail("(Delta - 2E) eigenvalue", n=n, **failure)
@@ -345,15 +347,15 @@ def _roesler(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
         if any(rank != report.expected_rank for rank in ranks):
             s.fail("span ranks", n=n, heat_rank=ranks[0], hermite_rank=ranks[1],
                    combined_rank=ranks[2], expected=report.expected_rank)
-        for e in monomial_basis(ctx.m, n):
-            check = weighted_eigenfunction_check(ctx, rosler_hermite(ctx, Polynomial.monomial(ctx.m, e)))
+        for e, q in zip(monomial_basis(ctx.m, n), heat_family):
+            check = weighted_eigenfunction_check(ctx, q)
             s.expect("weighted eigenfunction", check.ok, n=n, input=e, residual=check.residual)
     # elementwise proportionality on the adapted basis, constants harmonic-independent
     for n in range(profile.span_degree_max + 1):
         for i in range(n // 2 + 1):
-            harmonics = harmonic_basis(ctx, n - 2 * i).elements
-            s.cases += len(harmonics)
-            constants = {proportionality_constant(ctx, i, n, h) for h in harmonics}
+            entries = [(frame, record) for (t, _, _), frame, record in basis[n] if t == i]
+            s.cases += len(entries)
+            constants = {_proportionality(ctx, i, n, frame, record) for frame, record in entries}
             if len(constants) > 1:
                 s.fail("proportionality constant", n=n, i=i,
                        constants=sorted(rational_str(c) for c in constants))

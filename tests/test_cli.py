@@ -243,10 +243,10 @@ def test_verify_max_deg_flag(capsys):
 
 def test_verify_records_a_check_that_raises(capsys, monkeypatch):
     """A check that raises is one failed check in the verdict, not an aborted run."""
-    def raising(ctx, i, n, h):
+    def raising(ctx, i, n, frame, record):
         raise MathPrecondition("injected fault")
 
-    monkeypatch.setattr(suites, "proportionality_constant", raising)
+    monkeypatch.setattr(suites, "_proportionality", raising)
     code, out, _ = run_cli(capsys, "verify", "--suite", "roesler", "--profile", "ci")
     assert code == 4
     records = json.loads(out)["failures"]

@@ -45,18 +45,17 @@ def _perturb_axis_one(mp):
 def _break_roesler_reports(mp):
     """One fault per roesler record kind: eigenvalue, span ranks, weighted
     eigenfunction, proportionality constant and the constant at (1, 2)."""
-    eigen, weighted, constant = (suites.eigenspace_checks, suites.weighted_eigenfunction_check,
-                                 suites.proportionality_constant)
+    eigen, weighted, constant = suites._eigenspace, suites.weighted_eigenfunction_check, suites._proportionality
 
-    def eigen_faulty(ctx, n):
-        report = eigen(ctx, n)
+    def eigen_faulty(ctx, n, hermite_family):
+        report, heat_family = eigen(ctx, n, hermite_family)
         if n == 1:
             bogus = {"family": "heat", "input": Polynomial.constant(ctx.m, 1).to_json(),
                      "residual": Polynomial.variable(ctx.m, 0).to_json()}
             report = replace(report, failures=report.failures + (bogus,))
         if n == 2:
             report = replace(report, heat_family_rank=report.heat_family_rank + 1)
-        return report
+        return report, heat_family
 
     def weighted_faulty(ctx, q):
         check = weighted(ctx, q)
@@ -64,13 +63,13 @@ def _break_roesler_reports(mp):
             check = replace(check, ok=False, residual=check.residual + Polynomial.constant(ctx.m, 1))
         return check
 
-    def constant_faulty(ctx, i, n, h):
-        lead, _ = h.leading_term()
-        return constant(ctx, i, n, h) + (1 if lead[0] == 0 else 0)
+    def constant_faulty(ctx, i, n, frame, record):
+        lead, _ = record.harmonic.leading_term()
+        return constant(ctx, i, n, frame, record) + (1 if lead[0] == 0 else 0)
 
-    mp.setattr(suites, "eigenspace_checks", eigen_faulty)
+    mp.setattr(suites, "_eigenspace", eigen_faulty)
     mp.setattr(suites, "weighted_eigenfunction_check", weighted_faulty)
-    mp.setattr(suites, "proportionality_constant", constant_faulty)
+    mp.setattr(suites, "_proportionality", constant_faulty)
 
 
 def _break_remaining_kinds(mp):

@@ -1,6 +1,7 @@
 """One checked harmonic and one radial tower per harmonic: one hermite._checked followed by one route of
 hermite._CONSTRUCTIONS, against the public constructions, and the callers that share the check (hermite-eq, the
-proportionality constant, the CLI), with the three constructions kept three computations."""
+proportionality constant, the CLI, the roesler suite's one adapted basis), with the three constructions kept three
+computations, and verdict-power rows that each must fail a named suite."""
 import json
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from dunkl_hermite.hermite import (_checked, ch_laguerre, ch_recursion, ch_rodri
                                    proportionality_constant)
 from dunkl_hermite.linalg import solve_in_frame
 from dunkl_hermite.operators import DunklContext, conjugated_laplacian, d_plus_squared_form, radial_tower
-from dunkl_hermite.poly import Polynomial
+from dunkl_hermite.poly import Polynomial, dim_homogeneous
 from dunkl_hermite.suites import CI, Sweep
 
 from test_dunkl_map import SYSTEMS
@@ -112,11 +113,13 @@ def hermite_eq_case():
     return case
 
 
-def counts(monkeypatch) -> dict:
-    """Live call counts, through the names hermite reads, of its harmonic check, its radial tower, the Laguerre
-    profile and the step of each iterated route."""
-    names = {"_validated_harmonic": "checks", "radial_tower": "towers", "laguerre_poly": "profiles",
-             "d_plus_squared_form": "recursion", "conjugated_laplacian": "rodrigues"}
+# hermite name -> key of its count: the harmonic check, the radial tower, the Laguerre profile, each iterated step
+COUNTED = {"_validated_harmonic": "checks", "radial_tower": "towers", "laguerre_poly": "profiles",
+           "d_plus_squared_form": "recursion", "conjugated_laplacian": "rodrigues"}
+
+
+def counts(monkeypatch, names=COUNTED) -> dict:
+    """Live call counts of the named hermite functions, through every name hermite or suites binds to one."""
     out = dict.fromkeys(names.values(), 0)
 
     def counted(fn, key):
@@ -126,7 +129,11 @@ def counts(monkeypatch) -> dict:
         return counting
 
     for name, key in names.items():
-        monkeypatch.setattr(hermite, name, counted(getattr(hermite, name), key))
+        original = getattr(hermite, name)
+        wrapper = counted(original, key)
+        for module in (hermite, suites):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
     return out
 
 
@@ -143,6 +150,26 @@ def test_hermite_eq_builds_each_family_once_per_harmonic(monkeypatch):
     assert sweep.failures == [] and sweep.cases > 0
     assert calls == {"checks": harmonics, "towers": harmonics, "profiles": harmonics * (CI.t_max + 1),
                      "recursion": harmonics * CI.t_max, "rodrigues": harmonics * CI.t_max}
+
+
+def test_roesler_builds_each_heat_image_and_each_hermite_element_once(monkeypatch):
+    """roesler reads one adapted basis up to top = max(eigen, span) degree: one check, one tower and one recursion
+    family per harmonic of degree ell <= top, (top - ell) // 2 steps each, and one heat image per monomial of each
+    eigen degree, which the weighted check reads, plus one per proportionality entry (the eigenspace report rebuilt
+    each element from t = 0 per degree, the proportionality constant again, and the weighted check its heat images)."""
+    case = next(case for case in suites._construction_cases(CI, 7) if case.label == "a2" and all(case.kappas))
+    ctx = case.context()
+    top = max(CI.eigen_degree_max, CI.span_degree_max)
+    sizes = [len(harmonic_basis(ctx, ell).elements) for ell in range(top + 1)]
+    calls = counts(monkeypatch, {"rosler_hermite": "heat", "_checked": "checks", "radial_tower": "towers",
+                                 "d_plus_squared_form": "recursion"})
+    sweep = Sweep(case)
+    suites._roesler(sweep, ctx, CI)
+    assert sweep.failures == [] and sweep.cases > 0
+    heat = (sum(dim_homogeneous(ctx.m, n) for n in range(CI.eigen_degree_max + 1))
+            + sum(sizes[n - 2 * i] for n in range(CI.span_degree_max + 1) for i in range(n // 2 + 1)))
+    assert calls == {"heat": heat, "checks": sum(sizes), "towers": sum(sizes),
+                     "recursion": sum(size * ((top - ell) // 2) for ell, size in enumerate(sizes))}
 
 
 def test_the_proportionality_constant_checks_once_and_builds_one_tower(monkeypatch):
@@ -209,3 +236,35 @@ def test_a_scaled_tower_fails_construction_equivalence(monkeypatch):
     failed = [(f["ell"], f["h_index"], f["t"]) for f in sweep.failures if f["identity"] == "construction equivalence"]
     assert failed == [(ell, h_index, t) for ell, h_index, _ in suites._harmonics(ctx, CI.ell_max)
                       for t in range(1, CI.t_max + 1)]
+
+
+def roesler_tally(verdict) -> tuple:
+    """Case count and failure count per identity; a raised check is keyed by its message up to the first ';'."""
+    keys = [f["identity"] if f["identity"] != "check raised" else f["error"].partition(";")[0]
+            for f in verdict.failures]
+    return verdict.cases, {key: keys.count(key) for key in sorted(set(keys))}
+
+
+def test_a_negated_heat_rate_fails_the_eigenvalue_and_span_checks(monkeypatch):
+    """exp(+Delta/4) in place of exp(-Delta/4): the heat family leaves the eigenspace, so ci roesler at seed 7 fails
+    the eigenvalue and span checks, and the weighted check refuses its degree-2 inputs by its precondition (a path no
+    failure-records scenario reaches)."""
+    original = hermite.heat_semigroup
+    monkeypatch.setattr(hermite, "heat_semigroup", lambda ctx, f, rate=Fraction(-1, 4): original(ctx, f, -rate))
+    assert roesler_tally(suites.run_suite("roesler", CI, 7)) == (156, {
+        "(Delta - 2E) eigenvalue": 19,
+        "MathPrecondition: input does not satisfy the degree-2 eigenvalue equation": 8,
+        "span ranks": 8})
+
+
+def test_a_wrong_recursion_step_fails_the_eigenvalue_span_and_proportionality_checks(monkeypatch):
+    """(D+)^2 form plus the identity, where hermite reads it: the adapted basis leaves the eigenspace, so ci roesler at
+    seed 7 fails the eigenvalue and span checks, and the first proportionality constant with i = 1 of every case
+    raises."""
+    original = hermite.d_plus_squared_form
+    monkeypatch.setattr(hermite, "d_plus_squared_form", lambda ctx, f: original(ctx, f) + f)
+    assert roesler_tally(suites.run_suite("roesler", CI, 7)) == (354, {
+        "(Delta - 2E) eigenvalue": 24,
+        "MathPrecondition: heat image of |x|^{2} * harmonic is not proportional to the Hermite element "
+        "(i=1, n=2)": 8,
+        "span ranks": 16})

@@ -4,9 +4,10 @@ and the verification suites, all as deterministic JSON on standard output.
 Exit codes: 0 success, 1 usage, 2 invalid input data, 3 mathematical
 precondition violated, 4 verification failures.
 
-main builds the flags of one command only, that of the first argv token naming a command.  This is exact: a token
-before the command can only be a top-level option (--pretty, -h), so that token is the command whenever the command
-is valid, and for an invalid command argparse stops at the top level before it reads any command's flags.
+main reads a plain argv (--pretty, a command, its exact options with one value each) from COMMANDS and builds no
+parser; argparse reads every other argv, with the flags of the first token naming a command only.  This is exact: a
+token before the command can only be a top-level option (--pretty, -h), so that token is the command whenever the
+command is valid, and for an invalid command argparse stops at the top level before it reads any command's flags.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ EXIT_INVALID_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
+PROG = "dunkl-hermite"
+
 # Every command refuses a request whose monomial estimate is past this before its work starts.  verify: the monomials
 # of degree <= max-deg in the largest m of the profile's groups, times 2^m blades for the Clifford work; with m = 3
 # the largest accepted is --max-deg 34 (7,770 monomials, estimate 62,160), and the desk battery then runs in about
@@ -51,14 +54,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _add_group_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--group", choices=BUILTIN_FAMILIES,
-                     help="builtin family of positive root systems")
-    sub.add_argument("--m", type=int, help="number of variables")
-    sub.add_argument("--kappa", help="comma-separated multiplicities, one per orbit")
-    sub.add_argument("--group-file", help="path to a root system JSON file")
 
 
 def _load_json(path: str):
@@ -212,45 +207,46 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
-def _add_hermite_flags(sub: argparse.ArgumentParser) -> None:
-    _add_group_flags(sub)
-    sub.add_argument("--t", type=int, required=True, help="Hermite index (half the degree rise)")
-    sub.add_argument("--ell", type=int, required=True, help="degree of the harmonic factor")
-    sub.add_argument("--h-index", type=int, default=0, help="which basis harmonic of degree ell (default 0)")
-    sub.add_argument("--construction", choices=(*_CONSTRUCTIONS, "all"), default="recursion")
+# (option, its add_argument keywords): each command's flags, read by build_parser and by _plain_args
+_GROUP_FLAGS = (
+    ("--group", {"choices": BUILTIN_FAMILIES, "help": "builtin family of positive root systems"}),
+    ("--m", {"type": int, "help": "number of variables"}),
+    ("--kappa", {"help": "comma-separated multiplicities, one per orbit"}),
+    ("--group-file", {"help": "path to a root system JSON file"}),
+)
 
-
-def _add_decompose_flags(sub: argparse.ArgumentParser) -> None:
-    _add_group_flags(sub)
-    sub.add_argument("--poly-file", required=True, help="polynomial JSON file, or - for standard input")
-
-
-def _add_verify_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    sub.add_argument("--profile", choices=tuple(PROFILES), default="desk")
-    sub.add_argument("--seed", type=int, default=7, help="seed for the multiplicity draws (default 7)")
-    sub.add_argument("--max-deg", type=int, default=None, help="override the profile's polynomial degree cap")
-
-
-# command name -> (its line in the top-level help, what adds its flags, its handler)
+# command name -> (its line in the top-level help, its flags, its handler)
 COMMANDS = {
-    "group-info": ("roots, orbits, gamma and mu of a group", _add_group_flags, cmd_group_info),
-    "hermite": ("one Clifford-Hermite polynomial as JSON", _add_hermite_flags, cmd_hermite),
-    "decompose": ("Fischer decomposition of a polynomial", _add_decompose_flags, cmd_decompose),
-    "verify": ("run a verification suite", _add_verify_flags, cmd_verify),
+    "group-info": ("roots, orbits, gamma and mu of a group", _GROUP_FLAGS, cmd_group_info),
+    "hermite": ("one Clifford-Hermite polynomial as JSON", _GROUP_FLAGS + (
+        ("--t", {"type": int, "required": True, "help": "Hermite index (half the degree rise)"}),
+        ("--ell", {"type": int, "required": True, "help": "degree of the harmonic factor"}),
+        ("--h-index", {"type": int, "default": 0, "help": "which basis harmonic of degree ell (default 0)"}),
+        ("--construction", {"choices": (*_CONSTRUCTIONS, "all"), "default": "recursion"}),
+    ), cmd_hermite),
+    "decompose": ("Fischer decomposition of a polynomial", _GROUP_FLAGS + (
+        ("--poly-file", {"required": True, "help": "polynomial JSON file, or - for standard input"}),
+    ), cmd_decompose),
+    "verify": ("run a verification suite", (
+        ("--suite", {"choices": SUITE_NAMES + ("all",), "default": "all"}),
+        ("--profile", {"choices": tuple(PROFILES), "default": "desk"}),
+        ("--seed", {"type": int, "default": 7, "help": "seed for the multiplicity draws (default 7)"}),
+        ("--max-deg", {"type": int, "default": None, "help": "override the profile's polynomial degree cap"}),
+    ), cmd_verify),
 }
 
 
 def build_parser(command: str | None = None) -> _Parser:
     """The parser of every command, with the flags of command only (of every command when it is None)."""
-    parser = _Parser(prog="dunkl-hermite",
+    parser = _Parser(prog=PROG,
                      description="Exact Dunkl operator calculus and Clifford-Hermite polynomials")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (help_text, add_flags, handler) in COMMANDS.items():
+    for name, (help_text, flags, handler) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         if command in (None, name):
-            add_flags(sub)
+            for option, kwargs in flags:
+                sub.add_argument(option, **kwargs)
             # SUPPRESS keeps a subcommand-level default from clobbering the top-level flag
             sub.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="indent the JSON output")
         sub.set_defaults(handler=handler)
@@ -262,20 +258,54 @@ def _command_in(argv: list[str]) -> str | None:
     return next((token for token in argv if token in COMMANDS), None)
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for a plain argv, else None.  Plain: --pretty any number of times, a command,
+    then --pretty or an exact option of the command with its value (- or not starting with -, of its type, among its
+    choices), no option twice and every required one present.  -h, --opt=value and negative numbers are not plain."""
+    tokens = iter(argv)
+    pretty, command = False, next(tokens, None)
+    while command == "--pretty":
+        pretty, command = True, next(tokens, None)
+    if command not in COMMANDS:
+        return None
+    _, flags, handler = COMMANDS[command]
+    table, values = dict(flags), {}
+    for token in tokens:
+        if token == "--pretty":
+            pretty = True
+            continue
+        value = next(tokens, None)
+        if token not in table or token in values or value is None or (value[:1] == "-" and value != "-"):
+            return None
+        kwargs = table[token]
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[token] = value
+    if any(kwargs.get("required") and option not in values for option, kwargs in flags):
+        return None
+    args = argparse.Namespace(pretty=pretty, command=command, handler=handler)
+    for option, kwargs in flags:
+        setattr(args, option[2:].replace("-", "_"), values.get(option, kwargs.get("default")))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(_command_in(argv))
-    args = parser.parse_args(argv)
+    args = _plain_args(argv) or build_parser(_command_in(argv)).parse_args(argv)
     try:
         payload, code = args.handler(args)
     except UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InputDataError, InvalidRootSystem) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except MathPrecondition as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     _emit(payload, args.pretty)
     return code

@@ -148,6 +148,32 @@ def test_hermite_negative_t_exits_3_before_any_basis(capsys, monkeypatch, argv):
     assert (code, out, err) == (3, "", "dunkl-hermite: error: index t must be >= 0, got -1\n")
 
 
+B2 = ["--group", "b", "--m", "2", "--kappa", "1,1"]
+
+
+# (argv, exit code, message, the work the refusal comes before: (main or a function of the module holding it, name))
+NEGATIVE_VALUES = [
+    (["group-info", "--group", "b", "--m", "-1", "--kappa", "1,1"], 2, "dimension must be >= 1, got -1",
+     ("builtin_root_system", "_builtin_geometry")),
+    (["hermite", *B2, "--t", "1", "--ell", "-1"], 3, "degree must be >= 0, got -1",
+     ("harmonic_basis", "_harmonic_basis_cached")),
+    (["verify", "--profile", "ci", "--max-deg", "-1"], 1, "--max-deg must be nonnegative", ("main", "run_suite")),
+    (["hermite", *B2, "--t", "1", "--ell", "0", "--h-index", "-1"], 2,
+     "--h-index -1 out of range: the degree-0 harmonic basis has 1 elements", ("main", "_checked")),
+]
+
+
+@pytest.mark.parametrize("argv, code, message, work", NEGATIVE_VALUES)
+def test_negative_values_exit_with_their_codes_before_the_work(capsys, monkeypatch, argv, code, message, work):
+    """A negative --m, --ell, --max-deg or --h-index is refused with its exit code and one error line, and no output."""
+    owner, name = work
+    def started(*args):
+        raise AssertionError(f"{name} was called")
+    module = main.__globals__ if owner == "main" else main.__globals__[owner].__globals__
+    monkeypatch.setitem(module, name, started)
+    assert run_cli(capsys, *argv) == (code, "", f"dunkl-hermite: error: {message}\n")
+
+
 def test_decompose_square_two_components(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"m": 2, "terms": [{"c": "1/1", "e": [2, 0]}]}))

@@ -131,7 +131,20 @@ def context_and_polynomial(draw):
     return name, DunklContext(build(kappas)), Polynomial(m, terms)
 
 
+def dense(m, degrees):
+    """Every monomial of the given degrees in m variables, with distinct nonzero coefficients."""
+    exponents = [e for d in degrees for e in monomial_basis(m, d)]
+    return Polynomial(m, {e: Fraction((-1) ** k * (k + 1), k % 4 + 1) for k, e in enumerate(exponents)})
+
+
+def pinned_b2():
+    """An @example case: b2 at kappas 1/2, 3/4 and a dense polynomial of degrees 0-4, a fresh context per test, so
+    that a wrong operator fails on it before any search or shrink."""
+    return "b2", DunklContext(builtin_root_system("b", 2, [Fraction(1, 2), Fraction(3, 4)])), dense(2, range(5))
+
+
 @given(context_and_polynomial())
+@example(case=pinned_b2())
 @settings(max_examples=60, deadline=None)
 def test_laplace_beltrami_equals_the_two_euler_formula(case):
     """L f = |x|^2 Delta f - (mu - 2) E f - E(E f) exactly, on polynomials of mixed degree."""
@@ -156,6 +169,7 @@ shift_argument = st.one_of(st.integers(min_value=0, max_value=5),
 
 
 @given(context_and_polynomial(), st.integers(min_value=0, max_value=3), shift_argument, shift_argument)
+@example(case=pinned_b2(), n=2, ell=2, shift=Fraction(-5, 3))
 @settings(max_examples=60, deadline=None)
 def test_radial_and_euler_maps_equal_their_product_formulas(case, n, ell, shift):
     """The |x|^2 shift, the radial tower, every function of E and the two shifted eigen-operators
@@ -184,6 +198,7 @@ def spherical_by_composition(ctx, f, ell, scale=1):
 
 
 @given(context_and_polynomial(), shift_argument, st.sampled_from([1, -1, Fraction(2, 7), Fraction(-5, 3)]))
+@example(case=pinned_b2(), ell=Fraction(5, 2), scale=Fraction(2, 7))
 @settings(max_examples=60, deadline=None)
 def test_spherical_shift_equals_its_composition(case, ell, scale):
     """The scaled shift against the composition it replaces: |x|^2 times the Laplacian, less the degree
@@ -192,12 +207,6 @@ def test_spherical_shift_equals_its_composition(case, ell, scale):
     expected = spherical_by_composition(ctx, f, ell, scale)
     assert spherical_shift(ctx, f, ell, scale) == expected, (name, f, ell, scale)
     assert spherical_shift(ctx, f, ell) * scale == expected, (name, f, ell)
-
-
-def dense(m, degrees):
-    """Every monomial of the given degrees in m variables, with distinct nonzero coefficients."""
-    exponents = [e for d in degrees for e in monomial_basis(m, d)]
-    return Polynomial(m, {e: Fraction((-1) ** k * (k + 1), k % 4 + 1) for k, e in enumerate(exponents)})
 
 
 @pytest.mark.parametrize("name", ["a3", "b3", "G2"])

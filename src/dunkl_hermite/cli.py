@@ -5,9 +5,7 @@ Exit codes: 0 success, 1 usage, 2 invalid input data, 3 mathematical
 precondition violated, 4 verification failures.
 
 main reads a plain argv (--pretty, a command, its exact options with one value each) from COMMANDS and builds no
-parser; argparse reads every other argv, with the flags of the first token naming a command only.  This is exact: a
-token before the command can only be a top-level option (--pretty, -h), so that token is the command whenever the
-command is valid, and for an invalid command argparse stops at the top level before it reads any command's flags.
+parser; argparse reads every other argv.
 """
 from __future__ import annotations
 
@@ -152,10 +150,7 @@ def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
     records = {name: _CONSTRUCTIONS[name](ctx, (args.t,), *checked)[0] for name in names}
     if args.construction != "all":
         return records[args.construction].to_json(), EXIT_OK
-    first = records["recursion"]
-    agree = all(rec.polynomial == first.polynomial
-                and rec.radial_coeffs == first.radial_coeffs
-                for rec in records.values())
+    agree = all(rec == records["recursion"] for rec in records.values())
     payload = {"constructions": {name: rec.to_json() for name, rec in records.items()},
                "agree": agree}
     return payload, EXIT_OK if agree else EXIT_VERIFICATION
@@ -236,30 +231,24 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every command, with the flags of command only (of every command when it is None)."""
+def build_parser() -> _Parser:
+    """The parser of every command and its flags."""
     parser = _Parser(prog=PROG,
                      description="Exact Dunkl operator calculus and Clifford-Hermite polynomials")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (help_text, flags, handler) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
-        if command in (None, name):
-            for option, kwargs in flags:
-                sub.add_argument(option, **kwargs)
-            # SUPPRESS keeps a subcommand-level default from clobbering the top-level flag
-            sub.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="indent the JSON output")
+        for option, kwargs in flags:
+            sub.add_argument(option, **kwargs)
+        # SUPPRESS keeps a subcommand-level default from clobbering the top-level flag
+        sub.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="indent the JSON output")
         sub.set_defaults(handler=handler)
     return parser
 
 
-def _command_in(argv: list[str]) -> str | None:
-    """The command argv runs: its first token that names one, or None when none does."""
-    return next((token for token in argv if token in COMMANDS), None)
-
-
 def _plain_args(argv: list[str]) -> argparse.Namespace | None:
-    """build_parser().parse_args(argv) for a plain argv, else None.  Plain: --pretty any number of times, a command,
+    """The namespace argparse makes of a plain argv, else None.  Plain: --pretty any number of times, a command,
     then --pretty or an exact option of the command with its value (- or not starting with -, of its type, among its
     choices), no option twice and every required one present.  -h, --opt=value and negative numbers are not plain."""
     tokens = iter(argv)
@@ -295,7 +284,7 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_args(argv) or build_parser(_command_in(argv)).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         payload, code = args.handler(args)
     except UsageError as exc:

@@ -296,9 +296,7 @@ def _hermite_eq(s: Sweep, ctx: DunklContext, profile: Profile) -> None:
         recs, rods, lags = (route(ctx, ts, *checked) for route in _CONSTRUCTIONS.values())
         for t, rec, rod, lag in zip(ts, recs, rods, lags):
             at = {"t": t, "ell": ell, "h_index": h_index}
-            s.expect("construction equivalence",
-                     rec.polynomial == rod.polynomial == lag.polynomial
-                     and rec.radial_coeffs == rod.radial_coeffs == lag.radial_coeffs,
+            s.expect("construction equivalence", rec == rod == lag,
                      **at, recursion=rec, rodrigues=rod, laguerre=lag)
             s.expect("top radial coefficient", rec.radial_coeffs[-1] == Fraction(-4) ** t,
                      **at, radial=rec.radial_coeffs)
@@ -442,7 +440,7 @@ def _sweep(check: Callable, case: GroupCase, profile: Profile) -> Sweep:
 
 def run_suite(name: str, profile: Profile, seed: int) -> SuiteVerdict:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} (run_all runs every one)")
     started = time.perf_counter()
     suite = SUITES[name]
     sweeps = list(_run_cases(lambda case: _sweep(suite.check, case, profile),

@@ -1,9 +1,12 @@
-"""main builds the flags of one command only: the parser of the command that argv names reads every argv exactly as
-the parser of every command does, its help texts included, so the choice changes no output.  And main reads a plain
-argv from the flag table with no parser at all: that reading is the full parser's, or it declines."""
+"""main reads a plain argv from the flag table with no parser at all: that reading is argparse's, or it
+declines, and every argv of the bench's cli-requests traffic is plain.  argparse reads every other argv with the one
+parser of every command; its help texts are pinned byte for byte, its usage errors line for line."""
 import contextlib
+import hashlib
+import importlib.util
 import io
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,67 +14,47 @@ from hypothesis import strategies as st
 
 from dunkl_hermite import cli
 
-# (argv, the command main picks for it): every flag of every command and every default, --pretty before and after
-# the command, abbreviated flags, flag values that name another command, and usage errors
+# argvs for the plain reader: every flag of every command and every default, --pretty before and after the command,
+# abbreviated flags, flag values that name another command, help requests and usage errors
 ARGVS = [
-    (["group-info"], "group-info"),
-    (["group-info", "--group", "b", "--m", "3", "--kappa", "1,1/2", "--group-file", "g.json"], "group-info"),
-    (["--pretty", "group-info", "--group", "z2", "--m", "2"], "group-info"),
-    (["group-info", "--group", "d", "--m", "3", "--pretty"], "group-info"),
-    (["--pre", "group-info", "--gr", "a", "--m", "3", "--kap", "1", "--pre"], "group-info"),
-    (["hermite", "--t", "1", "--ell", "0"], "hermite"),
-    (["hermite", "--group", "a", "--m", "3", "--kappa", "1/3", "--group-file", "g.json", "--t", "2", "--ell", "1",
-      "--h-index", "1", "--construction", "laguerre", "--pretty"], "hermite"),
-    (["--pretty", "hermite", "--t=1", "--ell=2", "--cons", "all"], "hermite"),
-    (["hermite", "--t", "0", "--ell", "1", "--h-i", "2", "--construction", "rodrigues", "--pre"], "hermite"),
-    (["hermite", "--group-file", "verify", "--t", "1", "--ell", "0"], "hermite"),
-    (["decompose", "--poly-file", "verify"], "decompose"),
-    (["decompose", "--group", "b", "--m", "2", "--kappa", "1,1", "--group-file", "g.json", "--poly-file", "-",
-      "--pretty"], "decompose"),
-    (["--pretty", "decompose", "--poly", "hermite", "--group-file", "group-info"], "decompose"),
-    (["verify"], "verify"),
-    (["verify", "--suite", "sl2", "--profile", "ci", "--seed", "11", "--max-deg", "6", "--pretty"], "verify"),
-    (["--pre", "verify", "--max", "3", "--prof", "desk", "--su", "all"], "verify"),
-    (["--help"], None),
-    (["-h", "hermite"], "hermite"),
-    (["group-info", "--help"], "group-info"),
-    (["hermite", "--help"], "hermite"),
-    (["decompose", "-h"], "decompose"),
-    (["verify", "--help"], "verify"),
-    ([], None),
-    (["--pretty"], None),
-    (["nonsense"], None),
-    (["nonsense", "hermite"], "hermite"),
-    (["hermite"], "hermite"),
-    (["hermite", "--ell", "1"], "hermite"),
-    (["hermite", "--t", "1", "--ell", "1", "--poly-file", "p.json"], "hermite"),
-    (["hermite", "--t", "x", "--ell", "1"], "hermite"),
-    (["hermite", "--t", "1", "--ell", "1", "--construction", "verify"], "hermite"),
-    (["decompose", "--poly-file"], "decompose"),
-    (["verify", "--suite", "bogus"], "verify"),
-    (["verify", "--suite", "hermite"], "verify"),
-    (["--pretty=1", "verify"], "verify"),
+    ["group-info"],
+    ["group-info", "--group", "b", "--m", "3", "--kappa", "1,1/2", "--group-file", "g.json"],
+    ["--pretty", "group-info", "--group", "z2", "--m", "2"],
+    ["group-info", "--group", "d", "--m", "3", "--pretty"],
+    ["--pre", "group-info", "--gr", "a", "--m", "3", "--kap", "1", "--pre"],
+    ["hermite", "--t", "1", "--ell", "0"],
+    ["hermite", "--group", "a", "--m", "3", "--kappa", "1/3", "--group-file", "g.json", "--t", "2", "--ell", "1",
+     "--h-index", "1", "--construction", "laguerre", "--pretty"],
+    ["--pretty", "hermite", "--t=1", "--ell=2", "--cons", "all"],
+    ["hermite", "--t", "0", "--ell", "1", "--h-i", "2", "--construction", "rodrigues", "--pre"],
+    ["hermite", "--group-file", "verify", "--t", "1", "--ell", "0"],
+    ["decompose", "--poly-file", "verify"],
+    ["decompose", "--group", "b", "--m", "2", "--kappa", "1,1", "--group-file", "g.json", "--poly-file", "-",
+     "--pretty"],
+    ["--pretty", "decompose", "--poly", "hermite", "--group-file", "group-info"],
+    ["verify"],
+    ["verify", "--suite", "sl2", "--profile", "ci", "--seed", "11", "--max-deg", "6", "--pretty"],
+    ["--pre", "verify", "--max", "3", "--prof", "desk", "--su", "all"],
+    ["--help"],
+    ["-h", "hermite"],
+    ["group-info", "--help"],
+    ["hermite", "--help"],
+    ["decompose", "-h"],
+    ["verify", "--help"],
+    [],
+    ["--pretty"],
+    ["nonsense"],
+    ["nonsense", "hermite"],
+    ["hermite"],
+    ["hermite", "--ell", "1"],
+    ["hermite", "--t", "1", "--ell", "1", "--poly-file", "p.json"],
+    ["hermite", "--t", "x", "--ell", "1"],
+    ["hermite", "--t", "1", "--ell", "1", "--construction", "verify"],
+    ["decompose", "--poly-file"],
+    ["verify", "--suite", "bogus"],
+    ["verify", "--suite", "hermite"],
+    ["--pretty=1", "verify"],
 ]
-
-
-def parse(capsys, parser, argv):
-    """vars() of the namespace, or the exit code and output of a usage error or a help request."""
-    try:
-        return vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        captured = capsys.readouterr()
-        return exc.code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("argv, command", ARGVS)
-def test_the_parser_of_the_named_command_reads_argv_as_the_full_parser_does(capsys, argv, command):
-    assert cli._command_in(argv) == command
-    assert parse(capsys, cli.build_parser(command), argv) == parse(capsys, cli.build_parser(), argv)
-
-
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-def test_the_top_level_help_of_every_command_s_parser_is_the_full_one(command):
-    assert cli.build_parser(command).format_help() == cli.build_parser().format_help()
 
 
 def test_main_reads_a_flag_value_naming_a_command_as_that_value(capsys, monkeypatch, tmp_path):
@@ -99,7 +82,7 @@ FLAGS = [(command, option) for command, (_, flags, _) in cli.COMMANDS.items() fo
 
 
 def full(argv):
-    """vars() of the full parser's namespace, or the exit code of its usage error or help request."""
+    """vars() of argparse's namespace, or the exit code of its usage error or help request."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(cli.build_parser().parse_args(argv))
@@ -112,7 +95,7 @@ def agrees(argv):
     return plain is None or vars(plain) == full(argv)
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in ARGVS] + REQUEST_SHAPES)
+@pytest.mark.parametrize("argv", ARGVS + REQUEST_SHAPES)
 def test_the_plain_reading_is_the_full_parser_s_or_none(argv):
     assert agrees(argv)
 
@@ -174,6 +157,28 @@ def test_main_builds_no_parser_for_a_plain_request(monkeypatch, capsys, argv):
     assert capsys.readouterr().out.startswith("{")
 
 
+@pytest.mark.parametrize("argv", ARGVS)
+def test_main_reads_argv_as_the_full_parser_does(monkeypatch, capsys, argv):
+    """main hands the command's handler the full parser's namespace, or exits with the full parser's code, standard
+    output and standard error: a plain argv read from the table and any other read by argparse alike."""
+    expected = full(argv)
+    if not isinstance(expected, dict):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        expected = (expected, *capsys.readouterr())
+    read = []
+    commands = {name: (help_text, flags, lambda args, handler=handler: read.append({**vars(args), "handler": handler})
+                       or ({}, cli.EXIT_OK))
+                for name, (help_text, flags, handler) in cli.COMMANDS.items()}
+    monkeypatch.setattr(cli, "COMMANDS", commands)
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+    except SystemExit as exc:
+        assert (exc.code, *capsys.readouterr()) == expected
+    else:
+        assert read == [expected]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--help"], 0),
     (["group-info", "--group", "b", "--m", "2", "--kap", "1,1"], 0),
@@ -181,12 +186,12 @@ def test_main_builds_no_parser_for_a_plain_request(monkeypatch, capsys, argv):
 ])
 def test_main_builds_the_parser_for_help_an_abbreviation_and_a_negative_value(monkeypatch, capsys, argv, code):
     calls, build_parser = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command) or build_parser(command))
+    monkeypatch.setattr(cli, "build_parser", lambda *args: calls.append(args) or build_parser(*args))
     try:
         assert cli.main(argv) == code
     except SystemExit as exc:
         assert exc.code == code
-    assert calls == [cli._command_in(argv)]
+    assert calls == [()]
 
 
 @pytest.mark.parametrize("argv, last_line", [
@@ -206,3 +211,39 @@ def test_a_usage_error_names_the_parser_that_read_it(capsys, argv, last_line):
         cli.main(argv)
     out, err = capsys.readouterr()
     assert (exc.value.code, out, err.splitlines()[-1]) == (cli.EXIT_USAGE, "", last_line)
+
+
+# sha256 of main's standard output for each help request, at argparse's 80 columns
+HELP_SHA256 = {
+    "": "81890778a5b3009d1825103a2efbcb2883676c1d2a915b13afc9396a95fcdf66",
+    "group-info": "b6a5dd9a17a50a50ca4aca1a1a6b400413da8f925d03bb8527f00a073955ecc7",
+    "hermite": "caec234b8977d2df0f4a2ea8bc55afa52ce8fd9211f2c4f083fddd3a9bd2d3f0",
+    "decompose": "22e437f4a0dfef57f67d42e470a3d10f4fb5278e5acea2711a1042ed8f14c18f",
+    "verify": "0e90acbe29574aadb5b3108e09ce72bdf100a84645f9855296ab2a1df71319e3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_every_help_text_is_pinned_byte_for_byte(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", HELP_SHA256[command])
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file: it imports nothing of the package or of bench/."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_every_bench_request_is_read_plain(seed):
+    """Each argv of the bench's cli-requests workload is read from the flag table, so none of them builds a parser."""
+    requests = bench_workloads().cli_inputs(seed)["requests"]
+    declined = [request["argv"] for request in requests if cli._plain_args(list(request["argv"])) is None]
+    assert requests and declined == []

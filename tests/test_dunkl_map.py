@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_hermite import groups, operators
@@ -83,7 +83,18 @@ def system_and_polynomials(draw):
     return name, build(kappas), draw(polynomials(m)), draw(polynomials(m))
 
 
+def pinned_case(name):
+    """An @example case: name's system in m = 3 at kappas 1/2, 3/4, an f with a term in each degree 0-4, and a g
+    that shares two of f's monomials, so that f + g reads images that f and g filled."""
+    f = Polynomial(3, {(0, 0, 0): 2, (1, 0, 0): Fraction(-3, 2), (0, 1, 1): Fraction(1, 3), (2, 0, 1): Fraction(-5, 7),
+                       (3, 1, 0): Fraction(4, 5)})
+    g = Polynomial(3, {(0, 0, 0): 5, (0, 1, 1): Fraction(2, 3), (0, 0, 4): Fraction(1, 7)})
+    return name, SYSTEMS[name][2]([Fraction(1, 2), Fraction(3, 4)]), f, g
+
+
 @given(system_and_polynomials())
+@example(case=pinned_case("b3"))
+@example(case=pinned_case("G2"))
 @settings(max_examples=60, deadline=None)
 def test_memoized_map_equals_the_reference(case):
     name, system, f, g = case
@@ -181,17 +192,28 @@ def sympy_dunkl(sp, xs, roots, kappas, axis, f):
     return sp.expand(out)
 
 
+# one input per system, run before any drawn one: kappas 1/2, 3/4 and a term in each degree 1-4
+SYMPY_PINNED = Pinned({
+    "b2 kappas": [Fraction(1, 2), Fraction(3, 4)],
+    "b2 p": Polynomial(2, {(1, 0): 2, (1, 1): Fraction(-3, 2), (2, 1): Fraction(1, 3), (3, 1): Fraction(-5, 7)}),
+    "G2 kappas": [Fraction(1, 2), Fraction(3, 4)],
+    "G2 p": Polynomial(3, {(1, 0, 0): 2, (0, 1, 1): Fraction(-3, 2), (2, 0, 1): Fraction(1, 3),
+                           (3, 1, 0): Fraction(-5, 7)}),
+})
+
+
 @pytest.mark.parametrize("name, roots, build", [
     ("b2", B2_ROOTS, lambda k: builtin_root_system("b", 2, k)),
     ("G2", G2_ROOTS, lambda k: root_system_from_json(g2_json(*k))),
 ])
 @given(data=st.data())
+@example(data=SYMPY_PINNED)
 @settings(max_examples=10, deadline=None)
 def test_dunkl_derivative_matches_sympy(name, roots, build, data):
     sp = pytest.importorskip("sympy")
     m = len(roots[0][0])
-    kappas = data.draw(st.lists(kappa, min_size=2, max_size=2))
-    p = data.draw(polynomials(m))
+    kappas = data.draw(st.lists(kappa, min_size=2, max_size=2), label=f"{name} kappas")
+    p = data.draw(polynomials(m), label=f"{name} p")
     ctx = DunklContext(build(kappas))
     xs = sp.symbols(f"x1:{m + 1}")
     f = sum((sp.Rational(c.numerator, c.denominator) * sp.prod([x ** n for x, n in zip(xs, e)])

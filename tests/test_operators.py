@@ -320,6 +320,7 @@ def test_heat_semigroup_inverse():
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+@example(a=3, b=3)  # the top-degree monomial, run before any drawn one
 @settings(max_examples=16, deadline=None)
 def test_heat_semigroup_additive_in_rate(a, b):
     ctx = ctx_z2(2, [1, 1])

@@ -39,6 +39,13 @@ def test_unknown_suite_name():
         run_suite("nonsense", CI, 7)
 
 
+def test_all_is_no_suite_name_and_the_refusal_says_so():
+    """'all' is what run_all and the CLI's --suite take; run_suite names one suite, and its refusal offers no 'all'."""
+    with pytest.raises(ValueError) as exc:
+        run_suite("all", CI, 7)
+    assert str(exc.value) == f"unknown suite 'all'; expected one of {SUITE_NAMES} (run_all runs every one)"
+
+
 def test_suite_verdict_shape_and_seed_stability():
     v1 = run_suite("commute", CI, 7)
     v2 = run_suite("commute", CI, 7)

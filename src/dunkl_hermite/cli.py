@@ -37,6 +37,10 @@ PROG = "dunkl-hermite"
 # half a minute.  hermite and decompose: the monomials of the top degree in m, the columns of the harmonic bases
 # they build; b2 takes every degree up to the degree cap (65,535, which has 65,536 monomials).
 MONOMIAL_CAP = 1 << 16
+# hermite and decompose refuse a root system in more coordinates than this before its Dunkl context is built: a monomial
+# key of m variables holds 16 (m + 1) bits, the keys of the m axes 16 m^2, and a custom root's reflection m^2 entries.
+# At m = DIMENSION_CAP, hermite --group trivial --t 0 --ell 1 takes about a second on a shared 2-core box.
+DIMENSION_CAP = 1200
 
 
 class UsageError(Exception):
@@ -63,7 +67,7 @@ def _load_json(path: str):
             return json.load(handle, parse_float=str)
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digits int reads
         raise InputDataError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -115,6 +119,13 @@ def _refuse_past_monomial_cap(m: int, degree: int) -> None:
                                    f"past the monomial cap {MONOMIAL_CAP}")
 
 
+def _context(system: RootSystem) -> DunklContext:
+    """The Dunkl context of system, refused past DIMENSION_CAP coordinates before it is built."""
+    if system.m > DIMENSION_CAP:
+        raise MathPrecondition(f"m = {system.m} is past the dimension cap {DIMENSION_CAP}")
+    return DunklContext(system)
+
+
 def _refuse_a_recursion_past_monomial_cap(m: int, t: int, ell: int) -> None:
     """Refuse a hermite request whose recursion cannot finish, before any basis is built.  Its estimate: step
     s = 1..t works on the monomials of degrees ell, ell + 2, ..., ell + 2s in m, summed over the steps one exact
@@ -132,14 +143,15 @@ def _refuse_a_recursion_past_monomial_cap(m: int, t: int, ell: int) -> None:
 
 
 def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
-    ctx = DunklContext(_resolve_group(args))
+    system = _resolve_group(args)
     degree = args.ell + 2 * max(args.t, 0)  # the record's degree; refused before any basis is built
     if degree > MAX_DEGREE:
         raise MathPrecondition(f"degree ell + 2t = {degree} is past the degree cap {MAX_DEGREE}")
-    _refuse_past_monomial_cap(ctx.m, degree)
-    _refuse_a_recursion_past_monomial_cap(ctx.m, args.t, args.ell)
+    _refuse_past_monomial_cap(system.m, degree)
+    _refuse_a_recursion_past_monomial_cap(system.m, args.t, args.ell)
     if args.t < 0:  # the library's refusal, before any basis, so that --h-index is not checked first
         raise MathPrecondition(f"index t must be >= 0, got {args.t}")
+    ctx = _context(system)
     basis = harmonic_basis(ctx, args.ell).elements
     if not 0 <= args.h_index < len(basis):
         raise InputDataError(
@@ -157,7 +169,7 @@ def cmd_hermite(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
-    ctx = DunklContext(_resolve_group(args))
+    ctx = _context(_resolve_group(args))
     try:
         poly = Polynomial.from_json(_load_json(args.poly_file))
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:

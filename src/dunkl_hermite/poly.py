@@ -21,10 +21,12 @@ sorted_terms, leading_term, JSON, printing and monomial_basis read or give them.
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InexactDivision
 
@@ -37,6 +39,7 @@ Block = tuple[int, Iterable[tuple[Hashable, int]]]
 MAX_DEGREE = (1 << 16) - 1
 _BITS = MAX_DEGREE.bit_length()  # the width of each field of a monomial key
 _FIELD = (1 << _BITS) - 1
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")  # the exponent of a decimal, as Fraction reads it
 
 
 def _check_degree(degree: int) -> None:
@@ -64,15 +67,10 @@ def _derivative_map(m: int, axis: int) -> Callable[[int], Block]:
 
 
 def _keys(exponents: Sequence[Exponent]) -> list[int]:
-    """The key of each exponent tuple: nonnegative ints of a total degree within the cap, which is checked."""
-    degrees = list(map(sum, exponents))
-    _check_degree(max(degrees, default=0))
-    keys = []
-    for key, e in zip(degrees, exponents):
-        for x in e:
-            key = key << _BITS | x
-        keys.append(key)
-    return keys
+    """The key of each exponent tuple, the sum of e_i units of each axis i: nonnegative ints of a total degree within
+    the cap, which is checked."""
+    _check_degree(max(map(sum, exponents), default=0))
+    return [sum(x * unit for x, unit in zip(e, _units(len(e)))) for e in exponents]
 
 
 def _exponents(m: int, keys: Iterable[int]) -> list[Exponent]:
@@ -96,13 +94,20 @@ def rational_str(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "3/2", "-4/1", "0.1" or plain "3" into a Fraction; malformed text or a float raises ValueError."""
+    """Parse "3/2", "-4/1", "0.1", "1e-3" or plain "3" into a Fraction; malformed text, a float, or a number past the
+    digits an int prints (sys.get_int_max_str_digits()) raises ValueError, an exponent before 10**exponent is built."""
     if isinstance(text, float):
         exact(text)  # refuses it: str() of a float is its shortest repr, not the number written
+    text, limit = str(text).strip(), sys.get_int_max_str_digits()  # a limit of 0 is none
+    exponent = _EXPONENT.search(text)
     try:
-        return Fraction(str(text).strip())
+        value = None if limit and exponent and abs(int(exponent[1])) > limit else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    top = 0 if value is None else max(abs(value.numerator), value.denominator)
+    if value is None or limit and top.bit_length() > 3 * limit and top >= 10 ** limit:  # 8^limit < 10^limit
+        raise ValueError(f"{text!r} needs more than the {limit} digits an int prints")
+    return value
 
 
 def exact(value) -> Fraction:
@@ -137,26 +142,24 @@ def dim_homogeneous(m: int, degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def monomial_basis(m: int, degree: int) -> tuple[Exponent, ...]:
-    """All exponent tuples of the given total degree, deg-lex largest first."""
+def monomial_keys(m: int, degree: int) -> tuple[int, ...]:
+    """The key of every monomial of the degree in m variables, deg-lex largest first: from x_1^degree, each next key
+    moves one unit of the last e_i > 0 before x_m, and all of e_m, to x_(i+1), down to x_m^degree."""
     if degree < 0:
         return ()
-
-    def gen(vars_left: int, total: int) -> Iterator[Exponent]:
-        if vars_left == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in gen(vars_left - 1, total - first):
-                yield (first,) + rest
-
-    return tuple(gen(m, degree))
+    _check_degree(degree)
+    units, head = _units(m), (1 << _BITS * (m - 1)) - 1
+    keys = [degree * units[0]]
+    while above := keys[-1] >> _BITS & head:  # the fields of x_1 .. x_(m-1); none at x_m^degree
+        i = m - 2 - ((above & -above).bit_length() - 1) // _BITS  # the lowest nonzero field is e_i's
+        keys.append(keys[-1] + units[i + 1] - units[i] + (keys[-1] & _FIELD) * (units[i + 1] - units[m - 1]))
+    return tuple(keys)
 
 
 @lru_cache(maxsize=None)
-def monomial_keys(m: int, degree: int) -> tuple[int, ...]:
-    """The keys of monomial_basis(m, degree), in its order."""
-    return tuple(_keys(monomial_basis(m, degree)))
+def monomial_basis(m: int, degree: int) -> tuple[Exponent, ...]:
+    """All exponent tuples of the given total degree, deg-lex largest first: the keys of monomial_keys, decoded."""
+    return tuple(_exponents(m, monomial_keys(m, degree)))
 
 
 class _Element:
@@ -253,9 +256,7 @@ class Polynomial(_Element):
     @classmethod
     def variable(cls, m: int, axis: int) -> "Polynomial":
         _check_axis(m, axis)
-        e = [0] * m
-        e[axis] = 1
-        return cls(m, {tuple(e): 1})
+        return cls._new(m, (1, {_units(_dimension(m))[axis]: 1}))
 
     @classmethod
     def monomial(cls, m: int, exponents: Exponent, coeff: ScalarLike = 1) -> "Polynomial":
@@ -263,13 +264,8 @@ class Polynomial(_Element):
 
     @classmethod
     def norm_squared(cls, m: int) -> "Polynomial":
-        """x_1^2 + ... + x_m^2."""
-        terms = {}
-        for i in range(m):
-            e = [0] * m
-            e[i] = 2
-            terms[tuple(e)] = 1
-        return cls(m, terms)
+        """x_1^2 + ... + x_m^2: the key of x_i^2 is twice the key of x_i."""
+        return cls._new(m, (1, {2 * unit: 1 for unit in _units(_dimension(m))}))
 
     # -- inspection --------------------------------------------------------
 

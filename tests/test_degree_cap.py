@@ -2,8 +2,9 @@
 degree MAX_DEGREE and refuses one of MAX_DEGREE + 1 with a ValueError naming both, before it builds a key.
 Only monomials, in a context without roots, so that no case starts real work.  The CLI refuses a request past
 the cap before its work starts: the work is patched to raise, so a request at the cap reaches it and one past
-the cap does not.  So does a builtin family whose roots are too many to validate, and a hermite request whose
-recursion's estimated terms are too many."""
+the cap does not.  So does a builtin family whose roots are too many to validate, a hermite request whose
+recursion's estimated terms are too many, and a hermite or decompose request in more coordinates than the CLI's
+dimension cap."""
 import json
 from fractions import Fraction
 from math import comb
@@ -258,3 +259,53 @@ def test_the_largest_recursion_under_its_estimate_reaches_the_work(monkeypatch, 
     monkeypatch.setattr(cli, "harmonic_basis", _start)
     with pytest.raises(WorkStarted):
         cli.main(["hermite", *group, "--t", str(t), "--ell", str(ell)])
+
+
+def _dimension_request(tmp_path, command: str, source: str, m: int) -> list[str]:
+    """command on the trivial group in m, or on a --group-file of the one root e_1 in m coordinates; hermite at t = 0
+    and ell = 1, decompose of x_1."""
+    if source == "trivial":
+        group = ["--group", "trivial", "--m", str(m)]
+    else:
+        e1 = [1] + [0] * (m - 1)
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"m": m, "positive_roots": [e1], "multiplicities": [{"orbit_rep": e1, "kappa": 1}]}))
+        group = ["--group-file", str(path)]
+    if command == "hermite":
+        return ["hermite", *group, "--t", "0", "--ell", "1"]
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(x(1, m).to_json()))
+    return ["decompose", *group, "--poly-file", str(path)]
+
+
+@pytest.mark.parametrize("source", ["trivial", "one-root"])
+@pytest.mark.parametrize("command", ["hermite", "decompose"])
+def test_a_dimension_past_the_cap_exits_3_before_the_context(capsys, monkeypatch, tmp_path, command, source):
+    """hermite and decompose refuse m past the dimension cap once the root system is read, before its Dunkl context
+    (a custom root's reflection is an m x m matrix) and any monomial key (16 (m + 1) bits each) is built."""
+    m = cli.DIMENSION_CAP + 1
+    monkeypatch.setattr(cli, "DunklContext", _start)
+    assert cli.main(_dimension_request(tmp_path, command, source, m)) == cli.EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"dunkl-hermite: error: m = {m} is past the dimension cap {cli.DIMENSION_CAP}\n"
+
+
+@pytest.mark.parametrize("source", ["trivial", "one-root"])
+@pytest.mark.parametrize("command", ["hermite", "decompose"])
+def test_a_dimension_at_the_cap_reaches_the_context(monkeypatch, tmp_path, command, source):
+    monkeypatch.setattr(cli, "DunklContext", _start)
+    with pytest.raises(WorkStarted):
+        cli.main(_dimension_request(tmp_path, command, source, cli.DIMENSION_CAP))
+
+
+def test_a_billion_variables_are_refused_after_the_monomial_count(capsys, monkeypatch):
+    """One monomial of degree 0 passes the monomial cap in any m; the dimension cap refuses m = 10^9 next."""
+    monkeypatch.setattr(cli, "DunklContext", _start)
+    assert cli.main(["hermite", "--group", "trivial", "--m", str(10 ** 9), "--t", "0", "--ell", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"dunkl-hermite: error: m = {10 ** 9} is past the dimension cap {cli.DIMENSION_CAP}\n"
+
+
+def test_group_info_takes_any_dimension(capsys):
+    assert cli.main(["group-info", "--group", "trivial", "--m", str(10 ** 9)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["m"] == 10 ** 9

@@ -4,10 +4,12 @@ Each case used to escape as a traceback (ZeroDivisionError, KeyError, a bare
 ValueError) or was silently coerced by int() into a different input.
 """
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dunkl_hermite import cli
 from dunkl_hermite.cli import main
 from dunkl_hermite.clifford import CliffordPolynomial
 from dunkl_hermite.errors import InvalidRootSystem
@@ -20,6 +22,8 @@ from dunkl_hermite.operators import (DunklContext, WeightedFunction, conjugated_
                                      spherical_shift)
 from dunkl_hermite.poly import (Polynomial, accumulate, compose_linear, divide_by_linear_form, parse_rational,
                                 rational_str)
+
+from test_degree_cap import _start
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +277,70 @@ def test_parse_rational_refuses_a_float():
     with pytest.raises(ValueError, match="inexact float"):
         parse_rational(0.5)
     assert parse_rational("0.5") == parse_rational(1) / 2
+
+
+LIMIT = sys.get_int_max_str_digits()  # the most digits int reads or prints
+
+
+# (text, its id): an exponent past the limit, then a numerator or a denominator of one digit more
+PAST_THE_DIGIT_LIMIT = [(f"1e{LIMIT + 1}", "1e(limit+1)"), ("1e9999999", "1e9999999"), ("1e9_999_999", "underscores"),
+                        (f"-1e-{LIMIT + 1}", "-1e-(limit+1)"), (f"0e{LIMIT + 1}", "0e(limit+1)"),
+                        (f"1e{LIMIT}", "1e(limit)"), (f"1e-{LIMIT}", "1e-(limit)"), (f"{'9' * LIMIT}.5", "9s.5")]
+
+
+@pytest.mark.parametrize("text", [text for text, _ in PAST_THE_DIGIT_LIMIT], ids=[i for _, i in PAST_THE_DIGIT_LIMIT])
+def test_parse_rational_refuses_a_number_int_cannot_print(text):
+    """An exponent past the limit is refused before 10**exponent is built; a number built with a numerator or
+    denominator past the limit, once built.  int() itself refuses a plain digit string past it."""
+    with pytest.raises(ValueError, match=rf"needs more than the {LIMIT} digits an int prints"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", [f"1e{LIMIT - 1}", f"-1e-{LIMIT - 1}", f"{'9' * LIMIT}/{'7' * LIMIT}"],
+                         ids=["1e(limit-1)", "-1e-(limit-1)", "9s/7s"])
+def test_parse_rational_takes_a_number_of_the_limit_s_digits(text):
+    value = parse_rational(text)
+    assert Fraction(rational_str(value)) == value
+
+
+def test_a_kappa_int_cannot_print_exits_2_before_the_group(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "builtin_root_system", _start)
+    result = run_cli(capsys, "group-info", "--group", "b", "--m", "2", "--kappa", f"1e{LIMIT + 1},1")
+    assert_input_error(*result, "cannot parse --kappa", "digits an int prints")
+
+
+def test_a_json_kappa_int_cannot_print_exits_2_before_the_context(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "DunklContext", _start)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"m": 1, "positive_roots": [["1"]],
+                                "multiplicities": [{"orbit_rep": ["1"], "kappa": f"1e{LIMIT + 1}"}]}))
+    result = run_cli(capsys, "hermite", "--group-file", str(path), "--t", "0", "--ell", "0")
+    assert_input_error(*result, "bad multiplicities", "digits an int prints")
+
+
+def test_a_json_coefficient_int_cannot_print_exits_2_before_the_decomposition(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "fischer_decompose", _start)
+    result = decompose(capsys, tmp_path, {"m": 2, "terms": [{"c": f"1e{LIMIT + 1}", "e": [1, 0]}]})
+    assert_input_error(*result, "bad polynomial JSON", "digits an int prints")
+
+
+@pytest.mark.parametrize("command", ["group-info", "decompose"])
+def test_a_json_integer_past_the_digit_limit_exits_2_before_it_is_read(capsys, monkeypatch, tmp_path, command):
+    """json refuses an integer of more digits than int reads with a plain ValueError, not a JSONDecodeError."""
+    monkeypatch.setattr(cli, "root_system_from_json", _start)
+    monkeypatch.setattr(cli.Polynomial, "from_json", _start)
+    path = tmp_path / "big.json"
+    path.write_text('{"m": 1' + "0" * LIMIT + "}")
+    if command == "group-info":
+        result = run_cli(capsys, "group-info", "--group-file", str(path))
+    else:
+        result = run_cli(capsys, "decompose", "--group", "trivial", "--m", "1", "--poly-file", str(path))
+    assert_input_error(*result, "is not valid JSON", "Exceeds the limit")
+
+
+def test_a_file_that_is_not_utf8_exits_2(capsys, monkeypatch, tmp_path):
+    """A UnicodeDecodeError is a ValueError too, and read as invalid JSON."""
+    monkeypatch.setattr(cli, "root_system_from_json", _start)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"m": 1, "name": "\xff"}')
+    assert_input_error(*run_cli(capsys, "group-info", "--group-file", str(path)), "is not valid JSON", "utf-8")

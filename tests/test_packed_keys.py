@@ -1,12 +1,15 @@
 """Packed monomial keys: the layout and its order, and every map that moves a key against its exponent-tuple
 form in tests/reference_operators.py, exactly."""
 from fractions import Fraction
+from itertools import product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_hermite.clifford import CliffordPolynomial, _diracs, vector_multiply
-from dunkl_hermite.groups import builtin_root_system, root_system_from_json
+from dunkl_hermite.groups import builtin_root_system, root_system_from_json, trivial_root_system
+from dunkl_hermite.hermite import harmonic_basis
 from dunkl_hermite.operators import DunklContext, _leibniz_chain, _orbit_entry, _shifts, conjugated_laplacian
 from dunkl_hermite.poly import (_BITS, MAX_DEGREE, Polynomial, _exponents, _keys, _steps, _units, accumulate,
                                 linear_extension, monomial_basis, monomial_keys)
@@ -77,6 +80,30 @@ def test_the_fields_hold_the_cap():
             keys = monomial_keys(m, d)
             assert keys == tuple(_keys(monomial_basis(m, d)))
             assert list(keys) == sorted(keys, reverse=True)  # deg-lex largest first, as monomial_basis
+
+
+def test_the_enumeration_equals_a_filter_of_every_tuple():
+    """monomial_basis and monomial_keys against every tuple of range(degree + 1)^m of the degree, reverse-sorted:
+    within one degree, deg-lex largest first is lexicographic largest first."""
+    for m in range(1, 7):
+        for d in range(-1, 9):
+            expected = sorted((e for e in product(range(d + 1), repeat=m) if sum(e) == d), reverse=True)
+            assert monomial_basis(m, d) == tuple(expected)
+            assert monomial_keys(m, d) == tuple(_keys(expected))
+
+
+def test_the_enumeration_reaches_the_cap_and_refuses_one_past_it():
+    keys = monomial_keys(2, MAX_DEGREE)
+    assert len(keys) == MAX_DEGREE + 1
+    assert _exponents(2, keys[:2] + keys[-1:]) == [(MAX_DEGREE, 0), (MAX_DEGREE - 1, 1), (0, MAX_DEGREE)]
+    for enumeration in (monomial_keys, monomial_basis):
+        with pytest.raises(ValueError, match=rf"degree {MAX_DEGREE + 1} is past the degree cap {MAX_DEGREE}"):
+            enumeration(1, MAX_DEGREE + 1)
+
+
+def test_a_harmonic_basis_in_1200_variables():
+    """Degree 1 in m = 1,200, the CLI's dimension cap: the enumeration holds no recursion per variable."""
+    assert len(harmonic_basis(DunklContext(trivial_root_system(1200)), 1).elements) == 1200
 
 
 # -- ring operations -------------------------------------------------------------

@@ -95,7 +95,9 @@ def _fischer_factor(ctx: DunklContext, degree: int) -> tuple[list[tuple[int, int
 def fischer_decompose(ctx: DunklContext, p: Polynomial) -> list[tuple[int, Polynomial]]:
     """Split homogeneous p into its |x|^{2i} x harmonic layers (nonzero ones only).
 
-    The frame of each degree is factored once per context and reused.
+    The frame of each degree is factored once per context and reused.  With p = t/den, coordinate c
+    times q_c = nums(q_c) / den_c is dot_c nums(q_c) / (pivot_c den) (FrameFactor): the frame's
+    denominators cancel, so a layer sums integer scales, each pivot's sign moved into its scale.
     """
     if p.m != ctx.m:
         raise DimensionMismatch(
@@ -108,9 +110,10 @@ def fischer_decompose(ctx: DunklContext, p: Polynomial) -> list[tuple[int, Polyn
         return []
     frame, factor = _fischer_factor(ctx, p.homogeneous_degree())
     parts: dict[int, list] = {}
-    for (i, _, q), c in zip(frame, factor.solve(p)):
-        if c:
-            parts.setdefault(i, []).append((c, q._block, None))
+    for (i, _, q), (_, pivot, _), dot in zip(frame, factor.pivots, factor._dots(p)):
+        if dot:
+            scale = dot if pivot > 0 else -dot  # every block's denominator positive, as accumulate reads it
+            parts.setdefault(i, []).append((scale, (abs(pivot) * p._den, q._nums.items()), None))
     layers = [(i, linear_extension(ctx.m, parts[i])) for i in sorted(parts)]
     return [(i, layer) for i, layer in layers if layer]
 

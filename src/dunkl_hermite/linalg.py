@@ -6,10 +6,10 @@ monomial key or a Clifford key (see poly and clifford).  Only this module lays i
 keyed by its own key in order of first appearance, is a sparse {column: int} map of the numerators, and one
 fraction-free Gauss-Jordan loop over those rows serves every RREF, rank, kernel and frame solve.
 A kernel or a frame solve of the numerator matrix is scaled back by the column denominators; the
-public dense functions clear each row's denominators at the boundary.  Columns of an operator
-matrix are indexed by the deg-lex (largest first) monomial basis of the domain degree, rows by that
-of the codomain degree.  Kernels come back canonicalized: free variables taken in column order,
-integer entries of content 1, leading nonzero coefficient positive.
+public dense functions clear each row's denominators at the boundary.  A kernel reads each pivot row once, a
+frame solve is one integer dot per pivot row.  Columns of an operator matrix are indexed by the deg-lex (largest
+first) monomial basis of the domain degree, rows by that of the codomain degree.  Kernels come back canonicalized:
+free variables taken in column order, integer entries of content 1, leading nonzero coefficient positive.
 """
 from __future__ import annotations
 
@@ -163,13 +163,19 @@ def _canonical_integer(vec: dict[int, int]) -> dict[int, int]:
 
 def _kernel(rows: IntegerRows, ncols: int) -> list[dict[int, int]]:
     """A kernel basis of sparse integer rows, one integer vector {column: entry} per free column
-    in column order: the free entry is the lcm of the pivots of the rows that meet it."""
-    pivot_rows = [(c, rows[key][c], rows[key]) for key, c in _eliminate(rows, ncols)]
+    in column order: the free entry is the lcm of the pivots of the rows that meet it.  After
+    Gauss-Jordan every entry of a pivot row but its pivot is in a free column: one pass finds them."""
+    steps = _eliminate(rows, ncols)
+    meeting = {f: [] for f in sorted(set(range(ncols)) - {c for _, c in steps})}  # free column -> (c, p, entry)
+    for key, c in steps:
+        row = rows[key]
+        for f, x in row.items():
+            if f != c:
+                meeting[f].append((c, row[c], x))
     basis = []
-    for f in sorted(set(range(ncols)) - {c for c, _, _ in pivot_rows}):  # the free columns
-        meeting = [(c, p, row[f]) for c, p, row in pivot_rows if f in row]
-        scale = lcm(*(p for _, p, _ in meeting))
-        vec = {c: -x * (scale // p) for c, p, x in meeting}
+    for f, entries in meeting.items():
+        scale = lcm(*(p for _, p, _ in entries))
+        vec = {c: -x * (scale // p) for c, p, x in entries}
         vec[f] = scale
         basis.append(vec)
     return basis
@@ -206,7 +212,8 @@ class FrameFactor:
     of its support) is eliminated once next to the identity, [B | I], so every row ends as an
     integer combination of the monomials.  A pivot row with pivot p in column c gives coordinate c
     of a target t/den as den_c (row . t) / (p den); a row left without a pivot spans B's left
-    kernel, and t is in the span only if it annihilates every such row.
+    kernel, and t is in the span only if it annihilates every such row.  _dots gives the integers
+    row . t, and solve the coordinates; p may be negative.
     """
 
     __slots__ = ("m", "size", "support", "dens", "pivots", "checks")
@@ -229,20 +236,26 @@ class FrameFactor:
         self.pivots = [(c, row[c], combination(row)) for c, row in pivot_rows]
         self.checks = [combination(row) for row in rows.values()]
 
-    def solve(self, target: Polynomial) -> list[Fraction]:
-        """Exact coordinates of target; "not in the span" is reported before "dependent"."""
+    def _dots(self, target: Polynomial) -> list[int]:
+        """The integer row . t of each pivot row, t the target's numerators; "not in the span" before "dependent"."""
         if target.m != self.m:
             raise DimensionMismatch(f"dimension mismatch: {target.m} vs {self.m}")
         nums = target._nums
 
-        def dot(combination: dict[Hashable, int]) -> int:
-            return sum(x * combination.get(key, 0) for key, x in nums.items())
+        def dot(combination: dict[Hashable, int]) -> int:  # over the shorter side
+            short, other = (combination, nums) if len(combination) < len(nums) else (nums, combination)
+            get = other.get
+            return sum(x * get(key, 0) for key, x in short.items())
 
         if not nums.keys() <= self.support or any(map(dot, self.checks)):
             raise MathPrecondition("target polynomial is not in the span of the frame")
         if len(self.pivots) != self.size:  # one coordinate per pivot
             raise MathPrecondition("frame polynomials are linearly dependent")
-        return [Fraction(self.dens[c] * dot(combination), p * target._den) for c, p, combination in self.pivots]
+        return [dot(combination) for _, _, combination in self.pivots]
+
+    def solve(self, target: Polynomial) -> list[Fraction]:
+        """Exact coordinates of target; "not in the span" is reported before "dependent"."""
+        return [Fraction(self.dens[c] * d, p * target._den) for (c, p, _), d in zip(self.pivots, self._dots(target))]
 
 
 def solve_in_frame(frame: Sequence[Polynomial], target: Polynomial) -> list[Fraction]:

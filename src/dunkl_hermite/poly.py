@@ -22,6 +22,7 @@ sorted_terms, leading_term, JSON, printing and monomial_basis read or give them.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -73,10 +74,17 @@ def _keys(exponents: Sequence[Exponent]) -> list[int]:
     return [sum(x * unit for x, unit in zip(e, _units(len(e)))) for e in exponents]
 
 
+@lru_cache(maxsize=None)
+def _fields(m: int) -> struct.Struct:
+    """A key in m variables as its m + 1 big-endian fields, the degree field on top skipped."""
+    assert _BITS == 16, "the fields are read as struct's 16-bit H"
+    return struct.Struct(f">2x{m}H")
+
+
 def _exponents(m: int, keys: Iterable[int]) -> list[Exponent]:
-    """The exponent tuple of each key in m variables."""
-    shifts = range(_BITS * (m - 1), -1, -_BITS)
-    return [tuple([key >> s & _FIELD for s in shifts]) for key in keys]  # a list, not a generator: faster
+    """The exponent tuple of each key in m variables, from its bytes: O(m) a key, not a shift per field's O(m^2)."""
+    unpack, size = (fields := _fields(m)).unpack, fields.size
+    return [unpack(key.to_bytes(size, "big")) for key in keys]
 
 
 def _steps(m: int, key: int) -> list[int]:

@@ -5,15 +5,18 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dunkl_hermite import linalg
+from dunkl_hermite import hermite, linalg
 from dunkl_hermite.errors import MathPrecondition
+from dunkl_hermite.groups import builtin_root_system, trivial_root_system
+from dunkl_hermite.hermite import fischer_decompose, fischer_frame
 from dunkl_hermite.linalg import kernel_basis, kernel_vectors, matrix_rank, reduced_row_echelon, solve_in_frame
-from dunkl_hermite.poly import Polynomial
+from dunkl_hermite.operators import DunklContext
+from dunkl_hermite.poly import Polynomial, monomial_basis, monomial_keys
 
-from test_frame_factor import frames_and_targets, outcome
+from test_frame_factor import frames_and_targets, one_shot_decompose, outcome
 
 
 # -- the reference: Gauss-Jordan over Fractions, one pivot inverse and one Fraction per update --
@@ -189,16 +192,51 @@ def assert_blocks_agree(columns):
     checked_run(run)
 
 
+# a zero column (1), a row repeated (2 = 0) and a free column (3) that the last pivot row meets
+ZERO_COLUMN_AND_REPEATED_ROW = [[Fraction(1), Fraction(0), Fraction(2), Fraction(1, 2)],
+                                [Fraction(0), Fraction(0), Fraction(3), Fraction(-1)],
+                                [Fraction(1), Fraction(0), Fraction(2), Fraction(1, 2)]]
+
+
+def dense_blocks(rows):
+    """The columns of dense rational rows as (den, integer terms) blocks, row i keyed by i."""
+    blocks = []
+    for j in range(len(rows[0])):
+        den = lcm(*(row[j].denominator for row in rows))
+        blocks.append((den, [(i, int(row[j] * den)) for i, row in enumerate(rows) if row[j]]))
+    return blocks
+
+
 @given(rational_matrices())
+@example(ZERO_COLUMN_AND_REPEATED_ROW)
 @settings(max_examples=200, deadline=None)
 def test_dense_functions_equal_the_rational_reference(rows):
     assert_dense_agree(rows)
 
 
 @given(integer_blocks())
+@example(dense_blocks(ZERO_COLUMN_AND_REPEATED_ROW))
 @settings(max_examples=200, deadline=None)
 def test_kernel_basis_of_blocks_equals_the_rational_reference(columns):
     assert_blocks_agree(columns)
+
+
+def test_a_zero_column_and_a_repeated_row():
+    """The examples above, by hand: the zero column is a kernel vector alone."""
+    assert kernel_vectors(ZERO_COLUMN_AND_REPEATED_ROW, 4) == [(0, 1, 0, 0), (7, 0, -2, -6)]
+
+
+@pytest.mark.parametrize("build, free", [
+    (lambda: trivial_root_system(5), 285),
+    (lambda: builtin_root_system("z2", 4, (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 3))), 81),
+], ids=["trivial5", "z2^4"])
+def test_degree_8_laplacian_kernels_equal_the_rational_reference(build, free):
+    """Sizes the strategies never reach: 495 and 165 columns of the Dunkl Laplacian at degree 8."""
+    ctx = DunklContext(build())
+    keys = monomial_keys(ctx.m, 8)
+    columns = [ctx._laplacians[key] for key in keys]
+    assert_blocks_agree(columns)
+    assert len(kernel_basis(columns, keys)) == free
 
 
 @pytest.mark.parametrize("nrows, ncols", [(12, 14), (14, 12), (8, 8)])
@@ -215,6 +253,8 @@ def test_hilbert_blocks_equal_the_rational_reference(nrows, ncols):
 
 
 @given(frames_and_targets())
+@example(([Polynomial(2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(1, 2)}), Polynomial(2, {(0, 2): 2, (1, 1): -1})],
+          Polynomial(2, {(2, 0): Fraction(2, 3), (1, 1): Fraction(10, 7), (0, 2): Fraction(-6, 7)})))
 @settings(max_examples=200, deadline=None)
 def test_frame_solve_equals_the_rational_reference(case):
     """Coordinates, and the error order: out-of-support terms and other targets outside the span
@@ -240,3 +280,21 @@ def test_frame_solve_error_order(frame, target, message):
     expected = outcome(reference_solve, frame, target)
     assert outcome(solve_in_frame, frame, target) == expected
     assert expected == (f"MathPrecondition: {message}" if message else [6, Fraction(-10, 7)])
+
+
+# -- the factored Fischer solve on B3 at degree 6, as the kernels benchmark runs it ---------------
+
+@pytest.mark.parametrize("target", [
+    Polynomial(3, {e: Fraction((-1) ** j * (j % 9 + 1), j % 3 + 1) for j, e in enumerate(monomial_basis(3, 6))}),
+    Polynomial(3, {(6, 0, 0): 1}),
+    Polynomial(3, {(2, 2, 2): Fraction(3, 7), (4, 1, 1): Fraction(-5, 11), (0, 0, 6): 2}),
+], ids=["dense", "one monomial", "fractional"])
+def test_b3_degree_6_solves_equal_the_references(target):
+    """Every dot runs over its shorter side: the pivot combinations against the dense target, the
+    target against them otherwise; some pivots are negative, and the target's denominator is not 1."""
+    ctx = DunklContext(builtin_root_system("b", 3, (Fraction(1, 2), Fraction(3, 4))))
+    frame = [q for _, _, q in fischer_frame(ctx, 6)]
+    assert fischer_decompose(ctx, target) == one_shot_decompose(ctx, target)
+    _, factor = hermite._fischer_factor(ctx, 6)
+    assert any(p < 0 for _, p, _ in factor.pivots)
+    assert outcome(solve_in_frame, frame, target) == outcome(reference_solve, frame, target)

@@ -130,13 +130,7 @@ def one_shot_decompose(ctx, p):
     return [(i, layers[i]) for i in sorted(layers) if layers[i]]
 
 
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
-@given(data=st.data())
-@settings(max_examples=10, deadline=None)
-def test_fischer_decompose_twice_equals_the_one_shot_solve(name, data):
-    m, nk, build, top = SYSTEMS[name]
-    ctx = DunklContext(build(data.draw(st.lists(kappa, min_size=nk, max_size=nk))))
-    p = data.draw(homogeneous(m, top))
+def assert_decompose_twice(ctx, p):
     factored = []
     original = hermite.FrameFactor
 
@@ -150,7 +144,26 @@ def test_fischer_decompose_twice_equals_the_one_shot_solve(name, data):
         second = fischer_decompose(ctx, p)  # replays the factor the first call made
     assert factored == [len(fischer_frame(ctx, p.homogeneous_degree()))]
     assert first == second == one_shot_decompose(ctx, p)
-    assert sum((part for _, part in first), Polynomial.zero(m)) == p
+    assert sum((part for _, part in first), Polynomial.zero(ctx.m)) == p
+
+
+@pytest.mark.parametrize("name, kappas", [("b3", (Fraction(1, 2), Fraction(3, 4))), ("G2", (Fraction(2, 3), 1))],
+                         ids=["b3", "G2"])
+def test_fischer_decompose_twice_pinned(name, kappas):
+    """The property below on one dense degree-4 target over denominator 6, deterministically: b3's
+    degree-4 factor has a negative pivot."""
+    m, _, build, _ = SYSTEMS[name]
+    p = Polynomial(m, {e: Fraction((-1) ** j * (j % 5 + 1), j % 3 + 1) for j, e in enumerate(monomial_basis(m, 4))})
+    assert_decompose_twice(DunklContext(build(kappas)), p)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_fischer_decompose_twice_equals_the_one_shot_solve(name, data):
+    m, nk, build, top = SYSTEMS[name]
+    ctx = DunklContext(build(data.draw(st.lists(kappa, min_size=nk, max_size=nk))))
+    assert_decompose_twice(ctx, data.draw(homogeneous(m, top)))
 
 
 def test_a_context_dropped_after_fischer_decompose_is_released():

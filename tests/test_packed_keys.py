@@ -101,6 +101,27 @@ def test_the_enumeration_reaches_the_cap_and_refuses_one_past_it():
             enumeration(1, MAX_DEGREE + 1)
 
 
+def shift_decode(m, keys):
+    """The exponent tuples by one shift of the whole key per field: O(m^2) a key."""
+    shifts = range(_BITS * (m - 1), -1, -_BITS)
+    return [tuple(key >> s & (1 << _BITS) - 1 for s in shifts) for key in keys]
+
+
+def test_the_byte_decode_equals_the_shift_decode():
+    """_exponents reads each key's bytes; every field, from 0 to MAX_DEGREE, and m up to the CLI's 1,200."""
+    for m in range(1, 7):
+        for d in range(9):
+            keys = monomial_keys(m, d)
+            assert _exponents(m, keys) == shift_decode(m, keys)
+        corners = [tuple(MAX_DEGREE if i == j else 0 for i in range(m)) for j in range(m)]
+        corners.append((MAX_DEGREE - m + 1,) + (1,) * (m - 1))
+        keys = _keys(corners)
+        assert _exponents(m, keys) == shift_decode(m, keys) == corners
+    keys = monomial_keys(1200, 1)
+    assert _exponents(1200, keys) == shift_decode(1200, keys)
+    assert _exponents(1200, keys[-1:]) == [(0,) * 1199 + (1,)]
+
+
 def test_a_harmonic_basis_in_1200_variables():
     """Degree 1 in m = 1,200, the CLI's dimension cap: the enumeration holds no recursion per variable."""
     assert len(harmonic_basis(DunklContext(trivial_root_system(1200)), 1).elements) == 1200
